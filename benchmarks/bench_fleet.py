@@ -16,34 +16,33 @@ into a capacity model:
   latency is the service-level objective.
 * **Detach + idle ladder** — every client "closes the laptop"
   (pump suspended, address unregistered). The daemon-side wall cost of
-  holding the detached fleet is metered over a long idle window, at
-  several fleet sizes, in two builds:
-
-  - ``new``    — this tree: timer wheel + idle parking + O(active) reap.
-  - ``legacy`` — the pre-optimization daemon, reconstructed: heap-only
-    timers (``timer_wheel=False``), parking disabled (servers heartbeat
-    detached clients forever), and the periodic full-record reaper scan.
-
+  holding the detached fleet (timer wheel, idle parking, O(active)
+  reaping) is metered over a long idle window at several fleet sizes.
 * **Mass-reconnect storm** — every client comes back in the same
   millisecond and types; the bench asserts every session wakes and
   meters the absorb cost.
-* **SLO health monitor** — the ``new`` build runs the bundled
-  :func:`~repro.obs.default_fleet_ruleset` on a 1 s evaluation timer
-  throughout. The bench asserts the monitor reports ``ok`` through the
-  flash-crowd arrival and the active slice, and that the ``mass_wake``
-  burn-rate rule flags the reconnect storm (the dormant-wake spike that
-  separates a storm from a flash crowd of fresh sessions).
+* **SLO health monitor** — the bundled
+  :func:`~repro.obs.default_fleet_ruleset` runs on a 1 s evaluation
+  timer throughout. The bench asserts the monitor reports ``ok`` through
+  the flash-crowd arrival and the active slice, and that the
+  ``mass_wake`` burn-rate rule flags the reconnect storm (the
+  dormant-wake spike that separates a storm from a flash crowd of fresh
+  sessions).
 
 The capacity model divides one core-second by the per-idle-session cost
 slope: ``idle_sessions_per_core = 1e6 µs / slope(µs per session per
-second)``. The committed ``BENCH_fleet.json`` records both builds;
-``--check`` gates the ratio (new must hold ≥ REPRO_BENCH_FLEET_RATIO_MIN
-× more idle sessions per core, default 4) and the active-slice SLO.
+second)``. The pre-parking daemon (heap-only timers, no parking, a
+periodic full-record reaper scan) no longer exists in the tree; its
+slope is frozen in the ``frozen_legacy`` block of the committed
+``BENCH_fleet.json``, which names the commit it was measured on.
+``--check`` gates the ratio against that block (this build must hold
+≥ REPRO_BENCH_FLEET_RATIO_MIN × more idle sessions per core, default 4)
+and the active-slice SLO.
 
 Daemon-side cost is metered by wrapping exactly the daemon's entry
-points — mux dispatch, server pump kicks, session deadline fires, and
-the legacy reap scan — with a reentrancy-guarded wall-clock accumulator,
-so client-side simulation work does not pollute the daemon's bill.
+points — mux dispatch, server pump kicks, and session deadline fires —
+with a reentrancy-guarded wall-clock accumulator, so client-side
+simulation work does not pollute the daemon's bill.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ RESULTS_PATH = os.path.join(ROOT, "BENCH_fleet.json")
 #: the paper's worst network) no matter how large the fleet grows.
 SLO_P95_MS = float(os.environ.get("REPRO_BENCH_FLEET_SLO_P95_MS", "600"))
 
-#: ``--check`` floor on idle sessions/core (new ÷ legacy).
+#: ``--check`` floor on idle sessions/core (this build ÷ frozen legacy).
 RATIO_MIN = float(os.environ.get("REPRO_BENCH_FLEET_RATIO_MIN", "4"))
 
 #: Access-link mix: (uplink, downlink, weight). Delays are one-way;
@@ -99,8 +98,20 @@ LINK_PROFILES = {
     ),
 }
 
-#: Pre-PR reaper cadence (the old dead-pty sweep interval).
-LEGACY_SCAN_INTERVAL_MS = 1000.0
+
+def frozen_legacy(path: str = RESULTS_PATH) -> dict:
+    """The pre-parking daemon's frozen idle-cost block (empty if absent)."""
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        return json.load(fh).get("frozen_legacy", {})
+
+
+def idle_capacity_ratio(capacity: dict, legacy: dict) -> float:
+    """How many times more idle sessions per core than the frozen legacy."""
+    slope = capacity.get("slope_us_per_idle_session_s", 0.0)
+    legacy_slope = legacy.get("slope_us_per_idle_session_s", 0.0)
+    return round(legacy_slope / slope, 1) if slope else 0.0
 
 
 class DaemonCostMeter:
@@ -145,7 +156,7 @@ def _profile_for(index: int) -> str:
     return names[index % len(names)]
 
 
-def _build_fleet(sessions: int, mode: str, waves: int = 8):
+def _build_fleet(sessions: int, waves: int = 8):
     """Stand a fleet up: daemon, heterogeneous links, metered entry points.
 
     Returns ``(daemon, meter, spawn_stats)``; spawn happens flash-crowd
@@ -159,23 +170,16 @@ def _build_fleet(sessions: int, mode: str, waves: int = 8):
         height=6,
         seed=7,
         flight_capacity=64,  # budget-capped rings: forensics stay bounded
-        timer_wheel=(mode == "new"),
     )
-    monitor = None
-    if mode == "new":
-        # The SLO health plane rides along on the new build only: the
-        # legacy build never parks, so its active-ratio gauge pins at
-        # 1.0 and the dormant-wake storm signal does not exist there.
-        monitor = HealthMonitor(
-            daemon.reactor.registry,
-            default_fleet_ruleset(SLO_P95_MS),
-            clock=daemon.loop.now,
-        )
-        monitor.attach(daemon.reactor)
+    monitor = HealthMonitor(
+        daemon.reactor.registry,
+        default_fleet_ruleset(SLO_P95_MS),
+        clock=daemon.loop.now,
+    )
+    monitor.attach(daemon.reactor)
     meter = DaemonCostMeter()
     meter.wrap(daemon.port, "handler")           # mux dispatch
     meter.wrap(daemon.manager, "_session_deadline")
-    meter.wrap(daemon.manager, "reap")
     spawn_wall = 0.0
     wave_size = max(1, sessions // waves)
     spawned = 0
@@ -190,19 +194,9 @@ def _build_fleet(sessions: int, mode: str, waves: int = 8):
                 client.transport.endpoint.local_addr, up, down
             )
             meter.wrap(record.core.pump, "kick")  # server-side cost only
-            if mode == "legacy":
-                record.core.pump.park_enabled = False
         spawn_wall += time.perf_counter() - t0
         spawned += count
         daemon.run_for(50.0)  # arrival wave spacing
-    if mode == "legacy":
-        # The pre-PR periodic reaper: a full-record scan on a fixed
-        # cadence, billed to the daemon like any other entry point.
-        def scan():
-            daemon.manager.reap(daemon.loop.now())
-            daemon.loop.schedule(LEGACY_SCAN_INTERVAL_MS, scan)
-
-        daemon.loop.schedule(LEGACY_SCAN_INTERVAL_MS, scan)
     spawn_stats = {
         "spawn_us_per_session": round(spawn_wall * 1e6 / max(1, sessions), 1),
         "waves": waves,
@@ -277,18 +271,13 @@ def _reconnect_storm(daemon, meter):
     }
 
 
-def run_fleet(
-    sessions: int,
-    mode: str,
-    active_fraction: float,
-    quick: bool,
-) -> dict:
-    """One complete fleet scenario at one size in one build mode."""
-    daemon, meter, spawn_stats, monitor = _build_fleet(sessions, mode)
+def run_fleet(sessions: int, active_fraction: float, quick: bool) -> dict:
+    """One complete fleet scenario at one size."""
+    daemon, meter, spawn_stats, monitor = _build_fleet(sessions)
     wall0 = time.perf_counter()
     daemon.connect(warmup_ms=2500.0)
     connect_wall = time.perf_counter() - wall0
-    level_after_connect = monitor.level if monitor is not None else None
+    level_after_connect = monitor.level
 
     active_count = max(1, int(sessions * active_fraction))
     # Deterministic sample, NOT a fixed stride: a stride that shares a
@@ -303,9 +292,9 @@ def run_fleet(
     _drive_active_slice(daemon, active_ids, active_ms, 0.02 if quick else 0.05)
     active_wall = meter.take()
     pooled = _pooled_echo_quantiles(daemon, active_ids)
-    level_after_active = monitor.level if monitor is not None else None
+    level_after_active = monitor.level
 
-    # Idle ladder: detach everyone, let the new build cross the dormancy
+    # Idle ladder: detach everyone, let the servers cross the dormancy
     # threshold, then meter a long quiet window.
     _detach_fleet(daemon)
     daemon.run_for(15_000.0)  # settle past DORMANT_AFTER_MS
@@ -318,27 +307,23 @@ def run_fleet(
     gauges = daemon.metrics_snapshot()["gauges"]
     parked = gauges.get("daemon.sessions_parked", 0.0)
 
-    alert_seq_before_storm = monitor.alert_seq if monitor is not None else 0
+    alert_seq_before_storm = monitor.alert_seq
     storm = _reconnect_storm(daemon, meter)
-
-    health = None
-    if monitor is not None:
-        storm_alerts = monitor.alerts_since(alert_seq_before_storm)
-        health = {
-            "level_after_connect": level_after_connect,
-            "level_after_active": level_after_active,
-            "storm_mass_wake_flagged": any(
-                a["rule"] == "mass_wake" and a["to"] != "ok"
-                for a in storm_alerts
-            ),
-            "storm_alert_rules": sorted(
-                {a["rule"] for a in storm_alerts if a["to"] != "ok"}
-            ),
-            "alerts_total": monitor.alert_seq,
-        }
+    storm_alerts = monitor.alerts_since(alert_seq_before_storm)
+    health = {
+        "level_after_connect": level_after_connect,
+        "level_after_active": level_after_active,
+        "storm_mass_wake_flagged": any(
+            a["rule"] == "mass_wake" and a["to"] != "ok"
+            for a in storm_alerts
+        ),
+        "storm_alert_rules": sorted(
+            {a["rule"] for a in storm_alerts if a["to"] != "ok"}
+        ),
+        "alerts_total": monitor.alert_seq,
+    }
 
     return {
-        "mode": mode,
         "sessions": sessions,
         "active": len(active_ids),
         "connect_wall_s": round(connect_wall, 3),
@@ -372,48 +357,33 @@ def run_benchmarks(quick: bool = False) -> dict:
     sizes = [64, 256] if quick else [1000, 4000, 10000]
     active_fraction = 0.05 if quick else 0.02
     fleets = []
-    for mode in ("new", "legacy"):
-        for sessions in sizes:
-            print(
-                f"  fleet: {sessions} sessions, mode={mode}…",
-                file=sys.stderr,
-                flush=True,
-            )
-            fleets.append(run_fleet(sessions, mode, active_fraction, quick))
-
-    def slope_for(mode: str) -> float:
-        pts = [
-            (f["sessions"], f["idle_cost_us_per_session_s"] * f["sessions"])
-            for f in fleets
-            if f["mode"] == mode
-        ]
-        return max(_fit_slope(pts), 0.0)
+    for sessions in sizes:
+        print(f"  fleet: {sessions} sessions…", file=sys.stderr, flush=True)
+        fleets.append(run_fleet(sessions, active_fraction, quick))
 
     # Per-idle-session µs per second of service, from the cost-vs-count
     # slope (robust to any fixed per-daemon overhead). Floored so a
-    # too-fast-to-measure new build reports a finite capacity.
-    slope_new = max(slope_for("new"), 0.05)
-    slope_legacy = max(slope_for("legacy"), 0.05)
-    largest_new = [f for f in fleets if f["mode"] == "new"][-1]
+    # too-fast-to-measure build reports a finite capacity.
+    points = [
+        (f["sessions"], f["idle_cost_us_per_session_s"] * f["sessions"])
+        for f in fleets
+    ]
+    slope = max(_fit_slope(points), 0.05)
+    legacy = frozen_legacy()
     capacity = {
-        "slope_us_per_idle_session_s_new": round(slope_new, 3),
-        "slope_us_per_idle_session_s_legacy": round(slope_legacy, 3),
-        "idle_sessions_per_core_new": int(1e6 / slope_new),
-        "idle_sessions_per_core_legacy": int(1e6 / slope_legacy),
-        "idle_capacity_ratio": round(slope_legacy / slope_new, 1),
-        "active_p95_ms_largest": largest_new["echo_p95_ms"],
+        "slope_us_per_idle_session_s": round(slope, 3),
+        "idle_sessions_per_core": int(1e6 / slope),
+        "active_p95_ms_largest": fleets[-1]["echo_p95_ms"],
         "slo_p95_ms": SLO_P95_MS,
-        "slo_met": all(
-            f["echo_p95_ms"] <= SLO_P95_MS
-            for f in fleets
-            if f["mode"] == "new"
-        ),
+        "slo_met": all(f["echo_p95_ms"] <= SLO_P95_MS for f in fleets),
     }
+    capacity["idle_capacity_ratio"] = idle_capacity_ratio(capacity, legacy)
     return {
-        "schema": 1,
+        "schema": 2,
         "quick": quick,
         "fleets": fleets,
         "capacity": capacity,
+        "frozen_legacy": legacy,
     }
 
 
@@ -421,11 +391,13 @@ def check(doc: dict) -> int:
     """Gate a results document; returns a process exit status."""
     failures = []
     capacity = doc.get("capacity", {})
-    ratio = capacity.get("idle_capacity_ratio", 0.0)
+    legacy = doc.get("frozen_legacy", {})
+    ratio = idle_capacity_ratio(capacity, legacy)
     if ratio < RATIO_MIN:
         failures.append(
             f"idle capacity ratio {ratio:g}x < required {RATIO_MIN:g}x "
-            "(new build must hold ≥4x more idle sessions per core)"
+            f"(must hold ≥4x more idle sessions per core than the legacy "
+            f"daemon frozen at {legacy.get('commit', '?')})"
         )
     if not capacity.get("slo_met"):
         failures.append(
@@ -433,46 +405,36 @@ def check(doc: dict) -> int:
             f"{capacity.get('slo_p95_ms', SLO_P95_MS):g} ms SLO"
         )
     for fleet in doc.get("fleets", []):
+        size = fleet["sessions"]
         storm = fleet.get("reconnect_storm", {})
         if storm.get("woken") != storm.get("sessions"):
             failures.append(
-                f"{fleet['mode']}/{fleet['sessions']}: reconnect storm woke "
+                f"{size}: reconnect storm woke "
                 f"{storm.get('woken')} of {storm.get('sessions')} sessions"
             )
-        if fleet["mode"] == "new" and fleet.get("sessions_parked_idle") != float(
-            fleet["sessions"]
-        ):
+        if fleet.get("sessions_parked_idle") != float(size):
             failures.append(
-                f"new/{fleet['sessions']}: only "
-                f"{fleet.get('sessions_parked_idle')} sessions parked while "
-                "fully detached"
+                f"{size}: only {fleet.get('sessions_parked_idle')} sessions "
+                "parked while fully detached"
             )
-        if fleet["mode"] == "new":
-            health = fleet.get("health")
-            if health is None:
+        health = fleet.get("health") or {}
+        for phase in ("level_after_connect", "level_after_active"):
+            if health.get(phase) != "ok":
                 failures.append(
-                    f"new/{fleet['sessions']}: no health monitor record"
+                    f"{size}: health {health.get(phase)!r} (not ok) at {phase}"
                 )
-            else:
-                for phase in ("level_after_connect", "level_after_active"):
-                    if health.get(phase) != "ok":
-                        failures.append(
-                            f"new/{fleet['sessions']}: health "
-                            f"{health.get(phase)!r} (not ok) at {phase}"
-                        )
-                if not health.get("storm_mass_wake_flagged"):
-                    failures.append(
-                        f"new/{fleet['sessions']}: mass_wake rule did not "
-                        "flag the reconnect storm"
-                    )
+        if not health.get("storm_mass_wake_flagged"):
+            failures.append(
+                f"{size}: mass_wake rule did not flag the reconnect storm"
+            )
     if failures:
         print("fleet benchmark check FAILED:")
         for line in failures:
             print(f"  - {line}")
         return 1
     print(
-        f"fleet check passed: {capacity.get('idle_sessions_per_core_new'):,} "
-        f"idle sessions/core ({ratio:g}x legacy), p95 echo "
+        f"fleet check passed: {capacity.get('idle_sessions_per_core'):,} "
+        f"idle sessions/core ({ratio:g}x the frozen legacy), p95 echo "
         f"{capacity.get('active_p95_ms_largest'):g} ms within "
         f"{capacity.get('slo_p95_ms'):g} ms SLO"
     )

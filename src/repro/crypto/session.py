@@ -24,10 +24,13 @@ isolating crypto cost in benchmarks; every harness defaults to real
 AES-128-OCB, as the paper's protocol requires, and real-UDP sessions
 always encrypt.
 
-Both session types keep :class:`CryptoStats` instruments: counters
+Both session types keep :class:`CryptoStats`: per-session counts
 (datagrams/bytes sealed and unsealed, authentication failures, replay
-drops) plus always-on seal/unseal latency histograms in microseconds,
-which the runtime bridges into the reactor's metrics registry.
+drops) plus always-on seal/unseal latency histograms in microseconds.
+When the transport pump wires a session to its reactor, the stats take
+the registry's ``crypto.*`` totals and role-prefixed histograms, and
+every seal or unseal counts into them where it happens — a forged
+datagram that never wakes its session is still in the totals at once.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.crypto import batch as _batch
 from repro.crypto.keys import OCB_NONCE_PREFIX, Base64Key, Nonce
 from repro.crypto.ocb import TAG_LEN, OCBCipher
 from repro.errors import AuthenticationError, CryptoError, ReplayError
-from repro.obs.registry import Histogram
+from repro.obs.registry import Counter, Histogram, MetricsRegistry
 
 _NONCE_WIRE_LEN = 8
 
@@ -51,6 +54,10 @@ MAX_PAYLOAD_LEN = 64 * 1024
 #: only genuine duplicates or ancient replays can land outside it.
 REPLAY_WINDOW = 1024
 
+#: Seal/unseal latency grid: 1 µs .. 1 s spans the pure-python kernel
+#: across payload sizes.
+_US_GRID = {"low": 1.0, "high": 1_000_000.0, "unit": "us"}
+
 
 @dataclass(frozen=True)
 class Message:
@@ -61,7 +68,14 @@ class Message:
 
 
 class CryptoStats:
-    """Counters and latency histograms for one session's sealing path."""
+    """One session's crypto counts and seal/unseal latency histograms.
+
+    The counts are plain per-session numbers (the daemon's integrity
+    summary and the mux's fallback routing read them). Until
+    :meth:`bind_registry` the histograms and reactor-wide totals are
+    free-standing; once bound, each ``note_*`` call counts into this
+    session, the registry's ``crypto.*`` totals, and the histograms.
+    """
 
     __slots__ = (
         "datagrams_sealed",
@@ -74,17 +88,12 @@ class CryptoStats:
         "unseal_us",
         "last_seal_us",
         "last_unseal_us",
-    )
-
-    #: The counter names exposed by :meth:`snapshot` (the pump bridges
-    #: each of these into the reactor metrics by name).
-    COUNTER_NAMES = (
-        "datagrams_sealed",
-        "bytes_sealed",
-        "datagrams_unsealed",
-        "bytes_unsealed",
-        "auth_failures",
-        "replay_drops",
+        "_sealed",
+        "_bytes_sealed",
+        "_unsealed",
+        "_bytes_unsealed",
+        "_auth_failures",
+        "_replay_drops",
     )
 
     def __init__(self) -> None:
@@ -96,22 +105,46 @@ class CryptoStats:
         self.replay_drops = 0
         # Wall-clock cost of each seal/unseal in microseconds (CPU cost,
         # deliberately wall-time even on simulated-clock sessions).
-        # 1 µs .. 1 s spans the pure-python kernel across payload sizes.
-        self.seal_us = Histogram(
-            "crypto.seal_us", low=1.0, high=1_000_000.0, unit="us"
-        )
-        self.unseal_us = Histogram(
-            "crypto.unseal_us", low=1.0, high=1_000_000.0, unit="us"
-        )
+        self.seal_us = Histogram("crypto.seal_us", **_US_GRID)
+        self.unseal_us = Histogram("crypto.unseal_us", **_US_GRID)
         # Most recent per-datagram cost (amortized share under batching),
         # read by the causal tracer to carve crypto CPU out of a
         # keystroke's stage timeline. Plain floats, always maintained —
         # the histograms above gate on the global observability switch.
         self.last_seal_us = 0.0
         self.last_unseal_us = 0.0
+        self._take_totals(Counter)
 
-    def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.COUNTER_NAMES}
+    def bind_registry(self, registry: MetricsRegistry, prefix: str) -> None:
+        """Count into ``registry``: reactor-wide ``crypto.*`` totals and
+        ``{prefix}.crypto.seal_us``/``unseal_us`` histograms."""
+        self.seal_us = registry.histogram(f"{prefix}.crypto.seal_us", **_US_GRID)
+        self.unseal_us = registry.histogram(
+            f"{prefix}.crypto.unseal_us", **_US_GRID
+        )
+        self._take_totals(registry.counter)
+
+    def _take_totals(self, make) -> None:
+        self._sealed = make("crypto.datagrams_sealed")
+        self._bytes_sealed = make("crypto.bytes_sealed")
+        self._unsealed = make("crypto.datagrams_unsealed")
+        self._bytes_unsealed = make("crypto.bytes_unsealed")
+        self._auth_failures = make("crypto.auth_failures")
+        self._replay_drops = make("crypto.replay_drops")
+
+    def note_seal(self, nbytes: int, elapsed_us: float) -> None:
+        """One payload of ``nbytes`` sealed in ``elapsed_us``."""
+        self.last_seal_us = elapsed_us
+        self.seal_us.record(elapsed_us)
+        self.datagrams_sealed += 1
+        self.bytes_sealed += nbytes
+        self._sealed.value += 1
+        self._bytes_sealed.value += nbytes
+
+    def note_auth_failure(self) -> None:
+        """One inbound datagram failed tag verification."""
+        self.auth_failures += 1
+        self._auth_failures.value += 1
 
 
 class _ReplayWindow:
@@ -166,12 +199,7 @@ class Session:
             )
         t0 = perf_counter()
         sealed = self._cipher.encrypt(message.nonce.ocb(), text)
-        elapsed = (perf_counter() - t0) * 1e6
-        stats = self.stats
-        stats.last_seal_us = elapsed
-        stats.seal_us.record(elapsed)
-        stats.datagrams_sealed += 1
-        stats.bytes_sealed += len(text)
+        self.stats.note_seal(len(text), (perf_counter() - t0) * 1e6)
         return message.nonce.wire() + sealed
 
     def probe(self, data: bytes) -> bool:
@@ -210,22 +238,9 @@ class Session:
                 OCB_NONCE_PREFIX + wire, view[_NONCE_WIRE_LEN:]
             )
         except AuthenticationError:
-            self.stats.auth_failures += 1
+            self.stats.note_auth_failure()
             raise
-        elapsed = (perf_counter() - t0) * 1e6
-        stats = self.stats
-        stats.last_unseal_us = elapsed
-        stats.unseal_us.record(elapsed)
-        nonce = Nonce.from_wire(wire)
-        if not self._replay[nonce.direction].note(nonce.seq):
-            stats.replay_drops += 1
-            raise ReplayError(
-                f"replayed sequence number {nonce.seq} "
-                f"(direction {nonce.direction})"
-            )
-        stats.datagrams_unsealed += 1
-        stats.bytes_unsealed += len(text)
-        return Message(nonce=nonce, text=text)
+        return _raise_replay(_admit(self, wire, text, (perf_counter() - t0) * 1e6))
 
 
 class NullSession:
@@ -261,12 +276,7 @@ class NullSession:
             )
         t0 = perf_counter()
         wire = message.nonce.wire() + message.text + bytes(TAG_LEN)
-        elapsed = (perf_counter() - t0) * 1e6
-        stats = self.stats
-        stats.last_seal_us = elapsed
-        stats.seal_us.record(elapsed)
-        stats.datagrams_sealed += 1
-        stats.bytes_sealed += len(message.text)
+        self.stats.note_seal(len(message.text), (perf_counter() - t0) * 1e6)
         return wire
 
     def probe(self, data: bytes) -> bool:
@@ -285,21 +295,38 @@ class NullSession:
         # ``bytes()`` both normalizes a memoryview input (the zero-copy
         # receive path hands views into reusable buffers) and detaches
         # the retained Message payload from the caller's buffer.
-        nonce = Nonce.from_wire(bytes(data[:_NONCE_WIRE_LEN]))
+        wire = bytes(data[:_NONCE_WIRE_LEN])
         text = bytes(data[_NONCE_WIRE_LEN:-TAG_LEN])
-        elapsed = (perf_counter() - t0) * 1e6
-        stats = self.stats
-        stats.last_unseal_us = elapsed
-        stats.unseal_us.record(elapsed)
-        if not self._replay[nonce.direction].note(nonce.seq):
-            stats.replay_drops += 1
-            raise ReplayError(
-                f"replayed sequence number {nonce.seq} "
-                f"(direction {nonce.direction})"
-            )
-        stats.datagrams_unsealed += 1
-        stats.bytes_unsealed += len(text)
-        return Message(nonce=nonce, text=text)
+        return _raise_replay(_admit(self, wire, text, (perf_counter() - t0) * 1e6))
+
+
+def _admit(session, wire: bytes, text: bytes, elapsed_us: float):
+    """Count one authentic unseal: the :class:`Message`, or — when the
+    replay window has already seen its sequence number — the counted
+    :class:`ReplayError`, returned as a value for the caller to raise."""
+    stats = session.stats
+    stats.last_unseal_us = elapsed_us
+    stats.unseal_us.record(elapsed_us)
+    nonce = Nonce.from_wire(wire)
+    if not session._replay[nonce.direction].note(nonce.seq):
+        stats.replay_drops += 1
+        stats._replay_drops.value += 1
+        return ReplayError(
+            f"replayed sequence number {nonce.seq} "
+            f"(direction {nonce.direction})"
+        )
+    stats.datagrams_unsealed += 1
+    stats.bytes_unsealed += len(text)
+    stats._unsealed.value += 1
+    stats._bytes_unsealed.value += len(text)
+    return Message(nonce=nonce, text=text)
+
+
+def _raise_replay(result):
+    """``decrypt``'s view of :func:`_admit`: a replay is raised."""
+    if isinstance(result, ReplayError):
+        raise result
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -343,11 +370,7 @@ def seal_many(pairs) -> list[bytes]:
     share_us = (perf_counter() - t0) * 1e6 / len(batched)
     for i, raw in zip(batched, sealed):
         session, message = pairs[i]
-        stats = session.stats
-        stats.last_seal_us = share_us
-        stats.seal_us.record(share_us)
-        stats.datagrams_sealed += 1
-        stats.bytes_sealed += len(message.text)
+        session.stats.note_seal(len(message.text), share_us)
         out[i] = message.nonce.wire() + raw
     return out
 
@@ -403,22 +426,9 @@ def unseal_many(pairs) -> list:
     share_us = (perf_counter() - t0) * 1e6 / len(batched)
     for i, wire, text in zip(batched, wires, texts):
         session = pairs[i][0]
-        stats = session.stats
         if isinstance(text, AuthenticationError):
-            stats.auth_failures += 1
+            session.stats.note_auth_failure()
             out[i] = text
-            continue
-        stats.last_unseal_us = share_us
-        stats.unseal_us.record(share_us)
-        nonce = Nonce.from_wire(wire)
-        if not session._replay[nonce.direction].note(nonce.seq):
-            stats.replay_drops += 1
-            out[i] = ReplayError(
-                f"replayed sequence number {nonce.seq} "
-                f"(direction {nonce.direction})"
-            )
-            continue
-        stats.datagrams_unsealed += 1
-        stats.bytes_unsealed += len(text)
-        out[i] = Message(nonce=nonce, text=text)
+        else:
+            out[i] = _admit(session, wire, text, share_us)
     return out

@@ -236,10 +236,9 @@ class SessionManager:
         self._spawned.value += 1
         # Live staleness gauge for remote dashboards (`repro top`): how
         # long since this session last heard authentic traffic. Reads -1
-        # once the record is gone; respawning a conn id rebinds the fn.
-        prefix = "server" if label is None else f"server.{label}"
+        # once the record is gone.
         self._reactor.registry.gauge(
-            f"{prefix}.last_heard_age_ms",
+            f"{core.role}.last_heard_age_ms",
             fn=lambda cid=cid: self._last_heard_age(cid),
         )
         self._arm_session_deadline(record)
@@ -359,28 +358,3 @@ class SessionManager:
             )
         else:
             self._arm_session_deadline(record, PTY_SWEEP_INTERVAL_MS)
-
-    def reap(self, now: float | None = None) -> list[SessionRecord]:
-        """Close idle and dead-pty sessions; returns what was culled.
-
-        Runs automatically from the reaper timer when an idle timeout is
-        configured; harnesses may also call it directly.
-        """
-        if now is None:
-            now = self._reactor.now()
-        culled: list[SessionRecord] = []
-        for conn_id in list(self._records):
-            record = self._records[conn_id]
-            if record.pty is not None and not record.pty.alive():
-                self.close(conn_id, state="exited")
-                self._exited.value += 1
-                culled.append(record)
-                continue
-            if (
-                self._idle_timeout_ms is not None
-                and now - record.last_heard() > self._idle_timeout_ms
-            ):
-                self.close(conn_id, state="reaped")
-                self._reaped.value += 1
-                culled.append(record)
-        return culled

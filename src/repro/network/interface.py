@@ -35,6 +35,7 @@ from repro.network.packet import (
 from repro.network.rtt import RttEstimator
 from repro.obs import registry as _obs
 from repro.obs.flight import DIR_C2S, DIR_S2C, FlightRecorder, peek_seq
+from repro.obs.registry import Counter, MetricsRegistry
 
 
 def _peek_fragment(payload: bytes):
@@ -83,6 +84,9 @@ class DatagramEndpoint(ABC):
         #: Inbound datagrams dropped before decryption for bad or
         #: mismatched mux framing (surfaced alongside crypto counters).
         self.framing_drops = 0
+        # Reactor-wide totals, free-standing until bind_registry.
+        self._datagrams_out = Counter("reactor.datagrams_out")
+        self._framing_drops = Counter("network.framing_drops")
         self._rtt = RttEstimator()
         # Peer-timestamp bookkeeping for adjusted timestamp replies.
         self._saved_timestamp: int | None = None
@@ -94,7 +98,7 @@ class DatagramEndpoint(ABC):
         # with the payload queue — only populated while a causal tracer
         # is attached, so the common path pays one ``is None`` check.
         self._received_rx: list[tuple] = []
-        # Traffic counters (sealed datagrams), surfaced in reactor metrics.
+        # Per-endpoint traffic counters (sealed datagrams).
         self.datagrams_sent = 0
         self.bytes_sent = 0
         self.datagrams_received = 0
@@ -123,6 +127,12 @@ class DatagramEndpoint(ABC):
         #: timestamps/RTT/unseal cost are fed to it, and rx tuples are
         #: queued for the transport to pair with instruction completion.
         self.causal = None
+
+    def bind_registry(self, registry: MetricsRegistry) -> None:
+        """Count sends and framing drops into the reactor-wide
+        ``reactor.datagrams_out`` and ``network.framing_drops``."""
+        self._datagrams_out = registry.counter("reactor.datagrams_out")
+        self._framing_drops = registry.counter("network.framing_drops")
 
     # ------------------------------------------------------------------
     # Subclass surface
@@ -174,6 +184,7 @@ class DatagramEndpoint(ABC):
         peeked = peek_conn_id(raw)
         if peeked is None:
             self.framing_drops += 1
+            self._framing_drops.value += 1
             if self.flight is not None and _obs._enabled:
                 self.flight.note_drop(
                     now, self._dir_in, "bad_packet", wire_len=len(raw)
@@ -184,6 +195,7 @@ class DatagramEndpoint(ABC):
             return raw, False
         if cid != self._conn_id:
             self.framing_drops += 1
+            self._framing_drops.value += 1
             if self.flight is not None and _obs._enabled:
                 self.flight.note_drop(
                     now, self._dir_in, "no_route",
@@ -222,6 +234,7 @@ class DatagramEndpoint(ABC):
             )
             self.datagrams_sent += 1
             self.bytes_sent += wire_len
+            self._datagrams_out.value += 1
             batcher.enqueue((
                 self, packet.nonce, text, header, self._remote_addr, now,
                 meta, packet.seq, packet.timestamp, packet.timestamp_reply,
@@ -240,6 +253,7 @@ class DatagramEndpoint(ABC):
             raw = self._conn_header + raw
         self.datagrams_sent += 1
         self.bytes_sent += len(raw)
+        self._datagrams_out.value += 1
         if self.flight is not None and _obs._enabled:
             self.flight.note_send(
                 now,
@@ -464,7 +478,7 @@ class DatagramEndpoint(ABC):
 
     @property
     def session(self) -> Session | NullSession:
-        """The sealing session (its ``stats`` feed reactor metrics)."""
+        """The sealing session (its ``stats`` count the crypto totals)."""
         return self._session
 
     @property

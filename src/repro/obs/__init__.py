@@ -6,7 +6,9 @@ runtime:
 * :class:`MetricsRegistry` — named counters, gauges, and fixed-bucket
   log-spaced latency histograms (p50/p95/p99 accessors), cheap enough to
   stay always-on in the seal/unseal and per-frame hot paths. Reactors own
-  one; :class:`~repro.runtime.ReactorMetrics` is now a thin view over it.
+  one, and every instrument in it has exactly one owner: the component
+  that sees the event increments the counter right there, and per-session
+  tallies kept as plain attributes are exported as read-through counters.
 * :class:`SpanTracer` — ``with tracer.span("seal")`` context managers
   timed against the owning reactor's clock (simulated or wall), kept in a
   bounded ring and exportable as Chrome ``trace_event`` JSON or JSONL.

@@ -7,11 +7,13 @@ record is one ``bisect`` into precomputed log-spaced bucket bounds. A
 ``snapshot()`` call renders the whole runtime — reactor, transport,
 crypto, prediction, simulated links — as a single JSON document.
 
-Instruments can be created through the registry (``registry.counter``) or
-created free-standing (e.g. inside :class:`~repro.crypto.session.
-CryptoStats`, which has no registry in scope) and adopted later with
-:meth:`MetricsRegistry.register`; both paths return the same object on
-repeat lookups, so wiring is idempotent.
+Every instrument has one owner. Components ask the registry for the
+instruments they write when they are wired to it (get-or-create, so N
+pumps share ``reactor.ticks``) and increment them where the event
+happens; nothing copies counts from one place to another. A component
+that keeps its own per-session tallies as plain attributes exports them
+through read-through counters (``registry.counter(name, fn=...)``), read
+when a snapshot is taken, exactly as callable gauges are.
 
 A process-wide enable switch (:func:`set_enabled`) turns histogram
 recording and span tracing into near-no-ops; the benchmark suite uses it
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fnmatch import fnmatchcase
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from repro.errors import ObservabilityError
@@ -63,6 +66,25 @@ class Counter:
         self.value += amount
 
 
+class ReadThroughCounter(Counter):
+    """A counter whose value is a component's own tally, read on demand.
+
+    The counter twin of a callable :class:`Gauge`: the component keeps
+    counting in a plain attribute, and snapshots read it through ``fn``.
+    It has no writer of its own, so it can never disagree with its source.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, name: str, fn: Callable[[], float]) -> None:
+        self.name = name
+        self.fn = fn
+
+    @property
+    def value(self) -> float:
+        return self.fn()
+
+
 class Gauge:
     """A named instantaneous value, optionally backed by a callable.
 
@@ -90,6 +112,14 @@ class Gauge:
         return float(self.fn()) if self.fn is not None else self._value
 
 
+@lru_cache(maxsize=None)
+def _grid(low: float, high: float, buckets: int) -> tuple[float, ...]:
+    """Bucket bounds for one grid, computed once per process and shared
+    (read-only) by every histogram on it — each session builds a dozen."""
+    ratio = (high / low) ** (1.0 / (buckets - 1))
+    return tuple(low * ratio**i for i in range(buckets))
+
+
 class Histogram:
     """Fixed log-spaced buckets with quantile accessors.
 
@@ -98,9 +128,10 @@ class Histogram:
     Recording is ``bisect_right`` into that list — no allocation, so the
     histogram can sit directly on the seal/unseal and keystroke paths.
     Quantiles are answered from the bucket counts using each bucket's
-    geometric midpoint, which is exact to within one bucket's ratio
-    (≈12 % at the default resolution) — plenty for latency distributions
-    spanning decades.
+    geometric midpoint, so a quantile is only known to within one
+    bucket's ratio, ``(high/low) ** (1/(buckets-1))``: 39 % wide at the
+    default 10 µs..1 min grid, 32.7 % for ``ECHO_GRID`` and 46 % for
+    ``STAGE_GRID``. Raw samples are needed where that is too coarse.
     """
 
     __slots__ = ("name", "unit", "_bounds", "_counts", "count", "total", "min", "max")
@@ -121,8 +152,7 @@ class Histogram:
             raise ObservabilityError(f"histogram {name!r} needs >= 2 buckets")
         self.name = name
         self.unit = unit
-        ratio = (high / low) ** (1.0 / (buckets - 1))
-        self._bounds = [low * ratio**i for i in range(buckets)]
+        self._bounds = _grid(low, high, buckets)
         self._counts = [0] * (buckets + 1)  # +1 overflow bucket
         self.count = 0
         self.total = 0.0
@@ -244,14 +274,14 @@ class Histogram:
     def clone_empty(self, name: str | None = None) -> "Histogram":
         """A zero-sample histogram on exactly this bucket grid.
 
-        Copies the precomputed bounds instead of re-deriving them from
+        Shares the precomputed bounds instead of re-deriving them from
         ``(low, high, buckets)``, so a merge between the clone and the
         original can compare grids by equality without float drift.
         """
         other = Histogram.__new__(Histogram)
         other.name = name if name is not None else f"{self.name}.pooled"
         other.unit = self.unit
-        other._bounds = list(self._bounds)
+        other._bounds = self._bounds
         other._counts = [0] * len(self._counts)
         other.count = 0
         other.total = 0.0
@@ -337,9 +367,15 @@ class MetricsRegistry:
 
     # -- get-or-create --------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        return self._get_or_make(name, Counter, lambda: Counter(name))
+    def counter(
+        self, name: str, fn: Callable[[], float] | None = None
+    ) -> Counter:
+        """Get or create a counter; ``fn`` makes it read through at snapshot."""
+        if fn is None:
+            return self._get_or_make(name, Counter, lambda: Counter(name))
+        return self._get_or_make(
+            name, Counter, lambda: ReadThroughCounter(name, fn)
+        )
 
     def gauge(
         self, name: str, fn: Callable[[], float] | None = None
@@ -376,25 +412,7 @@ class MetricsRegistry:
         self._instruments[name] = instrument
         return instrument
 
-    # -- adoption -------------------------------------------------------
-
-    def register(self, instrument, name: str | None = None):
-        """Adopt a free-standing instrument under ``name`` (idempotent).
-
-        Components that create their own histograms without a registry in
-        scope (e.g. crypto session stats) are attached here by whichever
-        runtime shell wires them up.
-        """
-        key = name or instrument.name
-        existing = self._instruments.get(key)
-        if existing is instrument:
-            return instrument
-        if existing is not None:
-            raise ObservabilityError(
-                f"{key!r} already bound to a different instrument"
-            )
-        self._instruments[key] = instrument
-        return instrument
+    # -- lookup ---------------------------------------------------------
 
     def get(self, name: str):
         """The instrument called ``name``, or None."""

@@ -8,11 +8,12 @@ substrate — a :class:`~repro.obs.MetricsRegistry` plus a
 :class:`~repro.obs.SpanTracer` timed by this reactor's clock, so
 simulated-time and wall-time sessions produce comparable traces.
 
-:class:`ReactorMetrics` survives as the legacy attribute API: every
-counter it exposes is now a thin view over a named registry instrument,
-so ``reactor.metrics.ticks += 1`` and
-``reactor.registry.counter("reactor.ticks")`` read and write the same
-number.
+The reactor counts only its own events (timer fires and cancels, I/O
+wakeups). It creates the reactor-wide ``reactor.*`` and ``crypto.*``
+counters up front so every snapshot carries them, but each is written
+by exactly one kind of component — the pump counts ticks, the endpoint
+counts datagrams out, the crypto session counts seals — which fetches
+the same counter from the registry by name.
 
 Session cores (:mod:`repro.session.core`) are written against the abstract
 :class:`Reactor` only; whether time is simulated or real is decided by the
@@ -30,113 +31,25 @@ from repro.clock import Clock, RealClock
 from repro.errors import ReactorError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanTracer
-from repro.runtime.timerwheel import (
-    WHEEL_THRESHOLD_MS,
-    TimerWheel,
-    wheel_enabled_default,
-)
 from repro.simnet.eventloop import EventLoop
+from repro.timerwheel import WHEEL_THRESHOLD_MS, TimerWheel
 
 Callback = Callable[[], None]
 
-
-class ReactorMetrics:
-    """Attribute views over the registry's per-reactor counters.
-
-    The old always-on counter block, re-homed: each attribute is a
-    property backed by a named :class:`~repro.obs.Counter`, so existing
-    callers (``metrics.ticks += 1``, dashboards reading
-    ``metrics.auth_failures``) keep working while every value also
-    appears in ``registry.snapshot()`` under its qualified name.
-    """
-
-    #: attribute -> registry counter name. Crypto counters are bridged
-    #: from the endpoint's session by the pump: datagrams/payload bytes
-    #: sealed (sent) and unsealed (received), inbound datagrams dropped
-    #: for failing tag verification, and authentic-but-replayed datagrams
-    #: dropped by the replay window.
-    COUNTERS = {
-        "ticks": "reactor.ticks",
-        "datagrams_in": "reactor.datagrams_in",
-        "datagrams_out": "reactor.datagrams_out",
-        "timers_fired": "reactor.timers_fired",
-        "timers_cancelled": "reactor.timers_cancelled",
-        "io_events": "reactor.io_events",
-        "frames_rendered": "reactor.frames_rendered",
-        "datagrams_sealed": "crypto.datagrams_sealed",
-        "bytes_sealed": "crypto.bytes_sealed",
-        "datagrams_unsealed": "crypto.datagrams_unsealed",
-        "bytes_unsealed": "crypto.bytes_unsealed",
-        "auth_failures": "crypto.auth_failures",
-        "replay_drops": "crypto.replay_drops",
-    }
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            attr: self.registry.counter(name)
-            for attr, name in self.COUNTERS.items()
-        }
-        #: Lateness of timer callbacks (fire time minus scheduled time).
-        #: 10 µs..1 min spans sim (zero-lag) through a loaded select loop.
-        self.timer_lag = self.registry.histogram(
-            "reactor.timer_lag_ms", low=0.01, high=60_000.0, unit="ms"
-        )
-        self._timers_fired = self._counters["timers_fired"]
-
-    @property
-    def timer_lag_avg_ms(self) -> float:
-        return self.timer_lag.mean
-
-    @property
-    def timer_lag_total_ms(self) -> float:
-        return self.timer_lag.total
-
-    @property
-    def timer_lag_max_ms(self) -> float:
-        return self.timer_lag.max
-
-    def note_timer_fired(self, lag_ms: float) -> None:
-        self._timers_fired.value += 1
-        self.timer_lag.record(lag_ms)
-
-    def snapshot(self) -> dict[str, float]:
-        """The legacy flat-dict view for dashboards and logs.
-
-        ``registry.snapshot()`` is the full structured document; this
-        keeps the original key set (plus ``replay_drops``) stable.
-        """
-        out: dict[str, float] = {}
-        for attr in (
-            "ticks", "datagrams_in", "datagrams_out",
-            "timers_fired", "timers_cancelled",
-        ):
-            out[attr] = self._counters[attr].value
-        out["timer_lag_avg_ms"] = round(self.timer_lag_avg_ms, 3)
-        out["timer_lag_max_ms"] = round(self.timer_lag_max_ms, 3)
-        for attr in (
-            "io_events", "frames_rendered",
-            "datagrams_sealed", "bytes_sealed",
-            "datagrams_unsealed", "bytes_unsealed",
-            "auth_failures", "replay_drops",
-        ):
-            out[attr] = self._counters[attr].value
-        return out
-
-
-def _counter_view(attr: str) -> property:
-    def _get(self: ReactorMetrics) -> float:
-        return self._counters[attr].value
-
-    def _set(self: ReactorMetrics, value: float) -> None:
-        self._counters[attr].value = value
-
-    return property(_get, _set)
-
-
-for _attr in ReactorMetrics.COUNTERS:
-    setattr(ReactorMetrics, _attr, _counter_view(_attr))
-del _attr
+#: Reactor-wide counters the components increment where their events
+#: happen; created with the reactor so snapshots always carry them.
+SHARED_COUNTERS = (
+    "reactor.ticks",
+    "reactor.datagrams_in",
+    "reactor.datagrams_out",
+    "reactor.frames_rendered",
+    "crypto.datagrams_sealed",
+    "crypto.bytes_sealed",
+    "crypto.datagrams_unsealed",
+    "crypto.bytes_unsealed",
+    "crypto.auth_failures",
+    "crypto.replay_drops",
+)
 
 
 class TimerHandle:
@@ -167,13 +80,28 @@ class Reactor(ABC):
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         #: The session-wide metrics registry; every layer's instruments
         #: aggregate here and render through ``registry.snapshot()``.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.metrics = ReactorMetrics(self.registry)
+        self.registry = registry = (
+            registry if registry is not None else MetricsRegistry()
+        )
+        for name in SHARED_COUNTERS:
+            registry.counter(name)
+        self._timers_fired = registry.counter("reactor.timers_fired")
+        self._timers_cancelled = registry.counter("reactor.timers_cancelled")
+        self._io_events = registry.counter("reactor.io_events")
+        #: Lateness of timer callbacks (fire time minus scheduled time).
+        #: 10 µs..1 min spans sim (zero-lag) through a loaded select loop.
+        self._timer_lag = registry.histogram(
+            "reactor.timer_lag_ms", low=0.01, high=60_000.0, unit="ms"
+        )
         #: Span tracer timed by this reactor's clock (``now`` is abstract
         #: but only sampled at span time, after subclass init completes).
         self.tracer = SpanTracer(self.now)
-        self._core_labels: list[str] = []
-        self.registry.gauge("reactor.cores", fn=lambda: len(self._core_labels))
+        self._core_prefixes: set[str] = set()
+        registry.gauge("reactor.cores", fn=lambda: len(self._core_prefixes))
+
+    def _timer_fired(self, lag_ms: float) -> None:
+        self._timers_fired.value += 1
+        self._timer_lag.record(lag_ms)
 
     def add_flush_hook(self, hook: Callable[[], int]) -> None:
         """Register a per-tick wire-batch flush (rx before tx).
@@ -191,16 +119,19 @@ class Reactor(ABC):
         session daemon runs N servers on one select loop). A solitary
         core keeps the bare ``server``/``client`` prefix for metric-name
         compatibility; labelled cores get ``server.s3``-style prefixes so
-        every session's instruments coexist in one registry.
+        every session's instruments coexist in one registry. This is the
+        one place prefixes are kept unique: a prefix already taken (two
+        unlabelled servers, a respawned conn id) gets a ``#2``, ``#3``…
+        suffix, so no two cores ever write the same instrument.
         """
-        prefix = role if label is None else f"{role}.{label}"
-        self._core_labels.append(prefix)
+        base = role if label is None else f"{role}.{label}"
+        prefix = base
+        n = 1
+        while prefix in self._core_prefixes:
+            n += 1
+            prefix = f"{base}#{n}"
+        self._core_prefixes.add(prefix)
         return prefix
-
-    @property
-    def core_labels(self) -> list[str]:
-        """Instrument prefixes of every core registered on this reactor."""
-        return list(self._core_labels)
 
     @abstractmethod
     def now(self) -> float:
@@ -254,7 +185,7 @@ class SimReactor(Reactor):
 
         def fire() -> None:
             handle.fired = True
-            self.metrics.note_timer_fired(max(0.0, self.now() - when_ms))
+            self._timer_fired(max(0.0, self.now() - when_ms))
             callback()
 
         token_box.append(self.loop.schedule_at(when_ms, fire))
@@ -262,7 +193,7 @@ class SimReactor(Reactor):
 
     def _cancel(self, token: int) -> None:
         self.loop.cancel(token)
-        self.metrics.timers_cancelled += 1
+        self._timers_cancelled.value += 1
 
     def run_for(self, duration_ms: float) -> None:
         """Advance simulated time by ``duration_ms``, firing due events."""
@@ -282,15 +213,11 @@ class RealReactor(Reactor):
     due timer. Cancelled timers are skimmed off the heap lazily.
     """
 
-    def __init__(
-        self, clock: Clock | None = None, timer_wheel: bool | None = None
-    ) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         super().__init__()
         self._clock = clock if clock is not None else RealClock()
         self._heap: list[tuple[float, int, Callback, TimerHandle]] = []
-        if timer_wheel is None:
-            timer_wheel = wheel_enabled_default()
-        self._wheel: TimerWheel | None = TimerWheel() if timer_wheel else None
+        self._wheel = TimerWheel()
         self._counter = 0
         self._live: set[int] = set()
         self._readers: dict[int, Callback] = {}
@@ -316,10 +243,7 @@ class RealReactor(Reactor):
         self._counter += 1
         handle = TimerHandle(lambda: self._cancel(token))
         entry = (when_ms, token, callback, handle)
-        if (
-            self._wheel is not None
-            and when_ms - self.now() >= WHEEL_THRESHOLD_MS
-        ):
+        if when_ms - self.now() >= WHEEL_THRESHOLD_MS:
             self._wheel.add(entry, self.now())
         else:
             heapq.heappush(self._heap, entry)
@@ -328,7 +252,7 @@ class RealReactor(Reactor):
 
     def _cancel(self, token: int) -> None:
         self._live.discard(token)
-        self.metrics.timers_cancelled += 1
+        self._timers_cancelled.value += 1
 
     def _heap_top(self) -> float | None:
         while self._heap and self._heap[0][1] not in self._live:
@@ -342,7 +266,7 @@ class RealReactor(Reactor):
 
     def _next_deadline(self) -> float | None:
         wheel = self._wheel
-        if wheel is not None and wheel:
+        if wheel:
             wheel.drain_into(self._heap_push, self._heap_top)
         return self._heap_top()
 
@@ -354,7 +278,7 @@ class RealReactor(Reactor):
             when, token, callback, handle = heapq.heappop(self._heap)
             self._live.discard(token)
             handle.fired = True
-            self.metrics.note_timer_fired(max(0.0, self.now() - when))
+            self._timer_fired(max(0.0, self.now() - when))
             callback()
 
     # -- I/O sources ----------------------------------------------------
@@ -394,7 +318,7 @@ class RealReactor(Reactor):
         for fd in readable:
             callback = self._readers.get(fd)
             if callback is not None:
-                self.metrics.io_events += 1
+                self._io_events.value += 1
                 callback()
         if deadline is not None:
             self._tick_lag.set(max(0.0, self.now() - deadline))

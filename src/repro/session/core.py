@@ -16,6 +16,7 @@ echo-ack arming exist *only* here.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable
 
 from repro.input.events import Resize, UserBytes
@@ -217,11 +218,15 @@ class ClientCore:
         # Pump construction comes after the tracer so its observability
         # wiring sees (and exports gauges for) the attached tracer.
         self._pump = TransportPump(reactor, self.transport, role=self.role)
-        self._prediction_seen = self._prediction_counts()
-        self._prediction_counters = {
-            name: reactor.registry.counter(f"{self.role}.prediction.{name}")
-            for name in self._prediction_seen
-        }
+        # The engine keeps its own tallies; the registry reads them through.
+        for field in fields(self.predictor.stats):
+            reactor.registry.counter(
+                f"{self.role}.prediction.{field.name}",
+                fn=lambda name=field.name: getattr(self.predictor.stats, name),
+            )
+        self._frames_rendered = reactor.registry.counter(
+            "reactor.frames_rendered"
+        )
         #: Display-change subscribers (renderers, the latency harness).
         self.on_display_change: Callable[[float], None] | None = None
         self._last_display: Framebuffer | None = None
@@ -244,30 +249,6 @@ class ClientCore:
     def _srtt(self) -> float:
         return self.transport.endpoint.srtt_estimate()
 
-    def _prediction_counts(self) -> dict[str, int]:
-        stats = self.predictor.stats
-        return {
-            name: getattr(stats, name)
-            for name in (
-                "keystrokes",
-                "predictions_made",
-                "displayed_immediately",
-                "confirmed",
-                "mispredicted",
-                "background_misses",
-                "epochs",
-            )
-        }
-
-    def _bridge_prediction_stats(self) -> None:
-        """Mirror :class:`PredictionStats` deltas into the registry."""
-        fresh = self._prediction_counts()
-        seen = self._prediction_seen
-        if fresh != seen:
-            for name, value in fresh.items():
-                self._prediction_counters[name].value += value - seen[name]
-            self._prediction_seen = fresh
-
     def _on_new_frame(self, now: float) -> None:
         state = self.remote_terminal
         tracer = self.reactor.tracer
@@ -282,7 +263,6 @@ class ClientCore:
         if self.causal is not None and settled:
             self.causal.on_frame(now, settled, self.transport.last_frame_rx)
         self.predictor.report_frame(state.fb, state.echo_ack, now, self._srtt())
-        self._bridge_prediction_stats()
         self._note_display(now)
 
     def _note_display(self, now: float) -> None:
@@ -291,7 +271,7 @@ class ClientCore:
             self._last_display = (
                 shown.copy() if shown is self.remote_terminal.fb else shown
             )
-            self.reactor.metrics.frames_rendered += 1
+            self._frames_rendered.value += 1
             if self.on_display_change is not None:
                 self.on_display_change(now)
 
@@ -336,7 +316,6 @@ class ClientCore:
                     self._srtt(),
                 )
             )
-        self._bridge_prediction_stats()
         self._pump.kick()
         self._note_display(now)
         return flags

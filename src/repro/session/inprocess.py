@@ -146,8 +146,8 @@ class InProcessSession:
         """Publish both simnet links into the shared registry.
 
         Queue depth is a live callable gauge (read at snapshot time);
-        the drop/delivery counts are gauges too because the links keep
-        their own counters and there is no tick site to bridge deltas.
+        the links' own drop/delivery tallies are read the same way, as
+        callable gauges.
         """
         registry = self.reactor.registry
         for name, link in (("uplink", self.network.uplink),
@@ -272,7 +272,6 @@ class InProcessDaemon:
         flight_capacity: int = 8192,
         flight_budget: int | None = None,
         wire_batch: bool = True,
-        timer_wheel: bool | None = None,
         causal: bool = True,
     ) -> None:
         # Deferred import: repro.daemon.manager imports this package for
@@ -282,7 +281,7 @@ class InProcessDaemon:
         from repro.network.batch import RxBatcher, WireBatcher
         from repro.simnet.host import SimMuxPort
 
-        self.loop = EventLoop(timer_wheel=timer_wheel)
+        self.loop = EventLoop()
         self.reactor = SimReactor(self.loop)
         self.network = SimNetwork(self.loop, uplink, downlink, seed=seed)
         self._timing = timing

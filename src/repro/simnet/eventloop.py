@@ -5,12 +5,11 @@ every simulation fully deterministic for a given seed and call sequence.
 
 Scheduling is two-tier: near-term events go straight onto the precise
 heap, while coarse ones (heartbeats, reap deadlines, idle pump re-arms —
-anything :data:`~repro.runtime.timerwheel.WHEEL_THRESHOLD_MS` or further
-out) land in a :class:`~repro.runtime.timerwheel.TimerWheel` in O(1) and
-migrate to the heap lazily as the clock approaches. Migrated entries are
-the same ``(when, token, callback)`` tuples a heap-only loop would hold,
-so firing order — and therefore every simulation — is identical with the
-wheel on or off (``REPRO_TIMER_WHEEL=0`` forces heap-only mode).
+anything :data:`~repro.timerwheel.WHEEL_THRESHOLD_MS` or further out)
+land in a :class:`~repro.timerwheel.TimerWheel` in O(1) and migrate to
+the heap lazily as the clock approaches. Migrated entries are the same
+``(when, token, callback)`` tuples a heap-only loop would hold, so firing
+order — and therefore every simulation — is that of a plain heap.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ from typing import Callable
 
 from repro.clock import SimulatedClock
 from repro.errors import SimulationError
-from repro.runtime.timerwheel import (
-    WHEEL_THRESHOLD_MS,
-    TimerWheel,
-    wheel_enabled_default,
-)
+from repro.timerwheel import WHEEL_THRESHOLD_MS, TimerWheel
 
 Callback = Callable[[], None]
 
@@ -32,14 +27,10 @@ Callback = Callable[[], None]
 class EventLoop:
     """A priority-queue event loop driving a :class:`SimulatedClock`."""
 
-    def __init__(
-        self, start_ms: float = 0.0, timer_wheel: bool | None = None
-    ) -> None:
+    def __init__(self, start_ms: float = 0.0) -> None:
         self.clock = SimulatedClock(start_ms)
         self._queue: list[tuple[float, int, Callback]] = []
-        if timer_wheel is None:
-            timer_wheel = wheel_enabled_default()
-        self._wheel: TimerWheel | None = TimerWheel() if timer_wheel else None
+        self._wheel = TimerWheel()
         self._counter = 0
         # Tokens of queued events that have neither fired nor been
         # cancelled. Cancellation is lazy (entries stay in the heap until
@@ -67,10 +58,7 @@ class EventLoop:
         token = self._counter
         self._counter += 1
         entry = (when_ms, token, callback)
-        if (
-            self._wheel is not None
-            and when_ms - self.clock.now() >= WHEEL_THRESHOLD_MS
-        ):
+        if when_ms - self.clock.now() >= WHEEL_THRESHOLD_MS:
             self._wheel.add(entry, self.clock.now())
         else:
             heapq.heappush(self._queue, entry)
@@ -106,7 +94,7 @@ class EventLoop:
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is empty."""
         wheel = self._wheel
-        if wheel is not None and wheel:
+        if wheel:
             # Lazy cascade: pull wheel buckets onto the heap only until
             # the heap's top is provably the global minimum.
             wheel.drain_into(self._heap_push, self._heap_top)

@@ -26,15 +26,17 @@ needs to be *findable* once the clock gets near it.
 
 Because migrated entries enter the heap as the *same* ``(when, token,
 …)`` tuples the caller would have pushed directly, firing order is
-byte-for-byte identical to a heap-only reactor — the wheel is purely an
-execution-strategy change, provable by the wire-SHA benches and the
-randomized parity tests in ``tests/test_timerwheel.py``.
+byte-for-byte identical to a heap-only scheduler — the wheel is purely
+an execution-strategy change, pinned by the randomized parity tests in
+``tests/test_timerwheel.py`` against a plain ``heapq`` reference model.
+
+The module depends on nothing in the package, so both the simulator's
+event loop and the real reactor import it without an import cycle.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, Sequence
 
 #: Timers due sooner than this stay on the precise heap; at or beyond it
@@ -47,15 +49,6 @@ WHEEL_THRESHOLD_MS = 100.0
 #: two levels cover every delay without an overflow list.
 WHEEL_SLOT_MS = 100.0
 WHEEL_SPAN = 64
-
-
-def wheel_enabled_default() -> bool:
-    """Process-default wheel switch: ``REPRO_TIMER_WHEEL=0`` disables.
-
-    The parity escape hatch — heap-only mode must fire identically, so
-    benches can prove the wheel changes nothing but scheduling cost.
-    """
-    return os.environ.get("REPRO_TIMER_WHEEL", "1") != "0"
 
 
 class TimerWheel:

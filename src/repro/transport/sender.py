@@ -26,7 +26,7 @@ from typing import Generic, TypeVar
 
 from repro.network.interface import DatagramEndpoint
 from repro.obs import registry as _obs
-from repro.obs.registry import Histogram
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.transport.fragment import Fragmenter
 from repro.transport.instruction import Instruction
 from repro.transport.state import StateObject
@@ -47,6 +47,21 @@ _DIFF_CACHE_MAX = 32
 #: paper-scale trace replays (~10k keystrokes, a few sends each) while
 #: keeping a long-lived recording session's memory flat.
 SEND_LOG_MAX = 65536
+
+#: Sender tallies exported as ``{prefix}.sender.<name>`` counters,
+#: attribute -> exported name.
+_EXPORTED_COUNTS = (
+    ("instructions_sent", "instructions"),
+    ("empty_acks_sent", "empty_acks"),
+    ("piggybacked_acks", "piggybacked_acks"),
+    ("standalone_acks", "standalone_acks"),
+    ("datagrams_sent", "fragments"),
+    ("diff_cache_hits", "diff_cache_hits"),
+    ("diff_cache_misses", "diff_cache_misses"),
+)
+
+#: Frame-interval histogram grid (ms).
+_INTERVAL_GRID = {"low": 0.1, "high": 60_000.0, "unit": "ms"}
 
 
 @dataclass
@@ -101,13 +116,28 @@ class TransportSender(Generic[S]):
         # The paper's frame rate floors at SRTT/2 (capped 20..250 ms), so
         # the histogram shows whether pacing actually tracked the path.
         self.frame_interval = Histogram(
-            "sender.frame_interval_ms", low=0.1, high=60_000.0, unit="ms"
+            "sender.frame_interval_ms", **_INTERVAL_GRID
         )
         self._last_instruction_at: float | None = None
         # (time, num, diff len) ring buffer so long recording sessions
         # cannot grow memory without bound.
         self.send_log: deque[tuple[float, int, int]] = deque(maxlen=SEND_LOG_MAX)
         self.record_send_log = False
+
+    def bind_registry(self, registry: MetricsRegistry, prefix: str) -> None:
+        """Export this sender's tallies and frame-interval histogram.
+
+        The tallies stay plain attributes (harnesses read them directly);
+        the registry reads them through at snapshot time.
+        """
+        for attr, name in _EXPORTED_COUNTS:
+            registry.counter(
+                f"{prefix}.sender.{name}",
+                fn=lambda attr=attr: getattr(self, attr),
+            )
+        self.frame_interval = registry.histogram(
+            f"{prefix}.sender.frame_interval_ms", **_INTERVAL_GRID
+        )
 
     # ------------------------------------------------------------------
     # Application interface

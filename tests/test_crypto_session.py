@@ -11,7 +11,7 @@ from repro.crypto.keys import (
     Nonce,
 )
 from repro.crypto.session import MAX_PAYLOAD_LEN, Message, NullSession, Session
-from repro.errors import AuthenticationError, CryptoError
+from repro.errors import AuthenticationError, CryptoError, ReplayError
 
 
 class TestBase64Key:
@@ -181,31 +181,49 @@ class TestCryptoStats:
         session = NullSession()
         wire = session.encrypt(Message(Nonce(0, 1), b"abc"))
         session.decrypt(wire)
-        snap = session.stats.snapshot()
-        assert snap["datagrams_sealed"] == 1
-        assert snap["bytes_unsealed"] == 3
-        assert snap["auth_failures"] == 0
+        assert session.stats.datagrams_sealed == 1
+        assert session.stats.bytes_unsealed == 3
+        assert session.stats.auth_failures == 0
 
-    def test_snapshot_names_exist_on_reactor_metrics(self):
-        """The pump bridges these counters by name into ReactorMetrics."""
-        from repro.runtime.reactor import ReactorMetrics
+    def test_bound_stats_count_into_registry_totals(self):
+        """Once bound, every count also lands in the ``crypto.*`` total
+        of the same name, and the histograms carry the prefix."""
+        from repro.obs.registry import MetricsRegistry
 
-        metrics = ReactorMetrics()
-        for name in Session(Base64Key.new()).stats.snapshot():
-            assert hasattr(metrics, name)
+        registry = MetricsRegistry()
+        sender = Session(Base64Key.new())
+        receiver = Session(sender.key)
+        for session in (sender, receiver):
+            session.stats.bind_registry(registry, "server")
+        wire = sender.encrypt(Message(Nonce(0, 1), b"abcd"))
+        receiver.decrypt(wire)
+        with pytest.raises(ReplayError):
+            receiver.decrypt(wire)
+        with pytest.raises(AuthenticationError):
+            receiver.decrypt(wire[:-1] + bytes([wire[-1] ^ 1]))
+        counters = registry.snapshot()["counters"]
+        for name in ("datagrams_sealed", "bytes_sealed", "datagrams_unsealed",
+                     "bytes_unsealed", "auth_failures", "replay_drops"):
+            expected = getattr(sender.stats, name) + getattr(receiver.stats, name)
+            assert counters[f"crypto.{name}"] == expected > 0
+        assert registry.get("server.crypto.seal_us").count == 1
 
     def test_counters_reach_reactor_metrics(self):
-        """End to end: sealing traffic shows up in the shared metrics."""
+        """End to end: sealing traffic shows up in the shared registry."""
         from repro.session.inprocess import InProcessSession
         from repro.simnet.link import LinkConfig
 
         session = InProcessSession(LinkConfig(), LinkConfig())
         session.connect()
-        metrics = session.reactor.metrics
-        assert metrics.datagrams_sealed > 0
-        assert metrics.datagrams_unsealed > 0
-        assert metrics.auth_failures == 0
-        assert metrics.snapshot()["datagrams_sealed"] == metrics.datagrams_sealed
+        counters = session.metrics_snapshot()["counters"]
+        assert counters["crypto.datagrams_sealed"] > 0
+        assert counters["crypto.datagrams_unsealed"] > 0
+        assert counters["crypto.auth_failures"] == 0
+        sealed = sum(
+            endpoint.session.stats.datagrams_sealed
+            for endpoint in (session.client_endpoint, session.server_endpoint)
+        )
+        assert counters["crypto.datagrams_sealed"] == sealed
 
 
 class TestNullSession:

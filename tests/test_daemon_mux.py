@@ -221,11 +221,6 @@ class TestIdleReaper:
         assert idle.state == "reaped"
         assert reactor.registry.counter("daemon.sessions_reaped").value == 1
 
-    def test_direct_reap_reports_culled(self):
-        loop, reactor, mux, manager = self.make_daemon(idle_timeout_ms=100.0)
-        culled = manager.reap(now=loop.now() + 200.0)
-        assert sorted(r.conn_id for r in culled) == [1, 2]
-
     def test_reap_cost_independent_of_parked_count(self):
         """O(active) scheduling: the idle-deadline machinery does the
         same per-session work whether the daemon holds 4 parked sessions

@@ -120,16 +120,20 @@ class TestRegistry:
         with pytest.raises(ObservabilityError):
             reg.histogram("x")
 
-    def test_register_adopts_free_standing_instrument(self):
+    def test_read_through_counter(self):
+        """``counter(name, fn=)`` reads its source at snapshot time, like a
+        callable gauge, and stays a counter for every reader."""
         reg = MetricsRegistry()
-        h = Histogram("crypto.seal_us", low=1.0, high=1e6, unit="us")
-        assert reg.register(h, "server.crypto.seal_us") is h
-        # Idempotent re-registration of the same object.
-        assert reg.register(h, "server.crypto.seal_us") is h
-        assert reg.get("server.crypto.seal_us") is h
-        other = Histogram("crypto.seal_us", low=1.0, high=1e6, unit="us")
+        tally = {"n": 0}
+        counter = reg.counter("server.sender.instructions", fn=lambda: tally["n"])
+        assert isinstance(counter, Counter)
+        tally["n"] = 7
+        assert counter.value == 7
+        assert reg.snapshot()["counters"]["server.sender.instructions"] == 7
+        # Get-or-create returns the same instrument on repeat lookups.
+        assert reg.counter("server.sender.instructions") is counter
         with pytest.raises(ObservabilityError):
-            reg.register(other, "server.crypto.seal_us")
+            reg.gauge("server.sender.instructions")
 
     def test_names_sorted(self):
         reg = MetricsRegistry()

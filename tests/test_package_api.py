@@ -2,10 +2,19 @@
 
 import importlib
 import inspect
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+#: Every subpackage and top-level module, discovered rather than listed.
+ALL_MODULES = sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+)
 
 PUBLIC_MODULES = [
     "repro.analysis",
@@ -42,6 +51,18 @@ class TestImports:
 
     def test_version(self):
         assert repro.__version__
+
+    @pytest.mark.parametrize("name", ALL_MODULES)
+    def test_imports_first_in_fresh_interpreter(self, name):
+        """Each module imports on its own, first thing in a new process:
+        no import order hides a cycle."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {name}"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestErrorHierarchy:

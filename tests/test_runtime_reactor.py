@@ -36,7 +36,7 @@ class TestTimerSemantics:
         assert fired == ["keep"]
         assert keep.fired and not keep.active
         assert drop.cancelled and not drop.active
-        assert reactor.metrics.timers_cancelled == 1
+        assert reactor.registry.counter("reactor.timers_cancelled").value == 1
 
     def test_cancel_after_fire_is_noop(self, reactor):
         handle = reactor.call_later(5.0, lambda: None)
@@ -44,7 +44,7 @@ class TestTimerSemantics:
         assert handle.fired
         handle.cancel()
         assert not handle.cancelled
-        assert reactor.metrics.timers_cancelled == 0
+        assert reactor.registry.counter("reactor.timers_cancelled").value == 0
         reactor.run_for(20.0)  # nothing explodes
 
     def test_rearm_from_within_callback(self, reactor):
@@ -68,15 +68,22 @@ class TestTimerSemantics:
         for _ in range(3):
             reactor.call_later(5.0, lambda: None)
         reactor.run_for(100.0)
-        assert reactor.metrics.timers_fired == 3
-        assert reactor.metrics.timer_lag_avg_ms >= 0.0
-        assert reactor.metrics.timer_lag_max_ms >= 0.0
+        registry = reactor.registry
+        assert registry.counter("reactor.timers_fired").value == 3
+        lag = registry.get("reactor.timer_lag_ms")
+        assert lag.count == 3
+        assert lag.mean >= 0.0 and lag.max >= 0.0
 
     def test_snapshot_is_plain_data(self, reactor):
-        snap = reactor.metrics.snapshot()
-        for field in ("ticks", "datagrams_in", "datagrams_out", "timers_fired",
-                      "timer_lag_avg_ms", "frames_rendered"):
-            assert field in snap
+        """A bare reactor's snapshot already carries every reactor-wide
+        counter, before any core registers."""
+        doc = reactor.registry.snapshot()
+        for name in ("ticks", "datagrams_in", "datagrams_out", "timers_fired",
+                     "timers_cancelled", "io_events", "frames_rendered"):
+            assert doc["counters"][f"reactor.{name}"] == 0
+        for name in ("datagrams_sealed", "auth_failures", "replay_drops"):
+            assert doc["counters"][f"crypto.{name}"] == 0
+        assert doc["histograms"]["reactor.timer_lag_ms"]["count"] == 0
 
 
 class TestIoSources:
@@ -95,7 +102,7 @@ class TestIoSources:
             os.write(write_fd, b"ping")
             reactor.run_once(50.0)
             assert seen == [b"ping"]
-            assert reactor.metrics.io_events == 1
+            assert reactor.registry.counter("reactor.io_events").value == 1
             reactor.remove_reader(read_fd)
             os.write(write_fd, b"again")
             reactor.run_once(10.0)
@@ -103,3 +110,16 @@ class TestIoSources:
         finally:
             os.close(read_fd)
             os.close(write_fd)
+
+
+class TestCorePrefixes:
+    def test_taken_prefix_gets_numbered_suffix(self):
+        """``register_core`` is the one place prefixes are kept unique, so
+        two cores never write the same per-session instrument."""
+        reactor = SimReactor()
+        assert reactor.register_core("server") == "server"
+        assert reactor.register_core("server") == "server#2"
+        assert reactor.register_core("server", "s1") == "server.s1"
+        assert reactor.register_core("server", "s1") == "server.s1#2"
+        assert reactor.register_core("server") == "server#3"
+        assert reactor.registry.get("reactor.cores").value == 5

@@ -1,12 +1,14 @@
 """Timer wheel: unit behaviour, scheduling parity, and O(active) reaping.
 
 The wheel's contract is that it is *invisible*: an :class:`EventLoop` or
-:class:`RealReactor` with the wheel enabled must fire exactly the same
-callbacks in exactly the same order at exactly the same times as a
-heap-only build. The randomized parity tests here drive both builds with
+:class:`RealReactor` must fire exactly the same callbacks in exactly the
+same order at exactly the same times as a plain heap would. The
+randomized parity tests here drive each scheduler and :class:`HeapModel`
+— a ``heapq`` reference model kept in this file as the oracle — with
 identical 10k-operation scripts and compare the full fire logs.
 """
 
+import heapq
 import random
 
 import pytest
@@ -14,13 +16,74 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.errors import SimulationError
 from repro.runtime.reactor import RealReactor
-from repro.runtime.timerwheel import (
+from repro.simnet.eventloop import EventLoop
+from repro.timerwheel import (
     WHEEL_SLOT_MS,
     WHEEL_SPAN,
     WHEEL_THRESHOLD_MS,
     TimerWheel,
 )
-from repro.simnet.eventloop import EventLoop
+
+
+class HeapModel:
+    """Reference scheduler: one plain ``heapq`` with lazy cancellation.
+
+    Entries fire in ``(when, token)`` order; a cancelled token is skipped
+    when it surfaces. No wheel, no tiers — the behaviour both real
+    schedulers must reproduce exactly.
+    """
+
+    def __init__(self):
+        self._heap = []
+        self._live = set()
+        self._next = 0
+
+    def add(self, when, callback):
+        token = self._next
+        self._next += 1
+        heapq.heappush(self._heap, (when, token, callback))
+        self._live.add(token)
+        return token
+
+    def cancel(self, token):
+        self._live.discard(token)
+
+    def fire_until(self, now):
+        while self._heap and self._heap[0][0] <= now:
+            when, token, callback = heapq.heappop(self._heap)
+            if token in self._live:
+                self._live.discard(token)
+                callback(when)
+
+
+def run_model(script, drain_ms, stamp_at_deadline):
+    """Replay a schedule/cancel/advance script on :class:`HeapModel`.
+
+    Fire-log entries carry the deadline (event-loop semantics, where the
+    clock jumps to each event) or the advance instant (reactor semantics,
+    where due timers fire when the loop next wakes).
+    """
+    model = HeapModel()
+    now = [0.0]
+    fired = []
+    tokens = {}
+    for i, (op, arg) in enumerate(script):
+        if op == "schedule":
+            tokens[i] = model.add(
+                now[0] + arg,
+                lambda when, i=i: fired.append(
+                    (when if stamp_at_deadline else now[0], i)
+                ),
+            )
+        elif op == "cancel":
+            if arg in tokens:
+                model.cancel(tokens[arg])
+        else:
+            now[0] += arg
+            model.fire_until(now[0])
+    now[0] += drain_ms
+    model.fire_until(now[0])
+    return fired
 
 
 class TestTimerWheelUnit:
@@ -120,8 +183,8 @@ class TestTimerWheelUnit:
 class TestEventLoopWheel:
     """The wheel behind EventLoop.schedule/peek_time."""
 
-    def make_loop(self, wheel=True):
-        return EventLoop(timer_wheel=wheel)
+    def make_loop(self):
+        return EventLoop()
 
     def test_zero_delay_fires_immediately(self):
         loop = self.make_loop()
@@ -189,8 +252,8 @@ class TestEventLoopWheel:
             loop.schedule(-1.0, lambda: None)
 
     def test_randomized_parity_with_heap_only_loop(self):
-        """10k random schedule/cancel ops: wheel and heap-only loops
-        produce byte-identical fire logs."""
+        """10k random schedule/cancel ops: the wheel-backed loop and the
+        heap reference model produce byte-identical fire logs."""
         rng = random.Random(1234)
         script = []
         for step in range(10_000):
@@ -214,8 +277,8 @@ class TestEventLoopWheel:
             else:
                 script.append(("advance", rng.uniform(0.0, 2_000.0)))
 
-        def run(wheel):
-            loop = EventLoop(timer_wheel=wheel)
+        def run():
+            loop = EventLoop()
             fired = []
             tokens = {}
             for i, (op, arg) in enumerate(script):
@@ -231,15 +294,15 @@ class TestEventLoopWheel:
             loop.run_for(700_000.0)  # drain everything still pending
             return fired
 
-        assert run(wheel=True) == run(wheel=False)
+        assert run() == run_model(script, 700_000.0, stamp_at_deadline=True)
 
 
 class TestRealReactorWheel:
     """The wheel behind RealReactor.call_at, driven by a fake clock."""
 
-    def make(self, wheel=True):
+    def make(self):
         clock = SimulatedClock()
-        return clock, RealReactor(clock=clock, timer_wheel=wheel)
+        return clock, RealReactor(clock=clock)
 
     def step(self, clock, reactor, to_ms):
         clock.advance_to(to_ms)
@@ -267,7 +330,7 @@ class TestRealReactorWheel:
         assert handle.cancelled
         self.step(clock, reactor, 10_000.0)
         assert fired == ["live"]
-        assert reactor.metrics.timers_cancelled == 1
+        assert reactor.registry.counter("reactor.timers_cancelled").value == 1
 
     def test_next_deadline_skims_cancelled_entries(self):
         clock, reactor = self.make()
@@ -297,8 +360,8 @@ class TestRealReactorWheel:
             else:
                 script.append(("advance", rng.uniform(0.0, 2_000.0)))
 
-        def run(wheel):
-            clock, reactor = self.make(wheel)
+        def run():
+            clock, reactor = self.make()
             fired = []
             handles = {}
             for i, (op, arg) in enumerate(script):
@@ -314,4 +377,4 @@ class TestRealReactorWheel:
             self.step(clock, reactor, clock.now() + 400_000.0)
             return fired
 
-        assert run(wheel=True) == run(wheel=False)
+        assert run() == run_model(script, 400_000.0, stamp_at_deadline=False)
