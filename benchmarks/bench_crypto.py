@@ -2,19 +2,26 @@
 
 Every SSP datagram is sealed with AES-128-OCB (§2.2), so the cipher sits
 on the send/receive hot path right after the terminal diff. These
-benchmarks time each layer — the raw AES block, OCB seal/unseal at small
-(typing), MTU-sized, and large (flood) payloads, and a full
+benchmarks time each layer — OCB seal/unseal at small (typing),
+MTU-sized, and large (flood) payloads and a full
 :class:`~repro.crypto.session.Session` datagram round-trip — and emit
 machine-readable numbers alongside the hot-path suite so crypto
 performance PRs carry a recorded trajectory.
+
+The ``ocb_*`` and ``session_*`` scenarios measure the cipher sessions
+actually use (:data:`~repro.crypto.session.SessionCipher`: OpenSSL's OCB3
+when ``cryptography`` imports, else the reference cipher).
+``aes_block`` and the ``ref_ocb_*`` scenarios always measure the
+from-scratch reference cipher.
 
 Run via the CLI runner::
 
     python tools/bench.py            # full run, updates BENCH_hotpath.json
     python tools/bench.py --quick    # CI smoke run
 
-Scenario names are prefixed ``aes_`` / ``ocb_`` / ``session_`` so the
-regression gate can tell crypto numbers from terminal-path numbers.
+Scenario names are prefixed ``aes_`` / ``ocb_`` / ``ref_`` /
+``session_`` so the regression gate can tell crypto numbers from
+terminal-path numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import time
 from repro.crypto.aes import AES128
 from repro.crypto.keys import DIRECTION_TO_SERVER, Base64Key, Nonce
 from repro.crypto.ocb import OCBCipher
-from repro.crypto.session import Message, Session
+from repro.crypto.session import Message, Session, SessionCipher
 
 #: (full iterations, quick iterations) per scenario; repeats pick the best.
 _SCALE = {"full": (300, 20), "quick": (40, 5)}
@@ -36,8 +43,19 @@ _KEY = bytes(range(16))
 _PAYLOAD = bytes((7 * i + 13) & 0xFF for i in range(1400))
 
 
+#: Shortest timed batch: ops far faster than the iteration counts assume
+#: (an OpenSSL seal is about a microsecond) repeat until a batch lasts
+#: this long, so timer resolution and loop noise stay small beside it.
+_MIN_BATCH_S = 0.005
+
+
 def _best_of(fn, iters: int, repeats: int = 3) -> float:
-    """Best per-op seconds over ``repeats`` timed batches of ``iters``."""
+    """Best per-op seconds over ``repeats`` timed batches of at least
+    ``iters`` ops, each lasting at least :data:`_MIN_BATCH_S`."""
+    t0 = time.perf_counter()
+    fn()
+    once = time.perf_counter() - t0
+    iters = max(iters, int(_MIN_BATCH_S / max(once, 1e-9)))
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -61,30 +79,48 @@ def _nonce_stream():
         yield seq.to_bytes(12, "big")
 
 
-def _bench_seal(size: int, iters: int) -> float:
-    cipher = OCBCipher(_KEY)
+def _bench_seal(cipher, size: int, iters: int) -> float:
     payload = _PAYLOAD[:size]
     nonces = _nonce_stream()
-    return _best_of(lambda: cipher.encrypt(next(nonces), payload), iters)
+    return _best_of(lambda: cipher.encrypt(next(nonces), payload, None), iters)
+
+
+def _bench_unseal(cipher, iters: int) -> float:
+    nonce = (1).to_bytes(12, "big")
+    sealed = cipher.encrypt(nonce, _PAYLOAD, None)
+    return _best_of(lambda: cipher.decrypt(nonce, sealed, None), iters)
 
 
 def bench_ocb_seal_64(iters: int) -> float:
-    return _bench_seal(64, iters * 4)
+    return _bench_seal(SessionCipher(_KEY), 64, iters * 4)
 
 
 def bench_ocb_seal_512(iters: int) -> float:
-    return _bench_seal(512, iters)
+    return _bench_seal(SessionCipher(_KEY), 512, iters)
 
 
 def bench_ocb_seal_1400(iters: int) -> float:
-    return _bench_seal(1400, iters)
+    return _bench_seal(SessionCipher(_KEY), 1400, iters)
 
 
 def bench_ocb_unseal_1400(iters: int) -> float:
-    cipher = OCBCipher(_KEY)
-    nonce = (1).to_bytes(12, "big")
-    sealed = cipher.encrypt(nonce, _PAYLOAD)
-    return _best_of(lambda: cipher.decrypt(nonce, sealed), iters)
+    return _bench_unseal(SessionCipher(_KEY), iters)
+
+
+def bench_ref_ocb_seal_64(iters: int) -> float:
+    return _bench_seal(OCBCipher(_KEY), 64, iters * 4)
+
+
+def bench_ref_ocb_seal_512(iters: int) -> float:
+    return _bench_seal(OCBCipher(_KEY), 512, iters)
+
+
+def bench_ref_ocb_seal_1400(iters: int) -> float:
+    return _bench_seal(OCBCipher(_KEY), 1400, iters)
+
+
+def bench_ref_ocb_unseal_1400(iters: int) -> float:
+    return _bench_unseal(OCBCipher(_KEY), iters)
 
 
 def bench_session_roundtrip(iters: int) -> float:
@@ -107,6 +143,10 @@ SCENARIOS = {
     "ocb_seal_512": bench_ocb_seal_512,
     "ocb_seal_1400": bench_ocb_seal_1400,
     "ocb_unseal_1400": bench_ocb_unseal_1400,
+    "ref_ocb_seal_64": bench_ref_ocb_seal_64,
+    "ref_ocb_seal_512": bench_ref_ocb_seal_512,
+    "ref_ocb_seal_1400": bench_ref_ocb_seal_1400,
+    "ref_ocb_unseal_1400": bench_ref_ocb_unseal_1400,
     "session_roundtrip": bench_session_roundtrip,
 }
 

@@ -2,7 +2,9 @@
 
 The paper builds SSP's security on AES-128 in the Offset Codebook (OCB)
 mode, "which provides confidentiality and authenticity with a single secret
-key" (§2.2). This package implements both from scratch:
+key" (§2.2). This package implements both from scratch, as the reference
+and fallback cipher; sessions seal through OpenSSL's OCB3 instead when the
+``cryptography`` package is importable (see :mod:`repro.crypto.session`):
 
 * :mod:`repro.crypto.aes` — the AES-128 block cipher (FIPS 197).
 * :mod:`repro.crypto.ocb` — OCB authenticated encryption (RFC 7253 layout).

@@ -3,9 +3,11 @@
 This is a table-based implementation: the S-box is derived from the
 definition (multiplicative inverse in GF(2^8) followed by the affine map),
 and the round function uses lookup tables so a block encryption is a
-handful of table lookups and XORs per round. That keeps pure-Python
-throughput high enough to encrypt every SSP datagram in the test suite and
-the real-UDP demo.
+handful of table lookups and XORs per round. It is the block cipher under
+the reference OCB mode (:mod:`repro.crypto.ocb`), which sessions fall back
+to when OpenSSL's OCB3 (through the ``cryptography`` package) is not
+importable, and which the test suite uses as the differential oracle for
+the OpenSSL backend.
 
 Two kernels share the same key schedule:
 
@@ -18,10 +20,9 @@ Two kernels share the same key schedule:
   The batch form never converts between bytes and ints inside the loop;
   its unrolled source is exec-compiled once per process and specialized
   to each key by rebinding the round keys and tables as default-argument
-  locals (see ``_kernel_codes`` / ``_bind_int_kernels``), which is what
-  makes the OCB datagram path
-  (:mod:`repro.crypto.ocb`) fast for small payloads (large ones go
-  through the vectorised kernel in :mod:`repro.crypto.batch` instead).
+  locals (see ``_kernel_codes`` / ``_bind_int_kernels``); the OCB
+  datagram path (:mod:`repro.crypto.ocb`) runs every datagram's blocks
+  through it in one call.
 
 The 128-bit tables are derived lazily on first use (~0.5 MB per
 direction, a few milliseconds) and are shared by every key: round keys

@@ -123,6 +123,11 @@ class Nonce:
         if len(data) != 8:
             raise CryptoError(f"nonce wire form must be 8 bytes, got {len(data)}")
         value = int.from_bytes(data, "big")
-        nonce = cls(direction=value >> 63, seq=value & _SEQ_MASK)
-        nonce.__dict__["_wire"] = bytes(data)
+        # Every 8-byte value splits into a valid direction bit and sequence
+        # number, so this per-datagram path skips the validating
+        # constructor and fills the frozen instance's fields directly.
+        nonce = object.__new__(cls)
+        nonce.__dict__.update(
+            direction=value >> 63, seq=value & _SEQ_MASK, _wire=bytes(data)
+        )
         return nonce

@@ -6,6 +6,15 @@ back. The wire layout of a sealed datagram is::
     8 bytes   nonce (direction bit | 63-bit sequence number), cleartext
     N+16      OCB ciphertext of the payload, including the 16-byte tag
 
+The cipher behind every session is chosen once, at import: OpenSSL's OCB3
+(``cryptography``'s ``AESOCB3``) when the ``cryptography`` package
+imports, as upstream Mosh can build against OpenSSL's OCB, and otherwise
+the from-scratch reference cipher :class:`~repro.crypto.ocb.OCBCipher`.
+Both take the 12-byte nonce ``OCB_NONCE_PREFIX + wire nonce`` and produce
+byte-identical datagrams (the test suite checks them against each other
+and against the RFC 7253 vectors); ``SessionCipher`` is the class in
+use.
+
 Because every datagram is an idempotent state diff, SSP needs no replay
 cache for *correctness* (§2.2): replayed packets re-apply a diff the
 receiver has already applied, which is a no-op, and the transport layer
@@ -38,11 +47,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.crypto import batch as _batch
 from repro.crypto.keys import OCB_NONCE_PREFIX, Base64Key, Nonce
 from repro.crypto.ocb import TAG_LEN, OCBCipher
 from repro.errors import AuthenticationError, CryptoError, ReplayError
 from repro.obs.registry import Counter, Histogram, MetricsRegistry
+
+try:
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESOCB3 as SessionCipher
+except ImportError:
+    SessionCipher = OCBCipher
+    _TAG_ERRORS: tuple = (AuthenticationError,)
+else:
+    # Either cipher may sit behind a session (the differential tests hold
+    # one of each), so both tag-failure types are caught.
+    _TAG_ERRORS = (InvalidTag, AuthenticationError)
 
 _NONCE_WIRE_LEN = 8
 
@@ -54,9 +73,9 @@ MAX_PAYLOAD_LEN = 64 * 1024
 #: only genuine duplicates or ancient replays can land outside it.
 REPLAY_WINDOW = 1024
 
-#: Seal/unseal latency grid: 1 µs .. 1 s spans the pure-python kernel
-#: across payload sizes.
-_US_GRID = {"low": 1.0, "high": 1_000_000.0, "unit": "us"}
+#: Seal/unseal latency grid: 0.1 µs .. 100 ms spans an OpenSSL seal of a
+#: keystroke up to a reference-cipher seal of a 64 KiB payload.
+_US_GRID = {"low": 0.1, "high": 100_000.0, "unit": "us"}
 
 
 @dataclass(frozen=True)
@@ -107,10 +126,10 @@ class CryptoStats:
         # deliberately wall-time even on simulated-clock sessions).
         self.seal_us = Histogram("crypto.seal_us", **_US_GRID)
         self.unseal_us = Histogram("crypto.unseal_us", **_US_GRID)
-        # Most recent per-datagram cost (amortized share under batching),
-        # read by the causal tracer to carve crypto CPU out of a
-        # keystroke's stage timeline. Plain floats, always maintained —
-        # the histograms above gate on the global observability switch.
+        # Most recent per-datagram cost, read by the causal tracer to
+        # carve crypto CPU out of a keystroke's stage timeline. Plain
+        # floats, always maintained — the histograms above gate on the
+        # global observability switch.
         self.last_seal_us = 0.0
         self.last_unseal_us = 0.0
         self._take_totals(Counter)
@@ -160,7 +179,12 @@ class _ReplayWindow:
         """Record ``seq``; returns False if it is a replay (drop it)."""
         if seq > self.highest:
             shift = seq - self.highest
-            self.mask = ((self.mask << shift) | 1) & ((1 << REPLAY_WINDOW) - 1)
+            # Shift only what stays in the window: a forged jump of 2**62
+            # must not allocate a 2**62-bit integer.
+            if shift >= REPLAY_WINDOW:
+                self.mask = 1
+            else:
+                self.mask = ((self.mask << shift) | 1) & ((1 << REPLAY_WINDOW) - 1)
             self.highest = seq
             return True
         offset = self.highest - seq
@@ -178,7 +202,7 @@ class Session:
 
     def __init__(self, key: Base64Key) -> None:
         self._key = key
-        self._cipher = OCBCipher(key.key)
+        self._cipher = SessionCipher(key.key)
         self.stats = CryptoStats()
         # One replay window per direction bit: an endpoint normally
         # decrypts only its peer's direction, but reflected datagrams are
@@ -197,10 +221,11 @@ class Session:
                 f"payload of {len(text)} bytes exceeds "
                 f"{MAX_PAYLOAD_LEN}-byte bound"
             )
+        wire = message.nonce.wire()
         t0 = perf_counter()
-        sealed = self._cipher.encrypt(message.nonce.ocb(), text)
+        sealed = self._cipher.encrypt(OCB_NONCE_PREFIX + wire, text, None)
         self.stats.note_seal(len(text), (perf_counter() - t0) * 1e6)
-        return message.nonce.wire() + sealed
+        return wire + sealed
 
     def probe(self, data: bytes) -> bool:
         """Does this datagram authenticate under this session's key?
@@ -217,30 +242,30 @@ class Session:
             self._cipher.decrypt(
                 OCB_NONCE_PREFIX + bytes(view[:_NONCE_WIRE_LEN]),
                 view[_NONCE_WIRE_LEN:],
+                None,
             )
-            return True
-        except CryptoError:
+        except _TAG_ERRORS:
             return False
+        return True
 
-    def decrypt(self, data: bytes) -> Message:
-        """Unseal wire bytes; raises AuthenticationError on tampering and
-        ReplayError on an authentic but sequence-reusing datagram."""
+    def decrypt(self, data) -> Message:
+        """Unseal wire bytes (``bytes`` or a ``memoryview``); raises
+        AuthenticationError on tampering and ReplayError on an authentic
+        but sequence-reusing datagram."""
         if len(data) < _NONCE_WIRE_LEN + TAG_LEN:
             raise CryptoError(f"datagram too short to unseal: {len(data)} bytes")
-        # One memoryview keeps the header split and the cipher's block
-        # walk copy-free; the 12-byte OCB nonce is built straight from the
-        # wire header rather than re-serializing a parsed Nonce.
-        view = memoryview(data)
-        wire = bytes(view[:_NONCE_WIRE_LEN])
+        # The 12-byte OCB nonce is built straight from the wire header
+        # rather than re-serializing a parsed Nonce.
+        wire = bytes(data[:_NONCE_WIRE_LEN])
         t0 = perf_counter()
         try:
             text = self._cipher.decrypt(
-                OCB_NONCE_PREFIX + wire, view[_NONCE_WIRE_LEN:]
+                OCB_NONCE_PREFIX + wire, data[_NONCE_WIRE_LEN:], None
             )
-        except AuthenticationError:
+        except _TAG_ERRORS:
             self.stats.note_auth_failure()
-            raise
-        return _raise_replay(_admit(self, wire, text, (perf_counter() - t0) * 1e6))
+            raise AuthenticationError("OCB tag verification failed") from None
+        return _admit(self, wire, text, (perf_counter() - t0) * 1e6)
 
 
 class NullSession:
@@ -288,7 +313,7 @@ class NullSession:
         """
         return len(data) >= _NONCE_WIRE_LEN + TAG_LEN
 
-    def decrypt(self, data: bytes) -> Message:
+    def decrypt(self, data) -> Message:
         if len(data) < _NONCE_WIRE_LEN + TAG_LEN:
             raise CryptoError(f"datagram too short to unseal: {len(data)} bytes")
         t0 = perf_counter()
@@ -297,13 +322,13 @@ class NullSession:
         # the retained Message payload from the caller's buffer.
         wire = bytes(data[:_NONCE_WIRE_LEN])
         text = bytes(data[_NONCE_WIRE_LEN:-TAG_LEN])
-        return _raise_replay(_admit(self, wire, text, (perf_counter() - t0) * 1e6))
+        return _admit(self, wire, text, (perf_counter() - t0) * 1e6)
 
 
-def _admit(session, wire: bytes, text: bytes, elapsed_us: float):
-    """Count one authentic unseal: the :class:`Message`, or — when the
-    replay window has already seen its sequence number — the counted
-    :class:`ReplayError`, returned as a value for the caller to raise."""
+def _admit(session, wire: bytes, text: bytes, elapsed_us: float) -> Message:
+    """Count one authentic unseal and return its :class:`Message`; raise a
+    counted :class:`ReplayError` if the replay window has already seen its
+    sequence number."""
     stats = session.stats
     stats.last_unseal_us = elapsed_us
     stats.unseal_us.record(elapsed_us)
@@ -311,7 +336,7 @@ def _admit(session, wire: bytes, text: bytes, elapsed_us: float):
     if not session._replay[nonce.direction].note(nonce.seq):
         stats.replay_drops += 1
         stats._replay_drops.value += 1
-        return ReplayError(
+        raise ReplayError(
             f"replayed sequence number {nonce.seq} "
             f"(direction {nonce.direction})"
         )
@@ -319,116 +344,37 @@ def _admit(session, wire: bytes, text: bytes, elapsed_us: float):
     stats.bytes_unsealed += len(text)
     stats._unsealed.value += 1
     stats._bytes_unsealed.value += len(text)
-    return Message(nonce=nonce, text=text)
-
-
-def _raise_replay(result):
-    """``decrypt``'s view of :func:`_admit`: a replay is raised."""
-    if isinstance(result, ReplayError):
-        raise result
-    return result
+    return Message(nonce, text)
 
 
 # ----------------------------------------------------------------------
-# Cross-session batching: many datagrams, many keys, one kernel pass
+# Per-tick entry points of the wire batchers
 # ----------------------------------------------------------------------
 
 
 def seal_many(pairs) -> list[bytes]:
-    """Seal ``[(session, Message), ...]`` — batched across sessions.
+    """Seal ``[(session, Message), ...]``, one ``encrypt`` per pair.
 
-    Byte-identical to calling ``session.encrypt(message)`` per pair (the
-    batched cipher path shares its assembly code with the scalar one),
-    with identical counter/stat movement; ``seal_us`` records each
-    datagram's amortized share of the batch. NullSessions and too-small
-    batches fall back to per-pair sealing.
+    The wire batcher seals a whole tick's datagrams through this one call;
+    bytes, counters and histograms are those of the per-pair calls.
     """
-    out: list = [None] * len(pairs)
-    batched: list[int] = []
-    for i, (session, message) in enumerate(pairs):
-        if type(session) is Session:
-            batched.append(i)
-        else:
-            out[i] = session.encrypt(message)
-    if len(batched) < _batch.MIN_DATAGRAMS or not _batch.available():
-        for i in batched:
-            session, message = pairs[i]
-            out[i] = session.encrypt(message)
-        return out
-    t0 = perf_counter()
-    items = []
-    for i in batched:
-        session, message = pairs[i]
-        text = message.text
-        if len(text) > MAX_PAYLOAD_LEN:
-            raise CryptoError(
-                f"payload of {len(text)} bytes exceeds "
-                f"{MAX_PAYLOAD_LEN}-byte bound"
-            )
-        items.append((session._cipher, message.nonce.ocb(), text))
-    sealed = _batch.seal_datagrams(items)
-    share_us = (perf_counter() - t0) * 1e6 / len(batched)
-    for i, raw in zip(batched, sealed):
-        session, message = pairs[i]
-        session.stats.note_seal(len(message.text), share_us)
-        out[i] = message.nonce.wire() + raw
-    return out
+    return [session.encrypt(message) for session, message in pairs]
 
 
 def unseal_many(pairs) -> list:
-    """Unseal ``[(session, raw), ...]`` — batched across sessions.
+    """Unseal ``[(session, raw), ...]``, one ``decrypt`` per pair.
 
-    ``raw`` may be ``bytes`` or a ``memoryview`` (reusable receive
-    buffers: everything retained is materialized before return). Each
-    slot holds the :class:`Message`, or the exception ``decrypt`` would
-    have raised (:class:`CryptoError` subclass) *as a value*, so one
-    forged datagram cannot abort its batchmates. Stats and replay
-    windows move exactly as under per-datagram ``decrypt``; ``unseal_us``
-    records amortized per-datagram shares.
+    ``raw`` may be ``bytes`` or a ``memoryview`` into a reusable receive
+    buffer: every returned payload is a fresh ``bytes``. Each slot holds
+    the :class:`Message`, or the :class:`CryptoError` ``decrypt`` raised
+    *as a value*, so one forged datagram cannot abort its batchmates.
+    Stats and replay windows move exactly as under per-datagram
+    ``decrypt``.
     """
-    out: list = [None] * len(pairs)
-    batched: list[int] = []
-    for i, (session, data) in enumerate(pairs):
-        if (
-            type(session) is Session
-            and len(data) >= _NONCE_WIRE_LEN + TAG_LEN
-        ):
-            batched.append(i)
-        else:
-            try:
-                out[i] = session.decrypt(
-                    data if isinstance(data, bytes) else bytes(data)
-                )
-            except CryptoError as exc:
-                out[i] = exc
-    if len(batched) < _batch.MIN_DATAGRAMS or not _batch.available():
-        for i in batched:
-            session, data = pairs[i]
-            try:
-                out[i] = session.decrypt(
-                    data if isinstance(data, bytes) else bytes(data)
-                )
-            except CryptoError as exc:
-                out[i] = exc
-        return out
-    t0 = perf_counter()
-    items = []
-    wires = []
-    for i in batched:
-        session, data = pairs[i]
-        view = memoryview(data)
-        wire = bytes(view[:_NONCE_WIRE_LEN])
-        wires.append(wire)
-        items.append(
-            (session._cipher, OCB_NONCE_PREFIX + wire, view[_NONCE_WIRE_LEN:])
-        )
-    texts = _batch.unseal_datagrams(items)
-    share_us = (perf_counter() - t0) * 1e6 / len(batched)
-    for i, wire, text in zip(batched, wires, texts):
-        session = pairs[i][0]
-        if isinstance(text, AuthenticationError):
-            session.stats.note_auth_failure()
-            out[i] = text
-        else:
-            out[i] = _admit(session, wire, text, share_us)
+    out: list = []
+    for session, data in pairs:
+        try:
+            out.append(session.decrypt(data))
+        except CryptoError as exc:
+            out.append(exc)
     return out

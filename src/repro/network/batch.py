@@ -5,8 +5,9 @@ a seal, a flight note, a ``sendto`` — repeat N times per reactor tick.
 This module collects them instead:
 
 * :class:`WireBatcher` queues every session's outgoing datagrams during a
-  tick and flushes them together: one cross-session
-  :func:`~repro.crypto.session.seal_many` call, then one transmit burst
+  tick and flushes them together: one
+  :func:`~repro.crypto.session.seal_many` call that seals each in turn,
+  then one transmit burst
   (``sendmmsg`` on Linux via :mod:`repro.network.sysbatch`, a
   per-datagram ``sendmsg``/``sendto`` elsewhere, or the endpoint's own
   ``transmit_to`` in the simulator).

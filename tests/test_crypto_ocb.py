@@ -1,13 +1,27 @@
-"""OCB (RFC 7253) against the published vectors, plus security properties."""
+"""OCB (RFC 7253) against the published vectors, plus security properties.
+
+The from-scratch cipher is the oracle for the OpenSSL backend sessions
+use when ``cryptography`` imports: both must match the RFC vectors and
+each other byte for byte. The OpenSSL cases skip without ``cryptography``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.crypto.ocb as ocb_module
-from repro.crypto import batch
 from repro.crypto.ocb import OCBCipher
 from repro.errors import AuthenticationError, CryptoError
+
+try:
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESOCB3
+except ImportError:
+    AESOCB3 = None
+
+needs_openssl = pytest.mark.skipif(
+    AESOCB3 is None, reason="cryptography not installed"
+)
 
 RFC_KEY = bytes.fromhex("000102030405060708090A0B0C0D0E0F")
 
@@ -261,28 +275,49 @@ class TestTamperAcrossBlockBoundaries:
                 cipher.decrypt(nonce, bytes(corrupted), ad)
 
 
-class TestBatchPathParity:
-    """The numpy batch kernel and the int kernel must seal identically.
-
-    Forcing the batch thresholds to 1 (or past the payload) drives the
-    same payload down both pipelines; outputs must be byte-identical.
-    """
+@needs_openssl
+class TestBackendParity:
+    """The reference cipher and OpenSSL's OCB3 must seal identically at
+    every block-count class a datagram can take, and each must open the
+    other's output."""
 
     PAYLOAD = bytes((5 * i + 3) & 0xFF for i in range(1400))
 
-    @pytest.mark.skipif(not batch.available(), reason="numpy not installed")
     @pytest.mark.parametrize("size", [16, 80, 96, 500, 1400, 1407])
-    def test_seal_parity(self, size, monkeypatch):
-        nonce, pt, ad = b"\xAB" * 12, self.PAYLOAD[:size], b"hdr"
-        monkeypatch.setattr(ocb_module, "_BATCH_MIN_BLOCKS_SEAL", 10**6)
-        monkeypatch.setattr(ocb_module, "_BATCH_MIN_BLOCKS_UNSEAL", 10**6)
-        via_int = OCBCipher(RFC_KEY).encrypt(nonce, pt, ad)
-        monkeypatch.setattr(ocb_module, "_BATCH_MIN_BLOCKS_SEAL", 1)
-        monkeypatch.setattr(ocb_module, "_BATCH_MIN_BLOCKS_UNSEAL", 1)
-        cipher = OCBCipher(RFC_KEY)
-        via_numpy = cipher.encrypt(nonce, pt, ad)
-        assert via_numpy == via_int
-        assert cipher.decrypt(nonce, via_int, ad) == pt
+    def test_seal_parity(self, size):
+        nonce, pt, ad = b"\xAB" * 12, (self.PAYLOAD * 2)[:size], b"hdr"
+        reference, openssl = OCBCipher(RFC_KEY), AESOCB3(RFC_KEY)
+        sealed = reference.encrypt(nonce, pt, ad)
+        assert openssl.encrypt(nonce, pt, ad) == sealed
+        assert openssl.decrypt(nonce, sealed, ad) == pt
+        assert reference.decrypt(nonce, openssl.encrypt(nonce, pt, ad), ad) == pt
+
+    @pytest.mark.parametrize("nonce,ad,pt,expected", RFC_VECTORS)
+    def test_rfc_vectors(self, nonce, ad, pt, expected):
+        cipher = AESOCB3(RFC_KEY)
+        nonce, ad = bytes.fromhex(nonce), bytes.fromhex(ad)
+        out = cipher.encrypt(nonce, bytes.fromhex(pt), ad)
+        assert out.hex().upper() == expected
+        assert cipher.decrypt(nonce, out, ad) == bytes.fromhex(pt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        nonce=st.binary(min_size=12, max_size=15),
+        plaintext=st.binary(max_size=1500),
+        ad=st.binary(max_size=48),
+        data=st.data(),
+    )
+    def test_differential(self, key, nonce, plaintext, ad, data):
+        sealed = OCBCipher(key).encrypt(nonce, plaintext, ad)
+        assert AESOCB3(key).encrypt(nonce, plaintext, ad) == sealed
+        bit = data.draw(st.integers(0, 8 * len(sealed) - 1), label="bit")
+        forged = bytearray(sealed)
+        forged[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(AuthenticationError):
+            OCBCipher(key).decrypt(nonce, bytes(forged), ad)
+        with pytest.raises(InvalidTag):
+            AESOCB3(key).decrypt(nonce, bytes(forged), ad)
 
 
 class TestKtopCache:

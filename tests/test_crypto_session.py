@@ -1,5 +1,9 @@
 """Keys, nonces, and the session sealing API."""
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +14,16 @@ from repro.crypto.keys import (
     Base64Key,
     Nonce,
 )
-from repro.crypto.session import MAX_PAYLOAD_LEN, Message, NullSession, Session
+import repro.crypto.session as session_module
+from repro.crypto.ocb import OCBCipher
+from repro.crypto.session import (
+    MAX_PAYLOAD_LEN,
+    CryptoStats,
+    Message,
+    NullSession,
+    Session,
+    SessionCipher,
+)
 from repro.errors import AuthenticationError, CryptoError, ReplayError
 
 
@@ -240,3 +253,100 @@ class TestNullSession:
             Message(Nonce(0, 3), payload)
         )
         assert len(null_wire) == len(real_wire)
+
+
+class TestReplayWindowJumps:
+    def test_huge_sequence_jump_is_cheap_and_window_still_works(self):
+        """An authentic datagram that jumps the sequence number by 2**62
+        must not allocate in proportion to the jump, and afterwards the
+        window must still drop a true replay and admit fresh numbers."""
+        sender = Session(Base64Key.new())
+        receiver = Session(sender.key)
+
+        def seal(seq):
+            return sender.encrypt(Message(Nonce(DIRECTION_TO_SERVER, seq), b"k"))
+
+        receiver.decrypt(seal(1))
+        jumped = seal(1 + 2**62)
+        assert receiver.decrypt(jumped).nonce.seq == 1 + 2**62
+        with pytest.raises(ReplayError):
+            receiver.decrypt(jumped)
+        with pytest.raises(ReplayError):
+            receiver.decrypt(seal(1))  # far behind the window now
+        assert receiver.decrypt(seal(2**62)).nonce.seq == 2**62
+        assert receiver.stats.replay_drops == 2
+        assert receiver._replay[DIRECTION_TO_SERVER].mask == 0b11
+
+
+class TestLatencyGrid:
+    def test_sub_microsecond_seal_lands_in_a_real_bucket(self):
+        """An OpenSSL seal takes about a microsecond; the grid must
+        resolve it rather than fold it into the underflow bucket."""
+        hist = CryptoStats().seal_us
+        hist.record(0.5)
+        assert hist._counts[0] == 0
+        assert 0.5 / 1.35 < hist.p50 < 0.5 * 1.35
+
+
+def _session_with(cipher_cls, key):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_module, "SessionCipher", cipher_cls)
+        return Session(key)
+
+
+class TestBackends:
+    def test_backend_follows_the_import(self):
+        try:
+            from cryptography.hazmat.primitives.ciphers.aead import AESOCB3
+        except ImportError:
+            assert SessionCipher is OCBCipher
+        else:
+            assert SessionCipher is AESOCB3
+
+    @pytest.mark.skipif(
+        SessionCipher is OCBCipher, reason="cryptography not installed"
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        payload=st.binary(max_size=1500),
+        direction=st.integers(0, 1),
+        seq=st.integers(0, (1 << 63) - 1),
+        data=st.data(),
+    )
+    def test_openssl_and_reference_are_byte_identical(
+        self, key, payload, direction, seq, data
+    ):
+        reference = _session_with(OCBCipher, Base64Key(key))
+        openssl = Session(Base64Key(key))
+        message = Message(Nonce(direction, seq), payload)
+        wire = openssl.encrypt(message)
+        assert reference.encrypt(message) == wire
+        bit = data.draw(st.integers(0, 8 * len(wire) - 1), label="bit")
+        forged = bytearray(wire)
+        forged[bit // 8] ^= 1 << (bit % 8)
+        for session in (reference, openssl):
+            with pytest.raises(AuthenticationError):
+                session.decrypt(bytes(forged))
+            assert not session.probe(bytes(forged))
+            assert session.stats.auth_failures == 1
+            assert session.decrypt(wire) == message
+
+    def test_daemon_does_not_import_numpy(self):
+        """The benchmark's peak-RSS figure assumes numpy stays out of the
+        process: nothing the daemon needs may pull it in."""
+        code = textwrap.dedent(
+            """
+            import sys
+            import repro
+            from repro.session.inprocess import InProcessDaemon
+            from repro.simnet.link import LinkConfig
+            InProcessDaemon(LinkConfig(), LinkConfig(), sessions=2)
+            print("numpy" in sys.modules)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

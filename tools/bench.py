@@ -14,7 +14,7 @@ the terminal→transport hot path and the datagram sealing path:
 Scenarios come from four suites that share one results file: the
 terminal suite (``benchmarks/bench_hotpath.py``), the crypto suite
 (``benchmarks/bench_crypto.py``, names prefixed ``aes_``/``ocb_``/
-``session_``), the observability suite (``benchmarks/bench_obs.py``,
+``ref_``/``session_``), the observability suite (``benchmarks/bench_obs.py``,
 names prefixed ``obs_``), and the wire-path suite
 (``benchmarks/bench_wire.py``, which fills the ``wire`` section instead
 of ``ops``). All feed the same ``--check`` regression gate, with two
