@@ -17,7 +17,7 @@ desynchronize a client that was content-equal to ``old``.
 
 from __future__ import annotations
 
-from repro.terminal.cell import Cell, Row
+from repro.terminal.cell import Cell, Row, erase_cell
 from repro.terminal.framebuffer import Framebuffer
 from repro.terminal.renditions import DEFAULT_RENDITIONS, Renditions
 
@@ -185,10 +185,8 @@ class Display:
         pen_state: list[Renditions | None],
     ) -> None:
         """Write ``cells`` at (row_idx, start_col) via prints and ECH."""
-        # Trim leading/trailing cells that are nothing to draw? No: caller
-        # chose the span; render everything given.
         out += Display._cup(row_idx, start_col)
-        col = start_col
+        is_erase = Display._is_erase_cell
         i = 0
         n = len(cells)
         while i < n:
@@ -198,42 +196,52 @@ class Display:
                 # are consumed by their leader), but stay aligned anyway.
                 out += b"\x1b[1C"
                 i += 1
-                col += 1
                 continue
-            if Display._is_erase_cell(cell):
+            pen = cell.renditions
+            if is_erase(cell):
                 # Group a run of erase-form cells into one ECH.
-                j = i
-                bg = cell.renditions.background
+                j = i + 1
+                bg = pen.background
                 while (
                     j < n
-                    and Display._is_erase_cell(cells[j])
+                    and is_erase(cells[j])
                     and cells[j].renditions.background == bg
                 ):
                     j += 1
                 run = j - i
-                Display._set_pen(out, pen_state, cell.renditions)
+                Display._set_pen(out, pen_state, pen)
                 out += f"\x1b[{run}X".encode("ascii")
-                col += run
                 i = j
                 if i < n:
                     out += f"\x1b[{run}C".encode("ascii")  # hop over
                 continue
-            Display._set_pen(out, pen_state, cell.renditions)
-            out += cell.display_text().encode("utf-8")
-            col += cell.width
-            i += cell.width  # skip continuation inside our slice
-        del col  # cursor position is re-established by the next CUP
+            if cell.width == 2:
+                Display._set_pen(out, pen_state, pen)
+                out += cell.display_text().encode("utf-8")
+                i += 2  # skip the continuation inside our slice
+                continue
+            # A run of narrow drawn cells in one pen prints as one string.
+            j = i + 1
+            while j < n:
+                nxt = cells[j]
+                if (
+                    nxt.width != 1
+                    or (nxt.renditions is not pen and nxt.renditions != pen)
+                    or is_erase(nxt)
+                ):
+                    break
+                j += 1
+            Display._set_pen(out, pen_state, pen)
+            out += "".join([c.contents or " " for c in cells[i:j]]).encode("utf-8")
+            i = j
 
     @staticmethod
     def _is_erase_cell(cell: Cell) -> bool:
-        return (
-            cell.contents == ""
-            and cell.width == 1
-            and cell.renditions
-            == DEFAULT_RENDITIONS.with_attr(
-                background=cell.renditions.background
-            )
-        )
+        """Whether ``cell`` is what an erase in its background leaves."""
+        if cell.contents != "":
+            return False
+        erase = erase_cell(cell.renditions.background)
+        return cell is erase or cell == erase
 
     # ------------------------------------------------------------------
     # Modes, cursor, title

@@ -7,12 +7,21 @@ alternate screen, window titles, and terminal reports. The protocol is
 bidirectional — reports the host requests (cursor position, device
 attributes) accumulate in :attr:`Emulator.outbox` for the pty layer to
 write back.
+
+Text arrives from the parser as runs. A run of printable ASCII is written
+a row segment at a time (:meth:`Emulator._print_run`): one slice
+assignment of shared narrow cells per row, with autowrap between
+segments. Everything a segment cannot express — non-ASCII, wide and
+combining characters, insert mode, autowrap off, and any character set
+but ASCII — goes through the per-character :meth:`Emulator._print`.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.terminal import charsets
-from repro.terminal.cell import Cell
+from repro.terminal.cell import Cell, erase_cell, narrow_cells
 from repro.terminal.framebuffer import Framebuffer
 from repro.terminal.parser import (
     CsiDispatch,
@@ -25,10 +34,15 @@ from repro.terminal.parser import (
 from repro.terminal.renditions import (
     COLOR_DEFAULT,
     DEFAULT_RENDITIONS,
+    Renditions,
     indexed_color,
     rgb_color,
 )
 from repro.terminal.unicode_width import char_width, is_combining
+
+#: Splits text into alternating printable-ASCII and other pieces (the
+#: other pieces at the odd indices).
+_NOT_PRINTABLE_ASCII = re.compile(r"([^\x20-\x7e]+)")
 
 
 class Emulator:
@@ -43,6 +57,9 @@ class Emulator:
         self._g1 = charsets.CHARSET_ASCII
         self._shift = 0  # 0 = G0 active, 1 = G1 active
         self._last_graphic = ""  # for REP (CSI b)
+        # The shared narrow-cell table of the pen last printed with.
+        self._pen_cells_for: Renditions | None = None
+        self._pen_cells: dict[str, Cell] = {}
 
     # ------------------------------------------------------------------
 
@@ -50,7 +67,7 @@ class Emulator:
         """Interpret a chunk of host output."""
         for action in self._parser.input(data):
             if isinstance(action, Print):
-                self._print(action.char)
+                self._print_run(action.text)
             elif isinstance(action, Execute):
                 self._execute(action.byte)
             elif isinstance(action, CsiDispatch):
@@ -74,6 +91,80 @@ class Emulator:
     # Printing
     # ------------------------------------------------------------------
 
+    def _print_run(self, text: str) -> None:
+        """Print ``text``, printable ASCII a row segment at a time.
+
+        Segments need autowrap on, insert mode off and the ASCII
+        character set in use; otherwise, and for every character outside
+        printable ASCII, this defers to :meth:`_print`.
+        """
+        fb = self.fb
+        if (
+            fb.insert_mode
+            or not fb.wraparound
+            or (self._g1 if self._shift else self._g0) != charsets.CHARSET_ASCII
+        ):
+            for ch in text:
+                self._print(ch)
+        elif text.isascii() and text.isprintable():
+            self._print_ascii(text)
+        else:
+            for i, piece in enumerate(_NOT_PRINTABLE_ASCII.split(text)):
+                if i % 2:
+                    for ch in piece:
+                        self._print(ch)
+                elif piece:
+                    self._print_ascii(piece)
+
+    def _print_ascii(self, text: str) -> None:
+        """Write printable ASCII: one slice of shared cells per row segment.
+
+        Equivalent to :meth:`_print` per character with autowrap on and
+        insert mode off. Only a segment's two end cells can overlap a wide
+        character outside it, so only they are checked.
+        """
+        fb = self.fb
+        if fb.pen is not self._pen_cells_for:
+            self._pen_cells_for = fb.pen
+            self._pen_cells = narrow_cells(fb.pen)
+        cells = self._pen_cells
+        width = fb.width
+        pos = 0
+        end = len(text)
+        while pos < end:
+            if fb.next_print_wraps:
+                self._wrap_line()
+            row_idx = fb.cursor_row
+            col = fb.cursor_col
+            stop = pos + width - col
+            if stop > end:
+                stop = end
+            last = col + stop - pos - 1  # the segment's last column
+            old = fb.rows[row_idx].cells
+            if old[col].width != 1:
+                self._clear_wide_overlap(row_idx, col)
+            if last > col and old[last].width != 1:
+                self._clear_wide_overlap(row_idx, last)
+            row = fb.writable_row(row_idx)
+            row.cells[col : last + 1] = map(cells.__getitem__, text[pos:stop])
+            row.touch()
+            if last == width - 1:
+                fb.cursor_col = last
+                fb.next_print_wraps = True
+            else:
+                fb.cursor_col = last + 1
+            pos = stop
+        self._last_graphic = text[-1]
+
+    def _wrap_line(self) -> None:
+        """Autowrap: mark the cursor row soft-wrapped, go to the next line."""
+        fb = self.fb
+        row = fb.writable_row(fb.cursor_row)
+        row.wrap = True
+        row.touch()
+        fb.cursor_col = 0
+        self._line_feed()
+
     def _print(self, ch: str) -> None:
         fb = self.fb
         charset = self._g1 if self._shift else self._g0
@@ -86,24 +177,19 @@ class Emulator:
             if is_combining(ch):
                 self._combine(ch)
             return
+        if width > fb.width:
+            return  # a wide character cannot fit a one-column screen
 
         if fb.next_print_wraps and fb.wraparound:
-            row = fb.writable_row(fb.cursor_row)
-            row.wrap = True
-            row.touch()
-            fb.cursor_col = 0
-            self._line_feed()
+            self._wrap_line()
         fb.next_print_wraps = False
 
         if width == 2 and fb.cursor_col == fb.width - 1:
             # A wide character cannot straddle the margin: wrap (or stay).
             if fb.wraparound:
+                self._clear_wide_overlap(fb.cursor_row, fb.cursor_col)
                 fb.set_cell(fb.cursor_row, fb.cursor_col, fb._erase_cell())
-                row = fb.writable_row(fb.cursor_row)
-                row.wrap = True
-                row.touch()
-                fb.cursor_col = 0
-                self._line_feed()
+                self._wrap_line()
             else:
                 fb.cursor_col -= 1
 
@@ -143,25 +229,9 @@ class Emulator:
         if old.width == 0 and col > 0:
             leader = fb.cell_at(row, col - 1)
             if leader.width == 2:
-                fb.set_cell(
-                    row,
-                    col - 1,
-                    Cell(
-                        renditions=DEFAULT_RENDITIONS.with_attr(
-                            background=leader.renditions.background
-                        )
-                    ),
-                )
+                fb.set_cell(row, col - 1, erase_cell(leader.renditions.background))
         elif old.width == 2 and col + 1 < fb.width:
-            fb.set_cell(
-                row,
-                col + 1,
-                Cell(
-                    renditions=DEFAULT_RENDITIONS.with_attr(
-                        background=old.renditions.background
-                    )
-                ),
-            )
+            fb.set_cell(row, col + 1, erase_cell(old.renditions.background))
 
     def _combine(self, ch: str) -> None:
         """Append a combining mark to the previously printed cell."""
@@ -383,8 +453,9 @@ class Emulator:
                 self._back_tab()
         elif final == "b":  # REP: repeat the preceding graphic character
             if self._last_graphic:
-                for _ in range(min(n, fb.width * fb.height)):
-                    self._print(self._last_graphic)
+                self._print_run(
+                    self._last_graphic * min(n, fb.width * fb.height)
+                )
         elif final == "d":  # VPA
             row = min(max(a.param(0, 1) - 1, 0), fb.height - 1)
             fb.cursor_row = row

@@ -19,7 +19,7 @@ the frame itself.
 from __future__ import annotations
 
 from repro.errors import TerminalError
-from repro.terminal.cell import BLANK_CELL, Cell, Row
+from repro.terminal.cell import BLANK_CELL, Cell, Row, erase_cell
 from repro.terminal.renditions import DEFAULT_RENDITIONS, Renditions
 
 MAX_DIMENSION = 4096
@@ -249,11 +249,7 @@ class Framebuffer:
 
     def _blank_row(self) -> Row:
         # ECMA-48 erases take the current background color (BCE).
-        if self.pen.background == DEFAULT_RENDITIONS.background:
-            return Row.blank(self.width)
-        return Row.blank(
-            self.width, DEFAULT_RENDITIONS.with_attr(background=self.pen.background)
-        )
+        return Row.blank(self.width, self.pen.background)
 
     def scroll(self, n: int) -> None:
         """Positive n scrolls up, negative scrolls down, within the region."""
@@ -310,11 +306,7 @@ class Framebuffer:
     # ------------------------------------------------------------------
 
     def _erase_cell(self) -> Cell:
-        if self.pen.background == DEFAULT_RENDITIONS.background:
-            return BLANK_CELL
-        return Cell(
-            renditions=DEFAULT_RENDITIONS.with_attr(background=self.pen.background)
-        )
+        return erase_cell(self.pen.background)
 
     def insert_cells(self, row: int, col: int, n: int) -> None:
         """ICH: shift cells right, dropping off the row end."""
@@ -364,20 +356,12 @@ class Framebuffer:
         cells = row.cells
         last = len(cells) - 1
         for col, cell in enumerate(cells):
-            if cell.width == 2 and (
-                col == last or cells[col + 1].width != 0
+            if (
+                cell.width == 2 and (col == last or cells[col + 1].width != 0)
+            ) or (
+                cell.width == 0 and (col == 0 or cells[col - 1].width != 2)
             ):
-                cells[col] = Cell(
-                    renditions=DEFAULT_RENDITIONS.with_attr(
-                        background=cell.renditions.background
-                    )
-                )
-            elif cell.width == 0 and (col == 0 or cells[col - 1].width != 2):
-                cells[col] = Cell(
-                    renditions=DEFAULT_RENDITIONS.with_attr(
-                        background=cell.renditions.background
-                    )
-                )
+                cells[col] = erase_cell(cell.renditions.background)
 
     def erase_rows(self, start: int, count: int) -> None:
         count = min(max(count, 0), self.height - start)

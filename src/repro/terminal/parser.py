@@ -2,24 +2,46 @@
 
 A port of the classic VT500-series state machine (the same design Mosh,
 xterm, and libvterm use): bytes are first decoded from UTF-8 incrementally,
-then walked through states that emit actions — print a character, execute a
-C0 control, or dispatch an ESC / CSI / OSC sequence. Malformed input never
-raises; unrecognized sequences are consumed and ignored, which is what real
-terminals do.
+then walked through states that emit actions — print a run of text,
+execute a C0 control, or dispatch an ESC / CSI / OSC sequence. Malformed
+input never raises; unrecognized sequences are consumed and ignored, which
+is what real terminals do.
+
+Printable text is the bulk of host output, so the ground state does not
+walk it a character at a time: one regex match takes the maximal run of
+printable characters at the read position and emits it as a single
+:class:`Print`. A complete, well-formed CSI sequence is likewise taken in
+one match. Everything else — other escapes, strings, controls, and any
+sequence split across two reads — goes through the state machine one
+character at a time, which yields the same actions.
 """
 
 from __future__ import annotations
 
 import codecs
+import re
 from dataclasses import dataclass
 
 _MAX_PARAMS = 32
 _MAX_OSC = 4096
 
+#: A maximal run of characters the ground state prints: everything except
+#: the C0 controls and DEL.
+_PRINTABLE_RUN = re.compile(r"[^\x00-\x1f\x7f]+")
+
+#: A CSI sequence the state machine would dispatch without detour: an
+#: optional private marker, parameters, intermediates, then the final byte.
+#: Anything else inside (controls, a misplaced marker) falls through to the
+#: state machine.
+_CSI_SEQUENCE = re.compile(r"\x1b\[([<-?]?)([0-9;:]*)([ -/]*)([@-~])")
+_PARAM_SEPARATOR = re.compile(r"[;:]")
+
 
 @dataclass(frozen=True)
 class Print:
-    char: str
+    """Print ``text``, a non-empty run of printable characters."""
+
+    text: str
 
 
 @dataclass(frozen=True)
@@ -64,6 +86,21 @@ class OscDispatch:
 
 Action = Print | Execute | EscDispatch | CsiDispatch | OscDispatch
 
+
+def _param_value(digits: str) -> int | None:
+    """A CSI parameter: None when empty, else clamped to 0xFFFF.
+
+    Never hands int() more than five digits, so a host cannot make it
+    raise (it refuses strings over 4300 digits) or spend time on bignums.
+    """
+    if not digits:
+        return None
+    digits = digits.lstrip("0")
+    if len(digits) > 5:
+        return 0xFFFF
+    return min(int(digits or "0"), 0xFFFF)
+
+
 # Parser states.
 _GROUND = 0
 _ESCAPE = 1
@@ -92,10 +129,41 @@ class Parser:
     # ------------------------------------------------------------------
 
     def input(self, data: bytes) -> list[Action]:
-        """Parse a chunk of host output (may end mid-sequence)."""
+        """Parse a chunk of host output (may end mid-sequence).
+
+        Each maximal run of printable characters met in the ground state
+        becomes one :class:`Print`; a run split across two calls comes out
+        as two.
+        """
         actions: list[Action] = []
-        for ch in self._decoder.decode(data):
-            self._consume(ch, actions)
+        text = self._decoder.decode(data)
+        consume = self._consume
+        i = 0
+        n = len(text)
+        while i < n:
+            ch = text[i]
+            if self._state == _GROUND:
+                if ch >= " " and ch != "\x7f":
+                    run = _PRINTABLE_RUN.match(text, i)
+                    actions.append(Print(run.group()))
+                    i = run.end()
+                    continue
+                if ch == "\x1b":
+                    csi = _CSI_SEQUENCE.match(text, i)
+                    if csi is not None:
+                        private, digits, intermediates, final = csi.groups()
+                        params = (
+                            tuple(map(_param_value, _PARAM_SEPARATOR.split(digits)))
+                            if digits
+                            else ()
+                        )
+                        actions.append(
+                            CsiDispatch(private, params[:_MAX_PARAMS], intermediates, final)
+                        )
+                        i = csi.end()
+                        continue
+            consume(ch, actions)
+            i += 1
         return actions
 
     # ------------------------------------------------------------------
@@ -125,13 +193,11 @@ class Parser:
             out.append(Execute(code))
             return
         if code == 0x7F:
-            if state == _GROUND:
-                return  # DEL is ignored
-            return
+            return  # DEL is ignored
 
-        if state == _GROUND:
-            out.append(Print(ch))
-        elif state == _ESCAPE:
+        # Printable text in the ground state never gets here: input()
+        # takes it as whole runs.
+        if state == _ESCAPE:
             self._in_escape(ch, code, out)
         elif state == _ESCAPE_INTERMEDIATE:
             if 0x20 <= code <= 0x2F:
@@ -183,17 +249,14 @@ class Parser:
 
     def _push_param(self) -> None:
         if len(self._params) < _MAX_PARAMS:
-            if self._param_digits == "":
-                self._params.append(None)
-            else:
-                self._params.append(min(int(self._param_digits), 0xFFFF))
+            self._params.append(_param_value(self._param_digits))
         self._param_digits = ""
 
     def _in_csi_entry(self, ch: str, code: int, out: list[Action]) -> None:
         if 0x3C <= code <= 0x3F:  # < = > ?
             self._private = ch
             self._state = _CSI_PARAM
-        elif ch.isdigit() or ch in ";:":
+        elif "0" <= ch <= "9" or ch == ";" or ch == ":":
             self._state = _CSI_PARAM
             self._in_csi_param(ch, code, out)
         elif 0x20 <= code <= 0x2F:
@@ -205,7 +268,9 @@ class Parser:
             self._state = _CSI_IGNORE
 
     def _in_csi_param(self, ch: str, code: int, out: list[Action]) -> None:
-        if ch.isdigit():
+        # Only ASCII digits: str.isdigit() also accepts "²" and "٣", which
+        # int() rejects or reads as a number no terminal would.
+        if "0" <= ch <= "9":
             self._param_digits += ch
         elif ch == ";" or ch == ":":
             # Colon sub-parameters (SGR 38:5:n) are flattened, which the

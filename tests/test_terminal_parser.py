@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.terminal.emulator import Emulator
 from repro.terminal.parser import (
     CsiDispatch,
     EscDispatch,
@@ -17,14 +18,33 @@ def parse(data: bytes):
     return Parser().input(data)
 
 
+def merge_prints(actions):
+    """Join adjacent Print runs (where a run breaks depends on chunking)."""
+    merged = []
+    for action in actions:
+        if merged and isinstance(action, Print) and isinstance(merged[-1], Print):
+            merged[-1] = Print(merged[-1].text + action.text)
+        else:
+            merged.append(action)
+    return merged
+
+
 class TestPrinting:
     def test_ascii(self):
         actions = parse(b"hi")
-        assert actions == [Print("h"), Print("i")]
+        assert actions == [Print("hi")]
+
+    def test_run_breaks_at_controls(self):
+        assert parse(b"ab\r\ncd") == [
+            Print("ab"),
+            Execute(0x0D),
+            Execute(0x0A),
+            Print("cd"),
+        ]
 
     def test_utf8_multibyte(self):
         actions = parse("héllo".encode("utf-8"))
-        assert actions[1] == Print("é")
+        assert actions == [Print("héllo")]
 
     def test_utf8_split_across_feeds(self):
         parser = Parser()
@@ -115,6 +135,19 @@ class TestCsi:
         (action,) = parse(data)
         assert len(action.params) <= 32
 
+    def test_non_ascii_superscript_digit_ignored(self):
+        # "²".isdigit() is true but int("²") raises: the sequence must be
+        # ignored, not crash the parser (or the session feeding it).
+        assert parse("\x1b[²AX".encode()) == [Print("X")]
+        Emulator(80, 24).write("\x1b[²A".encode())
+
+    def test_non_ascii_decimal_digit_ignored(self):
+        # Arabic-Indic three is a decimal digit to Python, not to ECMA-48.
+        assert parse("\x1b[٣AX".encode()) == [Print("X")]
+        e = Emulator(80, 24)
+        e.write("\x1b[5;5H\x1b[٣A".encode())
+        assert (e.fb.cursor_row, e.fb.cursor_col) == (4, 4)
+
     def test_csi_ignore_on_bad_byte(self):
         # '?' after params is invalid -> sequence consumed, nothing emitted
         actions = parse(b"\x1b[12?mX")
@@ -141,27 +174,70 @@ class TestOsc:
 class TestStringIgnore:
     def test_dcs_ignored(self):
         actions = parse(b"\x1bPsome dcs junk\x1b\\after")
-        assert actions == [Print(c) for c in "after"]
+        assert actions == [Print("after")]
 
     def test_apc_ignored(self):
         actions = parse(b"\x1b_payload\x1b\\X")
         assert actions == [Print("X")]
 
 
+_SEQUENCE_PIECES = st.sampled_from(
+    [
+        b"\x1b[", b"\x1b", b"[", b"]", b"0", b"7", b"12", b"0000070000",
+        b"9" * 12, b";", b":", b"?", b">", b" ", b"!", b"m", b"H", b"A",
+        b"h", b"~", b"\x07", b"\x18", b"\n", b"\x7f", b"x", b"\x1bP",
+        b"\x1b\\", "²".encode(), "中".encode(), b"\xc2",
+    ]
+)
+
+
+class TestSequenceFastPath:
+    """Whole CSI sequences are taken in one regex match when they arrive
+    in one read; fed a byte at a time they walk the state machine. Both
+    must give the same actions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SEQUENCE_PIECES | st.binary(max_size=4), max_size=40))
+    def test_whole_read_matches_byte_at_a_time(self, pieces):
+        data = b"".join(pieces)
+        whole = Parser().input(data)
+        parser = Parser()
+        single = [a for i in range(len(data)) for a in parser.input(data[i : i + 1])]
+        assert merge_prints(whole) == merge_prints(single)
+
+    def test_huge_parameter_does_not_raise(self):
+        # int() refuses strings over 4300 digits; the parser must not.
+        (action, after) = parse(b"\x1b[" + b"1" * 5000 + b"AX")
+        assert action.params == (0xFFFF,)
+        assert after == Print("X")
+
+    def test_leading_zeros(self):
+        (action,) = parse(b"\x1b[0000000005;000m")
+        assert action.params == (5, 0)
+
+
 class TestRobustness:
     @settings(max_examples=200, deadline=None)
-    @given(st.binary(max_size=300))
+    @given(st.binary(max_size=300) | st.text(max_size=150).map(str.encode))
     def test_never_raises(self, data):
         Parser().input(data)
 
     @settings(max_examples=50, deadline=None)
     @given(st.binary(max_size=200), st.integers(1, 10))
     def test_chunking_invariant(self, data, chunks):
-        """Feeding byte-by-byte gives the same actions as all at once."""
+        """Feeding in chunks gives the same actions as all at once (up to
+        where Print runs break) and drives an emulator to the same screen."""
         whole = Parser().input(data)
         parser = Parser()
         split = []
         size = max(1, len(data) // chunks)
         for i in range(0, len(data), size):
             split.extend(parser.input(data[i : i + size]))
-        assert whole == split
+        assert merge_prints(whole) == merge_prints(split)
+        assert all(action.text for action in split if isinstance(action, Print))
+        fed_whole = Emulator(20, 6)
+        fed_whole.write(data)
+        fed_split = Emulator(20, 6)
+        for i in range(0, len(data), size):
+            fed_split.write(data[i : i + size])
+        assert fed_whole.fb == fed_split.fb
