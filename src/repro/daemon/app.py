@@ -44,9 +44,7 @@ class DaemonApp:
         idle_timeout_ms: float | None = None,
         flight: bool = False,
         flight_budget: int | None = None,
-        wire_batch: bool = True,
         telemetry: str | None = None,
-        health_rules=None,
     ) -> None:
         self.reactor = RealReactor()
         self.flight: FlightRecorder | None = None
@@ -85,17 +83,14 @@ class DaemonApp:
         # Wire batching: one crypto pass + one sendmmsg burst per select
         # iteration across every session, flushed at the end of each
         # ``run_once`` (rx first so replies ride the same tick's batch).
-        self.tx_batcher = None
-        self.rx_batcher = None
-        if wire_batch:
-            self.tx_batcher = WireBatcher(
-                transmit_many=self.connection.transmit_many,
-                registry=self.reactor.registry,
-            )
-            self.rx_batcher = RxBatcher(registry=self.reactor.registry)
-            self.connection.rx_batcher = self.rx_batcher
-            self.reactor.add_flush_hook(self.rx_batcher.flush)
-            self.reactor.add_flush_hook(self.tx_batcher.flush)
+        self.tx_batcher = WireBatcher(
+            transmit_many=self.connection.transmit_many,
+            registry=self.reactor.registry,
+        )
+        self.rx_batcher = RxBatcher(registry=self.reactor.registry)
+        self.connection.rx_batcher = self.rx_batcher
+        self.reactor.add_flush_hook(self.rx_batcher.flush)
+        self.reactor.add_flush_hook(self.tx_batcher.flush)
         self.session_flights: dict[int, FlightRecorder] = {}
         flight_factory = None
         if flight:
@@ -114,7 +109,7 @@ class DaemonApp:
         # and a handful of rules); the control socket only when asked.
         self.health = HealthMonitor(
             self.reactor.registry,
-            health_rules if health_rules is not None else default_fleet_ruleset(),
+            default_fleet_ruleset(),
             clock=self.reactor.now,
         )
         self.health.attach(self.reactor)
@@ -157,9 +152,8 @@ class DaemonApp:
             height=self._height,
             argv=self._argv,
         )
-        if self.tx_batcher is not None:
-            record.endpoint.batcher = self.tx_batcher
-            record.endpoint.rx_stage = self.rx_batcher.stage
+        record.endpoint.batcher = self.tx_batcher
+        record.endpoint.rx_stage = self.rx_batcher.stage
         return record
 
     def connect_lines(self) -> list[str]:
@@ -200,11 +194,10 @@ class DaemonApp:
         self.health.detach()
         if self.telemetry is not None:
             self.telemetry.close()
-        if self.rx_batcher is not None:
-            # Drain anything still staged so the last tick's datagrams
-            # leave before the socket closes.
-            self.rx_batcher.flush()
-            self.tx_batcher.flush()
+        # Drain anything still staged so the last tick's datagrams leave
+        # before the socket closes.
+        self.rx_batcher.flush()
+        self.tx_batcher.flush()
         self.reactor.remove_reader(self.connection.fileno())
         self.manager.close_all()
         self.connection.close()

@@ -1,12 +1,13 @@
 """Reactors: timers + I/O readiness + observability, simulated or real.
 
-A reactor is the runtime's notion of "the select() loop": it owns a clock,
-a timer heap with cheap cancellation (lazy deletion — ``cancel`` is O(1),
-the heap pop that skims dead entries is O(log n) amortized), optional
-file-descriptor readiness sources, and the session's observability
-substrate — a :class:`~repro.obs.MetricsRegistry` plus a
-:class:`~repro.obs.SpanTracer` timed by this reactor's clock, so
-simulated-time and wall-time sessions produce comparable traces.
+A reactor is the runtime's notion of "the select() loop": it owns a
+:class:`~repro.timerwheel.TimerQueue` (the package's one scheduler:
+precise heap, coarse timer wheel, O(1) lazy cancellation, flush hooks)
+whose clock is the reactor's, optional file-descriptor readiness
+sources, and the session's observability substrate — a
+:class:`~repro.obs.MetricsRegistry` plus a :class:`~repro.obs.SpanTracer`
+timed by this reactor's clock, so simulated-time and wall-time sessions
+produce comparable traces.
 
 The reactor counts only its own events (timer fires and cancels, I/O
 wakeups). It creates the reactor-wide ``reactor.*`` and ``crypto.*``
@@ -15,6 +16,12 @@ by exactly one kind of component — the pump counts ticks, the endpoint
 counts datagrams out, the crypto session counts seals — which fetches
 the same counter from the registry by name.
 
+Timers are scheduled, cancelled and metered once, here on
+:class:`Reactor`: each :class:`TimerHandle` is its queue entry's
+callback. The simulated reactor's queue is the simulator's
+:class:`~repro.simnet.eventloop.EventLoop` itself; the real reactor owns
+a queue on wall time.
+
 Session cores (:mod:`repro.session.core`) are written against the abstract
 :class:`Reactor` only; whether time is simulated or real is decided by the
 shell that assembles the session.
@@ -22,7 +29,6 @@ shell that assembles the session.
 
 from __future__ import annotations
 
-import heapq
 import select
 from abc import ABC, abstractmethod
 from typing import Callable
@@ -32,7 +38,7 @@ from repro.errors import ReactorError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanTracer
 from repro.simnet.eventloop import EventLoop
-from repro.timerwheel import WHEEL_THRESHOLD_MS, TimerWheel
+from repro.timerwheel import TimerQueue
 
 Callback = Callable[[], None]
 
@@ -53,12 +59,22 @@ SHARED_COUNTERS = (
 
 
 class TimerHandle:
-    """A scheduled callback; ``cancel()`` is always safe to call."""
+    """A scheduled callback, and the timer queue entry's callback itself.
 
-    __slots__ = ("_canceller", "fired", "cancelled")
+    Calling the handle fires it: it sets ``fired``, meters the reactor's
+    ``reactor.timers_fired`` and ``reactor.timer_lag_ms``, then runs the
+    callback. ``cancel()`` is always safe to call.
+    """
 
-    def __init__(self, canceller: Callback) -> None:
-        self._canceller = canceller
+    __slots__ = ("_reactor", "_when", "_callback", "_token", "fired",
+                 "cancelled")
+
+    def __init__(
+        self, reactor: Reactor, when_ms: float, callback: Callback
+    ) -> None:
+        self._reactor = reactor
+        self._when = when_ms
+        self._callback = callback
         self.fired = False
         self.cancelled = False
 
@@ -66,18 +82,34 @@ class TimerHandle:
     def active(self) -> bool:
         return not (self.fired or self.cancelled)
 
+    def __call__(self) -> None:
+        self.fired = True
+        reactor = self._reactor
+        reactor._timers_fired.value += 1
+        reactor._timer_lag.record(max(0.0, reactor.now() - self._when))
+        self._callback()
+
     def cancel(self) -> None:
         """Withdraw the timer; a no-op once it has fired or been cancelled."""
         if not self.active:
             return
         self.cancelled = True
-        self._canceller()
+        self._reactor._cancel(self._token)
 
 
 class Reactor(ABC):
-    """Timers + I/O sources + observability over some notion of time."""
+    """Timers + I/O sources + observability over some notion of time.
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    ``timers`` is the reactor's :class:`~repro.timerwheel.TimerQueue`;
+    its clock is the reactor's ``now``.
+    """
+
+    def __init__(
+        self, timers: TimerQueue, registry: MetricsRegistry | None = None
+    ) -> None:
+        self.timers = timers
+        #: Current time in milliseconds on this reactor's clock.
+        self.now = timers.now
         #: The session-wide metrics registry; every layer's instruments
         #: aggregate here and render through ``registry.snapshot()``.
         self.registry = registry = (
@@ -93,24 +125,18 @@ class Reactor(ABC):
         self._timer_lag = registry.histogram(
             "reactor.timer_lag_ms", low=0.01, high=60_000.0, unit="ms"
         )
-        #: Span tracer timed by this reactor's clock (``now`` is abstract
-        #: but only sampled at span time, after subclass init completes).
+        #: Span tracer timed by this reactor's clock.
         self.tracer = SpanTracer(self.now)
         self._core_prefixes: set[str] = set()
         registry.gauge("reactor.cores", fn=lambda: len(self._core_prefixes))
 
-    def _timer_fired(self, lag_ms: float) -> None:
-        self._timers_fired.value += 1
-        self._timer_lag.record(lag_ms)
-
     def add_flush_hook(self, hook: Callable[[], int]) -> None:
         """Register a per-tick wire-batch flush (rx before tx).
 
-        Sim reactors delegate to the event loop (flushes run before the
-        simulated clock advances); the real reactor runs hooks at the end
-        of every ``run_once`` iteration.
+        The sim reactor's hooks run before the simulated clock advances;
+        the real reactor's at the end of every ``run_once`` iteration.
         """
-        raise ReactorError(f"{type(self).__name__} has no flush hooks")
+        self.timers.add_flush_hook(hook)
 
     def register_core(self, role: str, label: str | None = None) -> str:
         """Register a session core; returns its instrument-name prefix.
@@ -133,17 +159,19 @@ class Reactor(ABC):
         self._core_prefixes.add(prefix)
         return prefix
 
-    @abstractmethod
-    def now(self) -> float:
-        """Current time in milliseconds."""
-
-    @abstractmethod
     def call_at(self, when_ms: float, callback: Callback) -> TimerHandle:
         """Run ``callback`` at absolute time ``when_ms``."""
+        handle = TimerHandle(self, when_ms, callback)
+        handle._token = self.timers.schedule_at(when_ms, handle)
+        return handle
 
     def call_later(self, delay_ms: float, callback: Callback) -> TimerHandle:
         """Run ``callback`` after ``delay_ms`` (clamped to be non-negative)."""
         return self.call_at(self.now() + max(0.0, delay_ms), callback)
+
+    def _cancel(self, token: int) -> None:
+        self.timers.cancel(token)
+        self._timers_cancelled.value += 1
 
     def add_reader(self, fd: int, callback: Callback) -> None:
         """Invoke ``callback`` whenever ``fd`` is readable."""
@@ -160,40 +188,17 @@ class Reactor(ABC):
 class SimReactor(Reactor):
     """Reactor over the deterministic discrete-event :class:`EventLoop`.
 
-    Simulated endpoints deliver datagrams through callbacks rather than
-    file descriptors, so ``add_reader`` is unsupported here; everything
-    else — timers, metrics, pacing — behaves exactly like the real one,
-    with zero timer lag by construction.
+    The loop is the reactor's timer queue, so session timers and link
+    deliveries interleave in one scheduling order. Simulated endpoints
+    deliver datagrams through callbacks rather than file descriptors, so
+    ``add_reader`` is unsupported here; everything else — timers,
+    metrics, pacing — behaves exactly like the real one, with zero timer
+    lag by construction.
     """
 
     def __init__(self, loop: EventLoop | None = None) -> None:
-        super().__init__()
         self.loop = loop if loop is not None else EventLoop()
-
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self.loop.now()
-
-    def add_flush_hook(self, hook: Callable[[], int]) -> None:
-        """Flush hooks ride the event loop's tick boundaries."""
-        self.loop.add_flush_hook(hook)
-
-    def call_at(self, when_ms: float, callback: Callback) -> TimerHandle:
-        """Schedule ``callback`` on the simulated event loop."""
-        token_box: list[int] = []
-        handle = TimerHandle(lambda: self._cancel(token_box[0]))
-
-        def fire() -> None:
-            handle.fired = True
-            self._timer_fired(max(0.0, self.now() - when_ms))
-            callback()
-
-        token_box.append(self.loop.schedule_at(when_ms, fire))
-        return handle
-
-    def _cancel(self, token: int) -> None:
-        self.loop.cancel(token)
-        self._timers_cancelled.value += 1
+        super().__init__(self.loop)
 
     def run_for(self, duration_ms: float) -> None:
         """Advance simulated time by ``duration_ms``, firing due events."""
@@ -209,77 +214,20 @@ class RealReactor(Reactor):
 
     This is the paper's "single select() loop": each iteration sleeps
     until the earliest pending timer (capped by ``max_wait_ms``), wakes
-    for readable descriptors, dispatches their callbacks, then fires every
-    due timer. Cancelled timers are skimmed off the heap lazily.
+    for readable descriptors, dispatches their callbacks, fires every
+    due timer, then drains the flush hooks. A deadline already in the
+    past is accepted and fires on the next iteration.
     """
 
     def __init__(self, clock: Clock | None = None) -> None:
-        super().__init__()
-        self._clock = clock if clock is not None else RealClock()
-        self._heap: list[tuple[float, int, Callback, TimerHandle]] = []
-        self._wheel = TimerWheel()
-        self._counter = 0
-        self._live: set[int] = set()
+        super().__init__(
+            TimerQueue((clock if clock is not None else RealClock()).now)
+        )
         self._readers: dict[int, Callback] = {}
-        self._flush_hooks: list[Callable[[], int]] = []
         #: How far past the earliest timer deadline the loop woke this
         #: iteration: the live "is the select loop keeping up" signal the
         #: health monitor alerts on (a loaded loop wakes later and later).
         self._tick_lag = self.registry.gauge("reactor.tick_lag_ms")
-
-    def now(self) -> float:
-        """Current wall-clock time in milliseconds (monotonic)."""
-        return self._clock.now()
-
-    # -- timers ---------------------------------------------------------
-
-    def call_at(self, when_ms: float, callback: Callback) -> TimerHandle:
-        """Schedule ``callback`` at absolute wall-clock time ``when_ms``.
-
-        Coarse timers (one wheel threshold or further out) take the O(1)
-        timer wheel; near-term ones go straight onto the precise heap.
-        """
-        token = self._counter
-        self._counter += 1
-        handle = TimerHandle(lambda: self._cancel(token))
-        entry = (when_ms, token, callback, handle)
-        if when_ms - self.now() >= WHEEL_THRESHOLD_MS:
-            self._wheel.add(entry, self.now())
-        else:
-            heapq.heappush(self._heap, entry)
-        self._live.add(token)
-        return handle
-
-    def _cancel(self, token: int) -> None:
-        self._live.discard(token)
-        self._timers_cancelled.value += 1
-
-    def _heap_top(self) -> float | None:
-        while self._heap and self._heap[0][1] not in self._live:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
-    def _heap_push(
-        self, entry: tuple[float, int, Callback, TimerHandle]
-    ) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def _next_deadline(self) -> float | None:
-        wheel = self._wheel
-        if wheel:
-            wheel.drain_into(self._heap_push, self._heap_top)
-        return self._heap_top()
-
-    def _fire_due(self) -> None:
-        while True:
-            deadline = self._next_deadline()
-            if deadline is None or deadline > self.now():
-                return
-            when, token, callback, handle = heapq.heappop(self._heap)
-            self._live.discard(token)
-            handle.fired = True
-            self._timer_fired(max(0.0, self.now() - when))
-            callback()
 
     # -- I/O sources ----------------------------------------------------
 
@@ -291,15 +239,12 @@ class RealReactor(Reactor):
         """Stop watching ``fd`` (no-op if it was never registered)."""
         self._readers.pop(fd, None)
 
-    def add_flush_hook(self, hook: Callable[[], int]) -> None:
-        """Run ``hook`` at the end of every ``run_once`` iteration."""
-        self._flush_hooks.append(hook)
-
     # -- loop -----------------------------------------------------------
 
     def run_once(self, max_wait_ms: float = 20.0) -> None:
-        """One select()-loop iteration: sleep, dispatch I/O, fire timers."""
-        deadline = self._next_deadline()
+        """One select()-loop iteration: sleep, dispatch I/O, fire timers,
+        then flush the wire batches."""
+        deadline = self.timers.peek_time()
         wait = max_wait_ms
         if deadline is not None:
             wait = min(wait, deadline - self.now())
@@ -324,16 +269,10 @@ class RealReactor(Reactor):
             self._tick_lag.set(max(0.0, self.now() - deadline))
         else:
             self._tick_lag.set(0.0)
-        self._fire_due()
-        if self._flush_hooks:
-            # Wire-batch drain: everything queued by this iteration's I/O
-            # callbacks and timers goes out in one crypto+syscall burst.
-            for _ in range(8):
-                work = 0
-                for hook in self._flush_hooks:
-                    work += hook()
-                if not work:
-                    break
+        self.timers.run_due()
+        # Wire-batch drain: everything queued by this iteration's I/O
+        # callbacks and timers goes out in one crypto+syscall burst.
+        self.timers.flush()
 
     def run_for(self, duration_ms: float, max_wait_ms: float = 20.0) -> None:
         """Run select()-loop iterations for ``duration_ms`` of wall time."""

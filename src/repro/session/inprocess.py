@@ -268,11 +268,9 @@ class InProcessDaemon:
         preference: DisplayPreference = DisplayPreference.ADAPTIVE,
         idle_timeout_ms: float | None = None,
         conn_id_framing: bool = True,
-        echo: bool = True,
         flight_capacity: int = 8192,
         flight_budget: int | None = None,
         wire_batch: bool = True,
-        causal: bool = True,
     ) -> None:
         # Deferred import: repro.daemon.manager imports this package for
         # ServerCore, so binding at class-definition time would cycle.
@@ -289,8 +287,6 @@ class InProcessDaemon:
         self._width = width
         self._height = height
         self._conn_id_framing = conn_id_framing
-        self._echo = echo
-        self._causal = causal
         # ``flight_budget`` is the daemon-level cap: a total event budget
         # split evenly across the planned fleet, so 10k sessions cannot
         # hold 10k full-size rings. Per-session capacity floors at 64 so
@@ -357,11 +353,10 @@ class InProcessDaemon:
         if self.tx_batcher is not None:
             record.endpoint.batcher = self.tx_batcher
             record.endpoint.rx_stage = self.rx_batcher.stage
-        if self._echo:
-            # Default "application": echo user bytes straight back into
-            # the session's terminal, so typed markers become screen
-            # content without a pty.
-            record.core.on_input = record.core.host_write
+        # The "application": echo user bytes straight back into the
+        # session's terminal, so typed markers become screen content
+        # without a pty.
+        record.core.on_input = record.core.host_write
         client_endpoint = SimUdpEndpoint(
             self.network,
             Session(key),
@@ -385,7 +380,6 @@ class InProcessDaemon:
             self._preference,
             reactor=self.reactor,
             label=f"c{cid}",
-            causal=self._causal,
         )
         self.clients[cid] = client
         return record, client

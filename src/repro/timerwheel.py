@@ -1,37 +1,51 @@
-"""Hierarchical timer wheel: O(1) scheduling for coarse, high-churn timers.
+"""The scheduler: one timer queue behind both the simulated and the real loop.
 
-The reactor's timer heap is exact but pays O(log n) per operation with
-*n* counting every pending timer in the process. A muxed daemon holding
-10k mostly-idle sessions keeps ~2 timers per session permanently armed
-(the pump's heartbeat re-arm and the reaper's idle deadline), and each
-re-arm is a cancel + push against a 20k-entry heap. None of those timers
-needs heap precision at scheduling time: a heartbeat due 3000 ms out only
-needs to be *findable* once the clock gets near it.
+:class:`TimerQueue` is the only timer scheduler in the package. The
+simulator's :class:`~repro.simnet.eventloop.EventLoop` *is* one (driven
+by a :class:`~repro.clock.SimulatedClock`), and the select loop's
+:class:`~repro.runtime.reactor.RealReactor` owns one (driven by wall
+time). It keeps four things:
 
-:class:`TimerWheel` is the coarse tier sitting behind the precise heap:
+* **A precise heap** of ``(when, token, callback)`` entries. Ties break
+  by token, i.e. by scheduling order, so a run is deterministic for a
+  given call sequence.
+* **A :class:`TimerWheel`** as the coarse tier behind the heap.
+* **A live-token set.** Cancellation is lazy: ``cancel`` is O(1), and
+  dead entries are skimmed off when they reach the heap's top.
+* **Tick-boundary flush hooks** (the wire batchers), run to quiescence
+  in at most :data:`FLUSH_ROUNDS` rounds.
+
+The heap is exact but pays O(log n) per operation with *n* counting
+every pending timer in the process. A muxed daemon holding 10k
+mostly-idle sessions keeps ~2 timers per session permanently armed (the
+pump's heartbeat re-arm and the reaper's idle deadline), and each re-arm
+is a cancel + push against a 20k-entry heap. None of those timers needs
+heap precision at scheduling time: a heartbeat due 3000 ms out only
+needs to be *findable* once the clock gets near it. So timers due
+:data:`WHEEL_THRESHOLD_MS` or further out go to the wheel:
 
 * **Schedule is O(1)** — an entry lands in a bucket keyed by
   ``when // slot_width``; buckets are dict entries, so the wheel never
   wraps and never resizes.
 * **Cancel is O(1) and external** — the wheel is deliberately oblivious
-  to cancellation. Callers keep their existing lazy-deletion ``_live``
-  token set; dead entries ride along until their bucket drains and are
-  skimmed off the heap exactly like directly-scheduled dead timers.
+  to cancellation. Dead entries ride along until their bucket drains
+  and are skimmed off the heap exactly like directly-scheduled dead
+  timers.
 * **Cascade is lazy and amortized O(1)** — nothing moves until the
-  caller asks "what fires next?". :meth:`drain_into` then migrates just
-  enough buckets into the precise heap to make the heap's top the true
-  global minimum: far (level-1) buckets re-bucket into fine (level-0)
-  buckets, fine buckets feed the heap. Each entry moves at most twice
-  over its lifetime.
+  caller asks "what fires next?". :meth:`TimerWheel.drain_into` then
+  migrates just enough buckets into the precise heap to make the heap's
+  top the true global minimum: far (level-1) buckets re-bucket into fine
+  (level-0) buckets, fine buckets feed the heap. Each entry moves at
+  most twice over its lifetime.
 
-Because migrated entries enter the heap as the *same* ``(when, token,
-…)`` tuples the caller would have pushed directly, firing order is
-byte-for-byte identical to a heap-only scheduler — the wheel is purely
-an execution-strategy change, pinned by the randomized parity tests in
-``tests/test_timerwheel.py`` against a plain ``heapq`` reference model.
+Because migrated entries enter the heap as the *same* tuples the queue
+would have pushed directly, firing order is byte-for-byte identical to a
+heap-only scheduler — the wheel is purely an execution-strategy change,
+pinned by the randomized parity tests in ``tests/test_timerwheel.py``
+against a plain ``heapq`` reference model.
 
-The module depends on nothing in the package, so both the simulator's
-event loop and the real reactor import it without an import cycle.
+The module depends on nothing in the package, so both the simulator and
+the reactor runtime import it without an import cycle.
 """
 
 from __future__ import annotations
@@ -50,14 +64,19 @@ WHEEL_THRESHOLD_MS = 100.0
 WHEEL_SLOT_MS = 100.0
 WHEEL_SPAN = 64
 
+#: Upper bound on flush-hook rounds per tick boundary. A receive flush
+#: can queue sends and vice versa; two rounds settle every real pipeline,
+#: the rest is a safety net.
+FLUSH_ROUNDS = 8
+
+Callback = Callable[[], None]
+
 
 class TimerWheel:
     """Two-level dict-bucket timer wheel feeding a precise heap.
 
-    Entries are caller-shaped tuples whose first element is the absolute
-    fire time in ms (``(when, token, callback)`` for the sim loop,
-    ``(when, token, callback, handle)`` for the real reactor); the wheel
-    only reads ``entry[0]``.
+    Entries are :class:`TimerQueue`'s ``(when, token, callback)`` tuples;
+    the wheel only reads ``entry[0]``, the absolute fire time in ms.
     """
 
     __slots__ = ("_slot0", "_slot1", "_buckets0", "_buckets1",
@@ -170,3 +189,126 @@ class TimerWheel:
                     else:
                         bucket.append(entry)
         return moved
+
+
+class TimerQueue:
+    """Precise heap + timer wheel + lazy cancellation + flush hooks.
+
+    ``now`` is the clock every scheduling decision and due check reads;
+    it is kept as the queue's own ``now`` attribute.
+    """
+
+    def __init__(self, now: Callable[[], float]) -> None:
+        self.now = now
+        self._heap: list[tuple[float, int, Callback]] = []
+        self._wheel = TimerWheel()
+        self._counter = 0
+        # Tokens of queued entries that have neither fired nor been
+        # cancelled. Membership here is the single source of truth, so
+        # cancelling an already-fired token is a true no-op and nothing
+        # accumulates under heavy cancel/re-arm churn.
+        self._live: set[int] = set()
+        self._flush_hooks: list[Callable[[], int]] = []
+
+    def schedule_at(self, when_ms: float, callback: Callback) -> int:
+        """Queue ``callback`` at absolute time ``when_ms``; returns its
+        cancel token.
+
+        Coarse entries (one wheel threshold or further out) take the
+        O(1) wheel; near-term ones go straight onto the precise heap.
+        """
+        now = self.now()
+        if when_ms < now:
+            self._past_deadline(when_ms, now)
+        token = self._counter
+        self._counter = token + 1
+        entry = (when_ms, token, callback)
+        if when_ms - now >= WHEEL_THRESHOLD_MS:
+            self._wheel.add(entry, now)
+        else:
+            heapq.heappush(self._heap, entry)
+        self._live.add(token)
+        return token
+
+    def _past_deadline(self, when_ms: float, now_ms: float) -> None:
+        """A deadline already behind the clock: queued anyway, and due at
+        once (wall time moves on between computing a deadline and
+        scheduling it). The simulator overrides this to reject it."""
+
+    def cancel(self, token: int) -> None:
+        """Withdraw an entry (a no-op once it has fired)."""
+        self._live.discard(token)
+
+    @property
+    def pending(self) -> int:
+        """Number of live (scheduled, uncancelled, unfired) entries."""
+        return len(self._live)
+
+    @property
+    def queued(self) -> int:
+        """Entries held in the heap and the wheel, live or dead."""
+        return len(self._heap) + len(self._wheel)
+
+    def _heap_top(self) -> float | None:
+        """Earliest live heap deadline (dead entries skimmed off)."""
+        heap = self._heap
+        live = self._live
+        while heap and heap[0][1] not in live:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def _heap_push(self, entry: tuple[float, int, Callback]) -> None:
+        heapq.heappush(self._heap, entry)
+
+    def peek_time(self) -> float | None:
+        """Time of the next live entry, or None if nothing is pending."""
+        wheel = self._wheel
+        if wheel:
+            # Lazy cascade: pull wheel buckets onto the heap only until
+            # the heap's top is provably the global minimum.
+            wheel.drain_into(self._heap_push, self._heap_top)
+        return self._heap_top()
+
+    def pop(self) -> tuple[float, Callback]:
+        """Remove the next live entry; returns ``(when, callback)``.
+
+        Call only after :meth:`peek_time` returned a time: that skim
+        leaves a live entry on top of the heap.
+        """
+        when, token, callback = heapq.heappop(self._heap)
+        self._live.discard(token)
+        return when, callback
+
+    def run_due(self) -> None:
+        """Run every entry whose deadline the clock has reached, re-reading
+        the clock after each (callbacks take wall time)."""
+        while True:
+            deadline = self.peek_time()
+            if deadline is None or deadline > self.now():
+                return
+            self.pop()[1]()
+
+    def add_flush_hook(self, hook: Callable[[], int]) -> None:
+        """Register a tick-boundary flush hook (see :meth:`flush`).
+
+        Hooks run in registration order; register receive-side flushes
+        before send-side ones so a burst's replies join the same tick's
+        outgoing batch.
+        """
+        self._flush_hooks.append(hook)
+
+    def flush(self) -> None:
+        """Run flush hooks to quiescence (at most :data:`FLUSH_ROUNDS`).
+
+        Each hook returns how much work it did; rounds repeat until a
+        full round reports none.
+        """
+        hooks = self._flush_hooks
+        if not hooks:
+            return
+        for _ in range(FLUSH_ROUNDS):
+            work = 0
+            for hook in hooks:
+                work += hook()
+            if not work:
+                return

@@ -5,10 +5,14 @@ deterministic) and the select()-based real reactor (tiny wall-clock
 delays), so the two implementations cannot drift apart.
 """
 
+import random
+
 import pytest
 
-from repro.errors import ReactorError
+from repro.clock import SimulatedClock
+from repro.errors import ReactorError, SimulationError
 from repro.runtime import RealReactor, SimReactor
+from repro.timerwheel import WHEEL_SLOT_MS, WHEEL_SPAN, WHEEL_THRESHOLD_MS
 
 
 @pytest.fixture(params=["sim", "real"])
@@ -123,3 +127,136 @@ class TestCorePrefixes:
         assert reactor.register_core("server", "s1") == "server.s1#2"
         assert reactor.register_core("server") == "server#3"
         assert reactor.registry.get("reactor.cores").value == 5
+
+
+class TestPastDeadline:
+    """Each clock keeps its own answer to a deadline already behind it."""
+
+    def test_sim_reactor_rejects_past_deadline(self):
+        reactor = SimReactor()
+        reactor.run_for(50.0)
+        with pytest.raises(SimulationError):
+            reactor.call_at(10.0, lambda: None)
+
+    def test_real_reactor_fires_past_deadline_next_iteration(self):
+        clock = SimulatedClock(100.0)
+        reactor = RealReactor(clock=clock)
+        fired = []
+        handle = reactor.call_at(40.0, lambda: fired.append(clock.now()))
+        assert handle.active
+        reactor.run_once(0.0)
+        assert fired == [100.0]
+        assert handle.fired
+        lag = reactor.registry.snapshot()["histograms"]["reactor.timer_lag_ms"]
+        assert lag["count"] == 1
+        assert lag["max"] == pytest.approx(60.0)
+
+
+def _call_at_script(seed: int, steps: int) -> list:
+    """Random call_later/cancel/advance ops at heap and wheel distances.
+
+    A ``call`` carries a delay and how many times its callback re-arms
+    itself; a ``cancel`` names an earlier handle by index, which may
+    have fired already, be cancelled already, or still be pending.
+    """
+    rng = random.Random(seed)
+    span_ms = WHEEL_SLOT_MS * WHEEL_SPAN
+    script = []
+    for _ in range(steps):
+        op = rng.random()
+        if op < 0.6:
+            delay = rng.choice(
+                [
+                    0.0,
+                    rng.uniform(0.0, WHEEL_THRESHOLD_MS),
+                    WHEEL_THRESHOLD_MS,
+                    rng.uniform(WHEEL_THRESHOLD_MS, span_ms),
+                    span_ms,
+                    rng.uniform(span_ms, 60_000.0),
+                ]
+            )
+            rearms = rng.choice([0, 0, 0, 1, 3])
+            script.append(("call", (delay, rearms)))
+        elif op < 0.8:
+            script.append(("cancel", rng.random()))
+        else:
+            script.append(("advance", rng.uniform(0.0, 3_000.0)))
+    return script
+
+
+def _run_call_at_script(reactor, advance_to, script):
+    """Replay ``script`` on ``reactor``; returns the fire log, every
+    handle's flags, and the reactor's timer instruments."""
+    fired = []
+    handles = []
+    cancels_after_fire = 0
+
+    def arm(label, delay, rearms):
+        def callback():
+            fired.append((reactor.now(), label))
+            if rearms:
+                arm(f"{label}+", delay, rearms - 1)
+
+        handles.append(reactor.call_later(delay, callback))
+
+    for i, (op, arg) in enumerate(script):
+        if op == "call":
+            arm(str(i), *arg)
+        elif op == "cancel":
+            if handles:
+                handle = handles[int(arg * len(handles))]
+                cancels_after_fire += handle.fired
+                handle.cancel()
+        else:
+            advance_to(reactor.now() + arg)
+    advance_to(reactor.now() + 400_000.0)  # past the longest re-arm chain
+    doc = reactor.registry.snapshot()
+    return {
+        "fired": fired,
+        "flags": [(h.fired, h.cancelled, h.active) for h in handles],
+        "timers_fired": doc["counters"]["reactor.timers_fired"],
+        "timers_cancelled": doc["counters"]["reactor.timers_cancelled"],
+        "lag_count": doc["histograms"]["reactor.timer_lag_ms"]["count"],
+        "pending": reactor.timers.pending,
+        "cancels_after_fire": cancels_after_fire,
+    }
+
+
+class TestCallAtAcrossClocks:
+    """One randomized ``call_at`` script, two reactors: the simulator's,
+    and the select loop on a simulated clock stepped to each deadline.
+    Both schedule through ``Reactor.call_at``, so every observable —
+    fire order, handle flags, timer counters — must agree."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_sim_and_real_reactor_agree(self, seed):
+        script = _call_at_script(seed, 3_000)
+
+        sim = SimReactor()
+        expected = _run_call_at_script(sim, sim.run_until, script)
+
+        clock = SimulatedClock()
+        real = RealReactor(clock=clock)
+
+        def step_real(until):
+            while True:
+                deadline = real.timers.peek_time()
+                if deadline is None or deadline > until:
+                    break
+                clock.advance_to(max(deadline, clock.now()))
+                real.run_once(0.0)
+            clock.advance_to(until)
+
+        got = _run_call_at_script(real, step_real, script)
+
+        assert got["fired"] == expected["fired"]
+        assert got["flags"] == expected["flags"]
+        for name in ("timers_fired", "timers_cancelled", "lag_count"):
+            assert got[name] == expected[name], name
+        assert got["pending"] == expected["pending"] == 0
+        assert expected["timers_fired"] == len(expected["fired"])
+        # The script exercised every path it claims to: re-arms, cancels
+        # of pending timers, and cancels that came after the fire.
+        assert any(label.endswith("+") for _, label in expected["fired"])
+        assert expected["timers_cancelled"] > 0
+        assert got["cancels_after_fire"] == expected["cancels_after_fire"] > 0

@@ -117,9 +117,8 @@ class TestCancellationBookkeeping:
             token = loop.schedule(1.0, lambda: None)
             loop.run_for(2.0)
             loop.cancel(token)  # always after the fire
-        assert loop.pending == 0
-        assert len(loop._live) == 0
-        assert len(loop._queue) == 0
+        assert loop.pending == 0  # no live token
+        assert loop.queued == 0  # no heap or wheel residue
 
 
 class TestRunModes:

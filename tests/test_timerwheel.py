@@ -306,7 +306,7 @@ class TestRealReactorWheel:
 
     def step(self, clock, reactor, to_ms):
         clock.advance_to(to_ms)
-        reactor._fire_due()
+        reactor.timers.run_due()
 
     def test_coarse_timer_fires_and_handle_flags(self):
         clock, reactor = self.make()
@@ -337,7 +337,7 @@ class TestRealReactorWheel:
         a = reactor.call_later(200.0, lambda: None)
         reactor.call_later(400.0, lambda: None)
         a.cancel()
-        assert reactor._next_deadline() == pytest.approx(400.0)
+        assert reactor.timers.peek_time() == pytest.approx(400.0)
 
     def test_randomized_parity_with_heap_only_reactor(self):
         rng = random.Random(99)

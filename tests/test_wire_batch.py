@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.clock import SimulatedClock
 from repro.crypto.keys import DIRECTION_TO_SERVER, Base64Key, Nonce
 from repro.crypto.session import (
     Message,
@@ -23,7 +24,9 @@ from repro.network.batch import RxBatcher, SyscallCounter, WireBatcher
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
 from repro.obs.flight import FlightRecorder
+from repro.runtime.reactor import RealReactor
 from repro.simnet.eventloop import EventLoop
+from repro.timerwheel import FLUSH_ROUNDS
 
 
 def _keyed_pair():
@@ -508,6 +511,99 @@ class TestEventLoopFlushHooks:
         loop.run_until(50.0)
         # A delivery queued by the flush at t=5 still happens at t=5.
         assert times == [5.0]
+
+
+class TestRealReactorFlushHooks:
+    """The select loop's counterpart: hooks drain at the end of every
+    ``run_once``, after that iteration's due timers (simulated clock, so
+    "due" is exact and no iteration sleeps)."""
+
+    def make(self):
+        clock = SimulatedClock()
+        return clock, RealReactor(clock=clock)
+
+    def test_hooks_run_after_due_timers(self):
+        clock, reactor = self.make()
+        log = []
+        pending = []
+
+        def flush():
+            n = len(pending)
+            log.extend(f"flush {item}" for item in pending)
+            pending.clear()
+            return n
+
+        def queue(item):
+            log.append(f"timer {item}")
+            pending.append(item)
+
+        reactor.add_flush_hook(flush)
+        reactor.call_at(10.0, lambda: queue("a"))
+        reactor.call_at(10.0, lambda: queue("b"))
+        reactor.call_at(25.0, lambda: queue("c"))
+        clock.advance_to(10.0)
+        reactor.run_once(0.0)
+        assert log == ["timer a", "timer b", "flush a", "flush b"]
+        clock.advance_to(25.0)
+        reactor.run_once(0.0)
+        assert log[4:] == ["timer c", "flush c"]
+
+    def test_hooks_run_in_registration_order_to_quiescence(self):
+        _, reactor = self.make()
+        calls = []
+        work = [2]
+
+        def rx():
+            calls.append("rx")
+            return 0
+
+        def tx():
+            calls.append("tx")
+            if work[0]:
+                work[0] -= 1
+                return 1
+            return 0
+
+        reactor.add_flush_hook(rx)
+        reactor.add_flush_hook(tx)
+        reactor.run_once(0.0)
+        # Two rounds report work, the third is quiet and ends the drain.
+        assert calls == ["rx", "tx"] * 3
+        calls.clear()
+        reactor.run_once(0.0)
+        assert calls == ["rx", "tx"]
+
+    def test_drain_is_bounded(self):
+        _, reactor = self.make()
+        calls = []
+
+        def busy():
+            calls.append(1)
+            return 1
+
+        reactor.add_flush_hook(busy)
+        reactor.run_once(0.0)
+        assert len(calls) == FLUSH_ROUNDS
+
+    def test_hook_arming_a_due_timer_fires_next_iteration(self):
+        clock, reactor = self.make()
+        clock.advance_to(50.0)
+        fired = []
+        armed = []
+
+        def flush():
+            if armed:
+                return 0
+            armed.append(reactor.call_at(clock.now(), lambda: fired.append(1)))
+            return 1
+
+        reactor.add_flush_hook(flush)
+        reactor.run_once(0.0)
+        assert fired == []
+        assert armed[0].active
+        reactor.run_once(0.0)
+        assert fired == [1]
+        assert armed[0].fired
 
 
 # ----------------------------------------------------------------------
