@@ -59,7 +59,6 @@ sys.path.insert(
 )
 
 from repro.obs import HealthMonitor, default_fleet_ruleset  # noqa: E402
-from repro.obs.keystroke import ECHO_GRID  # noqa: E402
 from repro.obs.registry import Histogram  # noqa: E402
 from repro.session.inprocess import InProcessDaemon  # noqa: E402
 from repro.simnet.link import LinkConfig  # noqa: E402
@@ -227,11 +226,8 @@ def _pooled_echo_quantiles(daemon, active_ids):
         (f"keystroke.c{cid}.echo_ms" for cid in active_ids),
         name="fleet.echo_ms",
     )
-    if pooled is None:  # nobody typed: an empty histogram on the echo grid
-        low, high, buckets = ECHO_GRID
-        pooled = Histogram(
-            "fleet.echo_ms", low=low, high=high, buckets=buckets, unit="ms"
-        )
+    if pooled is None:  # nobody typed: an empty histogram
+        pooled = Histogram("fleet.echo_ms", unit="ms")
     return pooled
 
 

@@ -6,7 +6,8 @@ tracking. This suite times the individual instruments (counter bump,
 histogram record, span enter/exit) and — more importantly — measures the
 end-to-end overhead of the whole observability layer by running the same
 deterministic workloads with instrumentation enabled and disabled
-(:func:`repro.obs.set_enabled`), reporting the difference in percent.
+(:func:`repro.obs.set_enabled`) in interleaved on/off pairs, reporting
+the median per-pair overhead in percent with its quartiles.
 
 ``*_overhead_pct`` scenarios are a different kind of number from the
 µs/op scenarios: ``tools/bench.py --check`` exempts them from the
@@ -30,7 +31,7 @@ import gc
 import json
 import sys
 import time
-from statistics import median
+from statistics import median, quantiles
 
 from repro.crypto.keys import DIRECTION_TO_SERVER, Base64Key, Nonce
 from repro.crypto.session import Message, Session
@@ -76,7 +77,7 @@ def bench_obs_counter_inc(iters: int) -> float:
 
 
 def bench_obs_hist_record(iters: int) -> float:
-    hist = Histogram("bench.hist", low=0.01, high=60_000.0)
+    hist = Histogram("bench.hist")
     values = [0.3, 1.7, 12.0, 85.0, 430.0]
     n = len(values)
     state = [0]
@@ -212,35 +213,28 @@ def _seal_walltime(iters: int) -> float:
     return time.perf_counter() - t0
 
 
-def _paired_overhead_pct(run_arm, repeats: int) -> float:
+def _paired_overhead_pct(run_arm, repeats: int) -> tuple[float, float, float]:
     """Overhead percent from interleaved paired A/B runs.
 
     ``run_arm(True)`` times one instrumented workload run,
     ``run_arm(False)`` one uninstrumented run. Pairs run back-to-back
-    with the leading arm swapped every repeat, and two estimators are
-    computed over the same samples: best-of (each arm's minimum) and
-    the median of per-pair on/off ratios. Scheduler noise on a shared
-    host is strictly positive, so it can only inflate either estimate —
-    best-of dodges short spikes, the paired ratios ride out sustained
-    contention (both runs of a back-to-back pair slow down together).
-    The smaller of the two is therefore the better estimate of the true
-    overhead.
+    with the leading arm swapped every repeat, so sustained contention
+    slows both runs of a pair together and cancels in their ratio.
+    Returns the median of the per-pair ``on/off - 1`` ratios and their
+    lower and upper quartiles, all in percent. Negative pairs are kept:
+    host noise pushes a ratio either way, and dropping or clamping the
+    low side would bias the estimate upward or hide the spread.
     """
-    ons: list[float] = []
-    offs: list[float] = []
+    ratios: list[float] = []
     run_arm(True)  # untimed warmup: the first run eats cold-start costs
     for i in range(repeats):
         first_on = i % 2 == 0
         a = run_arm(first_on)
         b = run_arm(not first_on)
         on_t, off_t = (a, b) if first_on else (b, a)
-        ons.append(on_t)
-        offs.append(off_t)
-    if min(offs) <= 0.0:
-        return 0.0
-    best = (min(ons) - min(offs)) / min(offs)
-    ratio = median(on_t / off_t for on_t, off_t in zip(ons, offs)) - 1.0
-    return max(0.0, round(min(best, ratio) * 100.0, 2))
+        ratios.append((on_t / off_t - 1.0) * 100.0)
+    q1, _, q3 = quantiles(ratios, n=4, method="inclusive")
+    return round(median(ratios), 2), round(q1, 2), round(q3, 2)
 
 
 def _switched_arm(workload):
@@ -256,7 +250,7 @@ def _switched_arm(workload):
     return run
 
 
-def bench_e2e_typing_overhead_pct(quick: bool) -> float:
+def bench_e2e_typing_overhead_pct(quick: bool) -> tuple[float, float, float]:
     # The typing workload is ~65 ms of wall time; single-run noise on a
     # shared host dwarfs the few-percent signal, hence the paired
     # estimator and several repeats.
@@ -265,14 +259,14 @@ def bench_e2e_typing_overhead_pct(quick: bool) -> float:
     )
 
 
-def bench_seal_overhead_pct(quick: bool) -> float:
+def bench_seal_overhead_pct(quick: bool) -> tuple[float, float, float]:
     iters = 150 if quick else 600
     return _paired_overhead_pct(
         _switched_arm(lambda: _seal_walltime(iters)), repeats=2 if quick else 4
     )
 
 
-def bench_telemetry_overhead_pct(quick: bool) -> float:
+def bench_telemetry_overhead_pct(quick: bool) -> tuple[float, float, float]:
     """Percent added by one live telemetry subscriber, instrumentation on.
 
     Both arms run fully instrumented; the A arm additionally drives a
@@ -287,7 +281,7 @@ def bench_telemetry_overhead_pct(quick: bool) -> float:
     )
 
 
-def bench_flight_overhead_pct(quick: bool) -> float:
+def bench_flight_overhead_pct(quick: bool) -> tuple[float, float, float]:
     """Percent added by the flight recorders alone, instrumentation on.
 
     Both arms run with the observability switch enabled; the B arm
@@ -300,7 +294,7 @@ def bench_flight_overhead_pct(quick: bool) -> float:
     )
 
 
-def bench_causal_overhead_pct(quick: bool) -> float:
+def bench_causal_overhead_pct(quick: bool) -> tuple[float, float, float]:
     """Percent added by per-keystroke causal tracing, instrumentation on.
 
     Both arms run with the observability switch enabled; the B arm
@@ -361,7 +355,8 @@ OVERHEAD_SCENARIOS = {
 
 
 def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
-    """Run every scenario; returns {"ops", "histograms", "quick"}."""
+    """Run every scenario; returns {"ops", "overhead_quartiles",
+    "histograms", "quick"}."""
     iters_full, iters_quick = _SCALE["full"] if not quick else _SCALE["quick"]
     iters = iters_quick if quick else iters_full
     del iters_full, iters_quick
@@ -371,11 +366,21 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
         ops[name] = round(seconds * 1e6, 3)  # µs per op
         if verbose:
             print(f"  {name:<24} {ops[name]:>12.2f} µs/op", file=sys.stderr)
+    spread: dict[str, list[float]] = {}
     for name, fn in OVERHEAD_SCENARIOS.items():
-        ops[name] = fn(quick)
+        ops[name], q1, q3 = fn(quick)
+        spread[name] = [q1, q3]
         if verbose:
-            print(f"  {name:<24} {ops[name]:>12.2f} %", file=sys.stderr)
-    return {"quick": quick, "ops": ops, "histograms": seal_histograms(quick)}
+            print(
+                f"  {name:<24} {ops[name]:>12.2f} % (quartiles {q1:.2f}..{q3:.2f})",
+                file=sys.stderr,
+            )
+    return {
+        "quick": quick,
+        "ops": ops,
+        "overhead_quartiles": spread,
+        "histograms": seal_histograms(quick),
+    }
 
 
 if __name__ == "__main__":

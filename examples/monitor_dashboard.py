@@ -184,24 +184,6 @@ def main() -> None:
 FLEET_COLLAPSE_THRESHOLD = 32
 
 
-def _pooled_keystrokes(hists: dict, conn_ids):
-    """Pool the per-session echo summaries via the public registry API.
-
-    Every ``keystroke.c<id>.echo_ms`` histogram lives on the shared
-    :data:`~repro.obs.ECHO_GRID`, so the snapshot document's summaries
-    reconstruct and merge into one fleet-wide Histogram with real
-    percentile accessors — no hand-rolled bucket math.
-    """
-    from repro.obs import ECHO_GRID, merge_summaries
-
-    summaries = [
-        hists[f"keystroke.c{cid}.echo_ms"]
-        for cid in conn_ids
-        if f"keystroke.c{cid}.echo_ms" in hists
-    ]
-    return merge_summaries(summaries, *ECHO_GRID)
-
-
 def daemon_panel(sessions: int = 4) -> None:
     """The daemon view: per-session rows fed by labelled instruments.
 
@@ -211,11 +193,12 @@ def daemon_panel(sessions: int = 4) -> None:
     snapshot document, keyed by the ``s<id>``/``c<id>`` labels.
 
     Past :data:`FLEET_COLLAPSE_THRESHOLD` sessions the rows collapse
-    into a fleet summary: the active/parked split (straight from the
-    manager's gauges), fleet-pooled echo quantiles, and the five
-    busiest sessions — everything an operator of a 10k-session daemon
-    can actually read at a glance.
+    into ``repro top``'s fleet panel, rendered from the same snapshot:
+    the open/active/parked split, fleet-pooled echo quantiles, and the
+    five busiest sessions — everything an operator of a 10k-session
+    daemon can actually read at a glance.
     """
+    from repro.cli import _render_fleet_panel
     from repro.session.inprocess import InProcessDaemon
 
     daemon = InProcessDaemon(
@@ -248,7 +231,7 @@ def daemon_panel(sessions: int = 4) -> None:
     now = daemon.loop.now()
     print(f"\nsession daemon: {sessions} sessions muxed on one port")
     if sessions > FLEET_COLLAPSE_THRESHOLD:
-        _render_fleet_summary(daemon, doc, now)
+        print(_render_fleet_panel(doc, 0, [], "in-process daemon"))
     else:
         print("   id   srtt_ms   keystroke_p95_ms   last_heard")
         for cid in daemon.conn_ids:
@@ -266,39 +249,6 @@ def daemon_panel(sessions: int = 4) -> None:
         f"{counters['daemon.no_route']:.0f} unroutable, "
         f"{counters['daemon.bad_packets']:.0f} garbage"
     )
-
-
-def _render_fleet_summary(daemon, doc: dict, now: float) -> None:
-    """The collapsed panel: fleet gauges, pooled quantiles, top talkers."""
-    gauges, hists = doc["gauges"], doc["histograms"]
-    active = gauges.get("daemon.sessions_active", 0.0)
-    parked = gauges.get("daemon.sessions_parked", 0.0)
-    print(
-        f"   fleet: {gauges.get('daemon.sessions_open', 0.0):.0f} open "
-        f"({active:.0f} active, {parked:.0f} parked)"
-    )
-    pooled = _pooled_keystrokes(hists, daemon.conn_ids)
-    if pooled.count:
-        print(
-            f"   echo latency (pooled, {pooled.count} keystrokes): "
-            f"p50={pooled.p50:.0f} ms  p95={pooled.p95:.0f} ms  "
-            f"p99={pooled.p99:.0f} ms"
-        )
-    ranked = sorted(
-        daemon.conn_ids,
-        key=lambda cid: hists.get(
-            f"keystroke.c{cid}.echo_ms", {}
-        ).get("count", 0),
-        reverse=True,
-    )
-    print("   top 5 busiest:  id   keystrokes   p95_ms   last_heard")
-    for cid in ranked[:5]:
-        ks = hists.get(f"keystroke.c{cid}.echo_ms", {})
-        age_s = (now - daemon.record(cid).last_heard()) / 1000.0
-        print(
-            f"                  s{cid:<4} {ks.get('count', 0):10.0f}  "
-            f"{ks.get('p95') or 0.0:7.0f}   {age_s:6.1f} s ago"
-        )
 
 
 #: One glyph per packet in the fate strip.

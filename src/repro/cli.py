@@ -422,7 +422,7 @@ def _render_fleet_panel(doc: dict, tick: int, alerts: list, target: str) -> str:
     reassembles, so it renders the same whether the daemon is in this
     process or across the network.
     """
-    from repro.obs import ECHO_GRID, merge_summaries
+    from repro.obs import merge_summaries
 
     gauges = doc.get("gauges", {})
     counters = doc.get("counters", {})
@@ -447,7 +447,7 @@ def _render_fleet_panel(doc: dict, tick: int, alerts: list, target: str) -> str:
         for name, summary in hists.items()
         if name.startswith("keystroke.") and name.endswith("echo_ms")
     ]
-    pooled = merge_summaries(echo_summaries, *ECHO_GRID)
+    pooled = merge_summaries(echo_summaries)
     if pooled.count:
         lines.append(
             f"  echo latency (pooled, {pooled.count} keystrokes): "

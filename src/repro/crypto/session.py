@@ -73,10 +73,6 @@ MAX_PAYLOAD_LEN = 64 * 1024
 #: only genuine duplicates or ancient replays can land outside it.
 REPLAY_WINDOW = 1024
 
-#: Seal/unseal latency grid: 0.1 µs .. 100 ms spans an OpenSSL seal of a
-#: keystroke up to a reference-cipher seal of a 64 KiB payload.
-_US_GRID = {"low": 0.1, "high": 100_000.0, "unit": "us"}
-
 
 @dataclass(frozen=True)
 class Message:
@@ -124,8 +120,8 @@ class CryptoStats:
         self.replay_drops = 0
         # Wall-clock cost of each seal/unseal in microseconds (CPU cost,
         # deliberately wall-time even on simulated-clock sessions).
-        self.seal_us = Histogram("crypto.seal_us", **_US_GRID)
-        self.unseal_us = Histogram("crypto.unseal_us", **_US_GRID)
+        self.seal_us = Histogram("crypto.seal_us", unit="us")
+        self.unseal_us = Histogram("crypto.unseal_us", unit="us")
         # Most recent per-datagram cost, read by the causal tracer to
         # carve crypto CPU out of a keystroke's stage timeline. Plain
         # floats, always maintained — the histograms above gate on the
@@ -137,10 +133,8 @@ class CryptoStats:
     def bind_registry(self, registry: MetricsRegistry, prefix: str) -> None:
         """Count into ``registry``: reactor-wide ``crypto.*`` totals and
         ``{prefix}.crypto.seal_us``/``unseal_us`` histograms."""
-        self.seal_us = registry.histogram(f"{prefix}.crypto.seal_us", **_US_GRID)
-        self.unseal_us = registry.histogram(
-            f"{prefix}.crypto.unseal_us", **_US_GRID
-        )
+        self.seal_us = registry.histogram(f"{prefix}.crypto.seal_us", unit="us")
+        self.unseal_us = registry.histogram(f"{prefix}.crypto.unseal_us", unit="us")
         self._take_totals(registry.counter)
 
     def _take_totals(self, make) -> None:

@@ -83,9 +83,7 @@ class WireBatcher:
         if registry is not None:
             self._flushes = registry.counter("wire.tx_flushes")
             self._datagrams = registry.counter("wire.tx_datagrams")
-            self._batch_hist = registry.histogram(
-                "wire.tx_batch", low=1.0, high=4096.0, unit="datagrams"
-            )
+            self._batch_hist = registry.histogram("wire.tx_batch", unit="datagrams")
         else:
             self._flushes = self._datagrams = None
             self._batch_hist = None
@@ -156,9 +154,7 @@ class RxBatcher:
         if registry is not None:
             self._flushes = registry.counter("wire.rx_flushes")
             self._datagrams = registry.counter("wire.rx_datagrams")
-            self._batch_hist = registry.histogram(
-                "wire.rx_batch", low=1.0, high=4096.0, unit="datagrams"
-            )
+            self._batch_hist = registry.histogram("wire.rx_batch", unit="datagrams")
         else:
             self._flushes = self._datagrams = None
             self._batch_hist = None

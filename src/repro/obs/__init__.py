@@ -1,11 +1,13 @@
 """repro.obs — the unified observability layer.
 
-One subsystem, three instruments, wired through every layer of the
+One subsystem, four instruments, wired through every layer of the
 runtime:
 
-* :class:`MetricsRegistry` — named counters, gauges, and fixed-bucket
-  log-spaced latency histograms (p50/p95/p99 accessors), cheap enough to
-  stay always-on in the seal/unseal and per-frame hot paths. Reactors own
+* :class:`MetricsRegistry` — named counters, gauges, and latency
+  histograms (p50/p95/p99 accessors), cheap enough to stay always-on in
+  the seal/unseal and per-frame hot paths. Every histogram records onto
+  one process-wide log grid whose quantiles are within 2 % of the exact
+  sample quantile, so any two histograms of a unit merge. Reactors own
   one, and every instrument in it has exactly one owner: the component
   that sees the event increments the counter right there, and per-session
   tallies kept as plain attributes are exported as read-through counters.
@@ -30,7 +32,6 @@ suite uses to measure instrumentation overhead A/B.
 
 from repro.obs.causal import (
     CAUSAL_SCHEMA,
-    STAGE_GRID,
     STAGES,
     CausalTracer,
     ServerStageTracker,
@@ -52,7 +53,7 @@ from repro.obs.health import (
     HealthRule,
     default_fleet_ruleset,
 )
-from repro.obs.keystroke import ECHO_GRID, KeystrokeLatencyTracker
+from repro.obs.keystroke import KeystrokeLatencyTracker
 from repro.obs.registry import (
     DELTA_SCHEMA,
     SNAPSHOT_SCHEMA,
@@ -77,12 +78,10 @@ from repro.obs.trace import SpanTracer
 __all__ = [
     "CAUSAL_SCHEMA",
     "DELTA_SCHEMA",
-    "ECHO_GRID",
     "FLIGHT_SCHEMA",
     "HEALTH_SCHEMA",
     "SNAPSHOT_SCHEMA",
     "STAGES",
-    "STAGE_GRID",
     "CausalTracer",
     "ClockOffsetEstimator",
     "Counter",

@@ -68,10 +68,6 @@ STAGES = (
     "deliver",
 )
 
-#: Stage histograms' bucket grid (low_ms, high_ms, buckets): 10 µs to 10
-#: minutes — stages span from sub-tick crypto carve-outs to outages.
-STAGE_GRID = (0.01, 600_000.0, 48)
-
 #: Slowest-N keystrokes whose full causal chains are retained.
 EXEMPLAR_MAX = 16
 
@@ -110,12 +106,8 @@ class CausalTracer:
         prefix = "causal" if label is None else f"causal.{label}"
         self.label = label
         self.shared_clock = shared_clock
-        low, high, buckets = STAGE_GRID
         self.stage_histograms = {
-            stage: registry.histogram(
-                f"{prefix}.{stage}_ms", low=low, high=high,
-                buckets=buckets, unit="ms",
-            )
+            stage: registry.histogram(f"{prefix}.{stage}_ms", unit="ms")
             for stage in STAGES
         }
         #: Chains fully attributed across the seven stages.
@@ -395,11 +387,7 @@ class ServerStageTracker:
     """
 
     def __init__(self, registry: MetricsRegistry, role: str = "server") -> None:
-        low, high, buckets = STAGE_GRID
-        self.echo_wait = registry.histogram(
-            f"{role}.causal.echo_wait_ms", low=low, high=high,
-            buckets=buckets, unit="ms",
-        )
+        self.echo_wait = registry.histogram(f"{role}.causal.echo_wait_ms", unit="ms")
         self._pending: deque[tuple[int, float]] = deque(maxlen=PENDING_MAX)
 
     def on_input(self, offset: int, now: float) -> None:
@@ -428,12 +416,11 @@ def pool_stage_summaries(doc: dict) -> dict[str, object]:
 
     Works on a plain ``repro.obs/1`` document (scraped or reassembled
     from a ``watch`` feed), merging the unlabelled and every per-session
-    labelled histogram onto the shared :data:`STAGE_GRID`. Returns
+    labelled histogram into one per stage. Returns
     ``{stage: Histogram}`` — entries with ``count == 0`` mean no session
     in the snapshot recorded that stage.
     """
     histograms = doc.get("histograms", {})
-    low, high, buckets = STAGE_GRID
     pooled = {}
     for stage in STAGES:
         suffix = f".{stage}_ms"
@@ -443,9 +430,7 @@ def pool_stage_summaries(doc: dict) -> dict[str, object]:
             if name == f"causal.{stage}_ms"
             or (name.startswith("causal.") and name.endswith(suffix))
         ]
-        pooled[stage] = merge_summaries(
-            summaries, low, high, buckets, name=stage
-        )
+        pooled[stage] = merge_summaries(summaries, name=stage)
     return pooled
 
 
@@ -455,13 +440,12 @@ def pool_server_echo_wait(doc: dict):
     Returns a Histogram (possibly empty) — the daemon-side view when no
     client-side chains live in this registry.
     """
-    low, high, buckets = STAGE_GRID
     summaries = [
         summary
         for name, summary in doc.get("histograms", {}).items()
         if name.endswith(".causal.echo_wait_ms")
     ]
-    return merge_summaries(summaries, low, high, buckets, name="echo_wait")
+    return merge_summaries(summaries, name="echo_wait")
 
 
 def render_waterfall(pooled: dict, width: int = 40) -> list[str]:

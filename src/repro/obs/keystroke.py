@@ -24,12 +24,6 @@ from repro.obs.registry import Histogram, MetricsRegistry
 #: and a dead link simply ages the oldest stamps out of the window.
 PENDING_MAX = 4096
 
-#: The echo histogram's bucket grid as (low_ms, high_ms, buckets). 1 ms to
-#: 10 minutes covers LAN sessions through multi-minute outages. Pooling
-#: helpers (dashboard, ``repro top``, fleet bench) reconstruct summaries
-#: onto this grid, so it is part of the tracker's public contract.
-ECHO_GRID = (1.0, 600_000.0, 48)
-
 
 class KeystrokeLatencyTracker:
     """Stamps keystroke indices and resolves them against echo-acks."""
@@ -40,12 +34,8 @@ class KeystrokeLatencyTracker:
         name: str = "keystroke.echo_ms",
     ) -> None:
         registry = registry if registry is not None else MetricsRegistry()
-        low, high, buckets = ECHO_GRID
-        #: Echo-response latency, milliseconds of reactor time, on the
-        #: shared :data:`ECHO_GRID` bucket grid.
-        self.histogram: Histogram = registry.histogram(
-            name, low=low, high=high, buckets=buckets, unit="ms"
-        )
+        #: Echo-response latency, milliseconds of reactor time.
+        self.histogram: Histogram = registry.histogram(name, unit="ms")
         self.typed = registry.counter("keystroke.typed")
         self.settled = registry.counter("keystroke.settled")
         self._pending: deque[tuple[int, float]] = deque(maxlen=PENDING_MAX)

@@ -2,7 +2,8 @@
 
 Every instrument is a tiny mutable object designed to stay always-on in
 the hot paths: a counter increment is one attribute add, a histogram
-record is one ``bisect`` into precomputed log-spaced bucket bounds. A
+record is one ``bisect`` into the one shared log grid (quantiles within
+2 %, :data:`GRID_REL_ERROR`) plus one dict increment. A
 :class:`MetricsRegistry` names and aggregates instruments so one
 ``snapshot()`` call renders the whole runtime — reactor, transport,
 crypto, prediction, simulated links — as a single JSON document.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fnmatch import fnmatchcase
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from repro.errors import ObservabilityError
@@ -112,48 +112,49 @@ class Gauge:
         return float(self.fn()) if self.fn is not None else self._value
 
 
-@lru_cache(maxsize=None)
-def _grid(low: float, high: float, buckets: int) -> tuple[float, ...]:
-    """Bucket bounds for one grid, computed once per process and shared
-    (read-only) by every histogram on it — each session builds a dozen."""
-    ratio = (high / low) ** (1.0 / (buckets - 1))
-    return tuple(low * ratio**i for i in range(buckets))
+#: The one bucket grid every histogram records onto. Consecutive bounds
+#: grow by ``(1 + GRID_REL_ERROR) ** 2``, so a bucket's geometric midpoint
+#: is within ``GRID_REL_ERROR`` of every value in the bucket (the DDSketch
+#: bound, Masson et al., VLDB 2019). 1e-3 to 1e7 covers sub-microsecond
+#: seals, multi-minute outages in ms, and datagram batch sizes alike.
+GRID_REL_ERROR = 0.02
+_RATIO = (1.0 + GRID_REL_ERROR) ** 2
+_BOUNDS = tuple(
+    1e-3 * _RATIO**i for i in range(math.ceil(math.log(1e7 / 1e-3, _RATIO)) + 1)
+)
+#: Bucket ``i`` (``1 <= i < len(_BOUNDS)``) holds ``[_BOUNDS[i-1], _BOUNDS[i])``
+#: and answers quantiles with ``_MIDS[i - 1]``; bucket 0 is underflow and
+#: bucket ``len(_BOUNDS)`` overflow.
+_MIDS = tuple(math.sqrt(lo * hi) for lo, hi in zip(_BOUNDS, _BOUNDS[1:]))
+_OVERFLOW = len(_BOUNDS)
+#: Upper bounds as written into summaries: six significant digits keep
+#: documents short and still name exactly one grid bound each (adjacent
+#: bounds differ by 4 %), so a summary maps back onto the grid by lookup.
+_LABELS = tuple(float(f"{bound:.6g}") for bound in _BOUNDS)
+_LABEL_INDEX = {label: i for i, label in enumerate(_LABELS)}
 
 
 class Histogram:
-    """Fixed log-spaced buckets with quantile accessors.
+    """Sparse counts on the shared log grid, with quantile accessors.
 
-    Bucket bounds are precomputed at construction: ``buckets`` bounds
-    spaced geometrically across ``[low, high]``, plus an overflow bucket.
-    Recording is ``bisect_right`` into that list — no allocation, so the
-    histogram can sit directly on the seal/unseal and keystroke paths.
-    Quantiles are answered from the bucket counts using each bucket's
-    geometric midpoint, so a quantile is only known to within one
-    bucket's ratio, ``(high/low) ** (1/(buckets-1))``: 39 % wide at the
-    default 10 µs..1 min grid, 32.7 % for ``ECHO_GRID`` and 46 % for
-    ``STAGE_GRID``. Raw samples are needed where that is too coarse.
+    Every histogram records onto the one module-level grid, so any two
+    histograms of the same unit merge, and a summary document maps back
+    onto the grid without knowing which instrument wrote it. Recording is
+    one ``bisect_right`` into the shared bounds plus one dict increment
+    into ``{bucket index: count}``, cheap enough to sit directly on the
+    seal/unseal and keystroke paths. Quantiles are nearest-rank over the buckets, answered with the
+    bucket's geometric midpoint: within 2 % (:data:`GRID_REL_ERROR`) of
+    the exact sample quantile for values in ``[1e-3, 1e7)``. Below and
+    above that range the underflow and overflow buckets report the
+    observed minimum and maximum.
     """
 
-    __slots__ = ("name", "unit", "_bounds", "_counts", "count", "total", "min", "max")
+    __slots__ = ("name", "unit", "_counts", "count", "total", "min", "max")
 
-    def __init__(
-        self,
-        name: str,
-        low: float,
-        high: float,
-        buckets: int = 48,
-        unit: str = "ms",
-    ) -> None:
-        if low <= 0 or high <= low:
-            raise ObservabilityError(
-                f"histogram {name!r} needs 0 < low < high, got [{low}, {high}]"
-            )
-        if buckets < 2:
-            raise ObservabilityError(f"histogram {name!r} needs >= 2 buckets")
+    def __init__(self, name: str, unit: str = "ms") -> None:
         self.name = name
         self.unit = unit
-        self._bounds = _grid(low, high, buckets)
-        self._counts = [0] * (buckets + 1)  # +1 overflow bucket
+        self._counts: dict[int, int] = {}
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -163,7 +164,9 @@ class Histogram:
         """Fold one sample in (a no-op while observability is disabled)."""
         if not _enabled:
             return
-        self._counts[bisect_right(self._bounds, value)] += 1
+        counts = self._counts
+        index = bisect_right(_BOUNDS, value)
+        counts[index] = counts.get(index, 0) + 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -178,28 +181,26 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Approximate p-th percentile (0 < p <= 100) from the buckets."""
+        """Nearest-rank p-th percentile (0 < p <= 100) from the buckets."""
         if not 0.0 < p <= 100.0:
             raise ObservabilityError(f"percentile {p} outside (0, 100]")
         if self.count == 0:
             return 0.0
         target = math.ceil(self.count * (p / 100.0))
         seen = 0
-        for i, n in enumerate(self._counts):
-            seen += n
+        counts = self._counts
+        for index in sorted(counts):
+            seen += counts[index]
             if seen >= target:
-                return self._bucket_mid(i)
-        return self._bucket_mid(len(self._counts) - 1)
+                return self._bucket_value(index)
+        return self.max
 
-    def _bucket_mid(self, index: int) -> float:
-        bounds = self._bounds
+    def _bucket_value(self, index: int) -> float:
         if index == 0:
-            # Underflow bucket: everything below the lowest bound.
-            return bounds[0]
-        if index >= len(bounds):
-            # Overflow bucket: report the observed maximum.
+            return self.min
+        if index == _OVERFLOW:
             return self.max
-        return math.sqrt(bounds[index - 1] * bounds[index])
+        return _MIDS[index - 1]
 
     @property
     def p50(self) -> float:
@@ -216,9 +217,10 @@ class Histogram:
     def summary(self) -> dict:
         """The snapshot form: counts, moments, and standard quantiles.
 
-        One pass over the counts serves all three quantiles and the
-        sparse bucket list — a changed histogram is re-summarized on
-        every delta-feed collect, so the 4x cumulative walk matters.
+        One pass over the sorted buckets serves all three quantiles and
+        the sparse ``[upper_bound, count]`` list (the overflow bound is
+        ``"inf"``) — a changed histogram is re-summarized on every
+        delta-feed collect, so the 4x cumulative walk matters.
         """
         count = self.count
         quantiles = [0.0, 0.0, 0.0]
@@ -228,79 +230,44 @@ class Histogram:
             if count
             else []
         )
-        buckets: list[list[float]] = []
-        bounds = self._bounds
-        nbounds = len(bounds)
+        buckets: list[list] = []
+        counts = self._counts
         seen = 0
         qi = 0
-        for i, n in enumerate(self._counts):
-            if n == 0:
-                continue
+        for index in sorted(counts):
+            n = counts[index]
             seen += n
-            bound = bounds[i] if i < nbounds else math.inf
             buckets.append(
-                [round(bound, 4) if bound != math.inf else "inf", n]
+                [_LABELS[index] if index < _OVERFLOW else "inf", n]
             )
             while qi < 3 and targets and seen >= targets[qi]:
-                quantiles[qi] = self._bucket_mid(i)
+                quantiles[qi] = self._bucket_value(index)
                 qi += 1
+        # The mean is derived from the rounded sum, so a document's mean
+        # is its own sum over its own count and survives from_summary.
+        total = round(self.total, 3)
         return {
             "unit": self.unit,
             "count": count,
-            "sum": round(self.total, 3),
+            "sum": total,
             "min": round(self.min, 3) if count else 0.0,
             "max": round(self.max, 3),
-            "mean": round(self.mean, 3),
+            "mean": round(total / count, 3) if count else 0.0,
             "p50": round(quantiles[0], 3),
             "p95": round(quantiles[1], 3),
             "p99": round(quantiles[2], 3),
             "buckets": buckets,
         }
 
-    def nonzero_buckets(self) -> list[list[float]]:
-        """Sparse [upper_bound, count] pairs (overflow bound is +inf)."""
-        out: list[list[float]] = []
-        for i, n in enumerate(self._counts):
-            if n == 0:
-                continue
-            bound = (
-                self._bounds[i] if i < len(self._bounds) else math.inf
-            )
-            out.append([round(bound, 4) if bound != math.inf else "inf", n])
-        return out
-
     # -- pooling --------------------------------------------------------
 
-    def clone_empty(self, name: str | None = None) -> "Histogram":
-        """A zero-sample histogram on exactly this bucket grid.
-
-        Shares the precomputed bounds instead of re-deriving them from
-        ``(low, high, buckets)``, so a merge between the clone and the
-        original can compare grids by equality without float drift.
-        """
-        other = Histogram.__new__(Histogram)
-        other.name = name if name is not None else f"{self.name}.pooled"
-        other.unit = self.unit
-        other._bounds = self._bounds
-        other._counts = [0] * len(self._counts)
-        other.count = 0
-        other.total = 0.0
-        other.min = math.inf
-        other.max = 0.0
-        return other
-
     def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s samples into this histogram (same grid only).
+        """Fold ``other``'s samples into this histogram (same unit only).
 
         The public replacement for reaching into ``_counts``: pooled fleet
         quantiles come from merging the per-session histograms into one
         and asking it for percentiles. Returns ``self`` for chaining.
         """
-        if other._bounds != self._bounds:
-            raise ObservabilityError(
-                f"cannot merge {other.name!r} into {self.name!r}: "
-                "bucket grids differ"
-            )
         if other.unit != self.unit:
             raise ObservabilityError(
                 f"cannot merge {other.name!r} ({other.unit}) into "
@@ -309,9 +276,8 @@ class Histogram:
         if other.count == 0:
             return self
         counts = self._counts
-        for i, n in enumerate(other._counts):
-            if n:
-                counts[i] += n
+        for index, n in other._counts.items():
+            counts[index] = counts.get(index, 0) + n
         self.count += other.count
         self.total += other.total
         if other.min < self.min:
@@ -321,36 +287,29 @@ class Histogram:
         return self
 
     @classmethod
-    def from_summary(
-        cls,
-        summary: dict,
-        low: float,
-        high: float,
-        buckets: int = 48,
-        name: str = "from_summary",
-    ) -> "Histogram":
+    def from_summary(cls, summary: dict, name: str = "from_summary") -> "Histogram":
         """Rebuild a histogram from its :meth:`summary` dict.
 
-        The caller supplies the bucket grid parameters (a summary does
-        not carry them); sparse bucket bounds are matched back onto the
-        grid by nearest value, tolerating the 4-decimal rounding that
-        :meth:`nonzero_buckets` applies. Lets snapshot *documents* — not
-        just live instruments — be pooled, which is what a remote
-        dashboard attached over the telemetry socket works from.
+        Each sparse bucket bound is looked up exactly on the shared grid;
+        a bound that is not one of the grid's (a hand-edited or foreign
+        document) raises :class:`ObservabilityError`. Lets snapshot
+        *documents* — not just live instruments — be pooled, which is
+        what a remote dashboard attached over the telemetry socket works
+        from.
         """
-        hist = cls(name, low, high, buckets, unit=summary.get("unit", "ms"))
-        rounded = [round(b, 4) for b in hist._bounds]
+        hist = cls(name, unit=summary.get("unit", "ms"))
+        counts = hist._counts
         for bound, n in summary.get("buckets", []):
             if bound == "inf":
-                index = len(hist._bounds)
+                index = _OVERFLOW
             else:
-                index = bisect_right(rounded, float(bound)) - 1
-                if index < 0 or abs(rounded[index] - float(bound)) > 1e-4:
+                index = _LABEL_INDEX.get(float(bound))
+                if index is None:
                     raise ObservabilityError(
-                        f"summary bucket bound {bound} not on the "
-                        f"[{low}, {high}]x{buckets} grid"
+                        f"summary bucket bound {bound} is not on the "
+                        "histogram grid"
                     )
-            hist._counts[index] += int(n)
+            counts[index] = counts.get(index, 0) + int(n)
         hist.count = int(summary.get("count", 0))
         hist.total = float(summary.get("sum", 0.0))
         if hist.count:
@@ -360,7 +319,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Names and aggregates instruments; renders them as one snapshot."""
+    """Names and aggregates instruments; renders them as one snapshot.
+
+    Histograms take only a name and a unit: they all share the one grid,
+    so :meth:`pool_histograms` merges any set of them with the same unit.
+    """
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
@@ -386,18 +349,9 @@ class MetricsRegistry:
             gauge.fn = fn
         return gauge
 
-    def histogram(
-        self,
-        name: str,
-        low: float = 0.01,
-        high: float = 60_000.0,
-        buckets: int = 48,
-        unit: str = "ms",
-    ) -> Histogram:
-        """Get or create a log-bucket histogram spanning [low, high]."""
-        return self._get_or_make(
-            name, Histogram, lambda: Histogram(name, low, high, buckets, unit)
-        )
+    def histogram(self, name: str, unit: str = "ms") -> Histogram:
+        """Get or create a histogram on the shared log grid."""
+        return self._get_or_make(name, Histogram, lambda: Histogram(name, unit))
 
     def _get_or_make(self, name, kind, make):
         existing = self._instruments.get(name)
@@ -431,7 +385,7 @@ class MetricsRegistry:
     def pool_histograms(
         self, names: str | Iterable[str], name: str = "pooled"
     ) -> Histogram | None:
-        """Merge same-grid histograms into one (a glob pattern or names).
+        """Merge histograms into one (a glob pattern or names).
 
         Returns a fresh pooled :class:`Histogram` — the registry's own
         instruments are untouched — or ``None`` when nothing matched.
@@ -446,7 +400,7 @@ class MetricsRegistry:
             if not isinstance(inst, Histogram):
                 continue
             if base is None:
-                base = inst.clone_empty(name)
+                base = Histogram(name, inst.unit)
             if inst.count:
                 base.merge(inst)
         return base
@@ -515,14 +469,8 @@ def validate_snapshot(doc: object) -> None:
             raise ObservabilityError(f"histograms[{name!r}].buckets not a list")
 
 
-def merge_summaries(
-    summaries: Iterable[dict],
-    low: float,
-    high: float,
-    buckets: int = 48,
-    name: str = "pooled",
-) -> Histogram:
-    """Pool histogram *summary dicts* (one bucket grid) into a Histogram.
+def merge_summaries(summaries: Iterable[dict], name: str = "pooled") -> Histogram:
+    """Pool histogram *summary dicts* into one Histogram.
 
     The document-level sibling of :meth:`MetricsRegistry.pool_histograms`:
     dashboards that only hold a snapshot JSON — not live instruments —
@@ -531,14 +479,14 @@ def merge_summaries(
     """
     pooled: Histogram | None = None
     for summary in summaries:
-        hist = Histogram.from_summary(summary, low, high, buckets)
+        hist = Histogram.from_summary(summary)
         if pooled is None:
             pooled = hist
             pooled.name = name
         else:
             pooled.merge(hist)
     if pooled is None:
-        pooled = Histogram(name, low, high, buckets)
+        pooled = Histogram(name)
     return pooled
 
 

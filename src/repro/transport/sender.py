@@ -60,9 +60,6 @@ _EXPORTED_COUNTS = (
     ("diff_cache_misses", "diff_cache_misses"),
 )
 
-#: Frame-interval histogram grid (ms).
-_INTERVAL_GRID = {"low": 0.1, "high": 60_000.0, "unit": "ms"}
-
 
 @dataclass
 class SentState(Generic[S]):
@@ -115,9 +112,7 @@ class TransportSender(Generic[S]):
         # Observed pacing: gap between consecutive outgoing instructions.
         # The paper's frame rate floors at SRTT/2 (capped 20..250 ms), so
         # the histogram shows whether pacing actually tracked the path.
-        self.frame_interval = Histogram(
-            "sender.frame_interval_ms", **_INTERVAL_GRID
-        )
+        self.frame_interval = Histogram("sender.frame_interval_ms", unit="ms")
         self._last_instruction_at: float | None = None
         # (time, num, diff len) ring buffer so long recording sessions
         # cannot grow memory without bound.
@@ -136,7 +131,7 @@ class TransportSender(Generic[S]):
                 fn=lambda attr=attr: getattr(self, attr),
             )
         self.frame_interval = registry.histogram(
-            f"{prefix}.sender.frame_interval_ms", **_INTERVAL_GRID
+            f"{prefix}.sender.frame_interval_ms", unit="ms"
         )
 
     # ------------------------------------------------------------------

@@ -4,14 +4,20 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs.registry import (
+    _LABEL_INDEX,
+    GRID_REL_ERROR,
     SNAPSHOT_SCHEMA,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    SnapshotDelta,
+    apply_delta,
     enabled,
     set_enabled,
     validate_snapshot,
@@ -51,14 +57,8 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ObservabilityError):
-            Histogram("h", low=0.0, high=10.0)
-        with pytest.raises(ObservabilityError):
-            Histogram("h", low=10.0, high=1.0)
-
     def test_count_sum_min_max(self):
-        h = Histogram("h", low=1.0, high=1000.0)
+        h = Histogram("h")
         for v in (2.0, 20.0, 200.0):
             h.record(v)
         assert h.count == 3
@@ -67,30 +67,40 @@ class TestHistogram:
         assert h.mean == pytest.approx(74.0)
 
     def test_percentiles_within_bucket_resolution(self):
-        h = Histogram("h", low=0.1, high=10_000.0, buckets=64)
+        h = Histogram("h")
         values = [float(i) for i in range(1, 1001)]
         for v in values:
             h.record(v)
-        # Log-bucket quantiles are exact to within one bucket ratio.
-        ratio = (10_000.0 / 0.1) ** (1.0 / 63)
-        assert h.p50 == pytest.approx(500.0, rel=ratio - 1)
-        assert h.p95 == pytest.approx(950.0, rel=ratio - 1)
-        assert h.p99 == pytest.approx(990.0, rel=ratio - 1)
+        # Nearest-rank exact quantiles of 1..1000 are 500, 950 and 990.
+        assert h.p50 == pytest.approx(500.0, rel=GRID_REL_ERROR)
+        assert h.p95 == pytest.approx(950.0, rel=GRID_REL_ERROR)
+        assert h.p99 == pytest.approx(990.0, rel=GRID_REL_ERROR)
 
     def test_underflow_and_overflow_samples(self):
-        h = Histogram("h", low=1.0, high=100.0, buckets=8)
-        h.record(0.001)  # below the lowest bound
-        h.record(5000.0)  # above the highest bound
+        h = Histogram("h")
+        h.record(1e-4)  # below the lowest bound
+        h.record(5e7)  # above the highest bound
         assert h.count == 2
-        assert h.percentile(100.0) == 5000.0  # overflow reports observed max
-        bounds = [b for b, _ in h.nonzero_buckets()]
+        assert h.percentile(50.0) == 1e-4  # underflow reports observed min
+        assert h.percentile(100.0) == 5e7  # overflow reports observed max
+        bounds = [b for b, _ in h.summary()["buckets"]]
         assert "inf" in bounds
 
+    def test_all_zero_samples_report_zero(self):
+        """Zero lands in the underflow bucket, which reports the observed
+        minimum — not the grid's lowest bound."""
+        h = Histogram("h")
+        for _ in range(3):
+            h.record(0.0)
+        assert h.p50 == 0.0 and h.p99 == 0.0
+        summary = h.summary()
+        assert (summary["p50"], summary["p95"], summary["p99"]) == (0.0, 0.0, 0.0)
+
     def test_empty_percentile_is_zero(self):
-        assert Histogram("h", low=1.0, high=10.0).p99 == 0.0
+        assert Histogram("h").p99 == 0.0
 
     def test_summary_shape(self):
-        h = Histogram("h", low=1.0, high=100.0, unit="us")
+        h = Histogram("h", unit="us")
         h.record(10.0)
         s = h.summary()
         assert s["unit"] == "us"
@@ -99,7 +109,7 @@ class TestHistogram:
         assert isinstance(s["buckets"], list)
 
     def test_disabled_flag_stops_recording(self):
-        h = Histogram("h", low=1.0, high=100.0)
+        h = Histogram("h")
         try:
             set_enabled(False)
             assert not enabled()
@@ -109,6 +119,101 @@ class TestHistogram:
         assert h.count == 0
         h.record(10.0)
         assert h.count == 1
+
+    def test_grid_bounds_are_distinct_in_summaries(self):
+        """Every grid bound keeps its own label at summary precision, so
+        the lowest bounds (well below 0.05) no longer collapse."""
+        h = Histogram("h")
+        for v in (0.00105, 0.0011, 0.00115, 0.0012):
+            h.record(v)
+        labels = [b for b, _ in h.summary()["buckets"]]
+        assert len(labels) == len(set(labels)) == 4
+        assert Histogram.from_summary(h.summary())._counts == h._counts
+
+
+def _histogram(samples, unit="ms"):
+    h = Histogram("h", unit=unit)
+    for v in samples:
+        h.record(v)
+    return h
+
+
+def _nearest_rank(samples, p):
+    ordered = sorted(samples)
+    return ordered[math.ceil(len(ordered) * p / 100.0) - 1]
+
+
+#: Samples on the grid's resolved range, [1e-3, 1e7].
+_IN_RANGE = st.floats(min_value=1e-3, max_value=1e7)
+#: Any non-negative sample, including zero, underflow and overflow.
+_ANY = st.floats(min_value=0.0, max_value=1e9)
+
+
+class TestHistogramGridProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_IN_RANGE, min_size=1, max_size=200))
+    def test_quantiles_within_two_percent(self, samples):
+        h = _histogram(samples)
+        for p in (50.0, 95.0, 99.0):
+            exact = _nearest_rank(samples, p)
+            # A sample exactly on a bound sits exactly 2 % from its
+            # bucket's midpoint; the 1e-9 factor absorbs float rounding.
+            assert abs(h.percentile(p) - exact) <= (
+                GRID_REL_ERROR * exact * (1 + 1e-9)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_ANY, max_size=100), st.data())
+    def test_merge_of_split_equals_whole(self, samples, data):
+        cut = data.draw(st.integers(min_value=0, max_value=len(samples)))
+        whole = _histogram(samples)
+        merged = Histogram("m").merge(_histogram(samples[:cut])).merge(
+            _histogram(samples[cut:])
+        )
+        assert merged._counts == whole._counts
+        assert merged.count == whole.count
+        assert (merged.min, merged.max) == (whole.min, whole.max)
+        # Float addition order differs between the split and the whole.
+        assert merged.total == pytest.approx(whole.total, rel=1e-12)
+        ours, theirs = merged.summary(), whole.summary()
+        for key in ("sum", "mean"):
+            assert ours.pop(key) == pytest.approx(theirs.pop(key), rel=1e-9, abs=2e-3)
+        assert ours == theirs
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_ANY, max_size=100), st.sampled_from(["ms", "us"]))
+    def test_summary_round_trip_is_identity(self, samples, unit):
+        h = _histogram(samples, unit)
+        summary = json.loads(json.dumps(h.summary()))
+        rebuilt = Histogram.from_summary(summary)
+        assert rebuilt._counts == h._counts
+        assert rebuilt.summary() == summary
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_ANY, max_size=40), st.lists(_ANY, min_size=1, max_size=40))
+    def test_delta_reassembly_unchanged(self, before, after):
+        registry = MetricsRegistry()
+        registry.histogram("a_ms").record(1.0)
+        for v in before:
+            registry.histogram("b_ms").record(v)
+        feed = SnapshotDelta(registry)
+        base = feed.prime()
+        for v in after:
+            registry.histogram("b_ms").record(v)
+        doc = feed.collect()
+        assert set(doc["histograms"]) == {"b_ms"}
+        merged = apply_delta(base, json.loads(json.dumps(doc)))
+        assert merged == registry.snapshot()
+        summary = merged["histograms"]["b_ms"]
+        assert Histogram.from_summary(summary).summary() == summary
+
+    @settings(max_examples=100, deadline=None)
+    @given(_IN_RANGE)
+    def test_off_grid_bound_raises(self, bound):
+        assume(bound not in _LABEL_INDEX)
+        summary = {"unit": "ms", "count": 1, "buckets": [[bound, 1]]}
+        with pytest.raises(ObservabilityError):
+            Histogram.from_summary(summary)
 
 
 class TestRegistry:
@@ -147,7 +252,7 @@ class TestSnapshot:
         reg = MetricsRegistry()
         reg.counter("reactor.ticks").inc(5)
         reg.gauge("net.srtt", fn=lambda: 80.0)
-        reg.histogram("lat", low=1.0, high=100.0).record(12.0)
+        reg.histogram("lat").record(12.0)
         return reg.snapshot()
 
     def test_snapshot_is_json_round_trippable(self):

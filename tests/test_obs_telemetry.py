@@ -24,7 +24,6 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.obs import telemetry
-from repro.obs.keystroke import ECHO_GRID
 from repro.obs.registry import Histogram, MetricsRegistry, validate_snapshot
 from repro.runtime.reactor import RealReactor, SimReactor
 from repro.simnet.eventloop import EventLoop
@@ -36,9 +35,7 @@ def _sample_registry() -> MetricsRegistry:
     registry.counter("server.s3.sender.fragments").inc(7)
     registry.gauge("daemon.sessions_open").set(3.0)
     registry.gauge("server.s3.network.srtt_ms").set(81.25)
-    hist = registry.histogram(
-        "keystroke.c3.echo_ms", low=1.0, high=600_000.0, unit="ms"
-    )
+    hist = registry.histogram("keystroke.c3.echo_ms", unit="ms")
     for value in (12.0, 55.0, 140.0, 430.0, 2900.0):
         hist.record(value)
     return registry
@@ -227,56 +224,51 @@ class TestSnapshotDelta:
 
 class TestHistogramPooling:
     def test_merge_pools_counts_and_extremes(self):
-        a = Histogram("a", low=1.0, high=1000.0, unit="ms")
-        b = a.clone_empty("b")
+        a = Histogram("a", unit="ms")
+        b = Histogram("b", unit="ms")
         for v in (2.0, 40.0):
             a.record(v)
         for v in (7.0, 900.0):
             b.record(v)
-        merged = a.clone_empty("pool").merge(a).merge(b)
+        merged = Histogram("pool").merge(a).merge(b)
         assert merged.count == 4
         assert merged.total == pytest.approx(949.0)
         assert merged.min == 2.0 and merged.max == 900.0
         assert merged.summary()["buckets"] == merge_summaries(
-            [a.summary(), b.summary()], 1.0, 1000.0
+            [a.summary(), b.summary()]
         ).summary()["buckets"]
 
     def test_merge_empty_histograms(self):
-        a = Histogram("a", low=1.0, high=1000.0)
-        b = a.clone_empty()
+        a = Histogram("a")
+        b = Histogram("b")
         assert a.merge(b).count == 0
         assert a.summary()["p95"] == 0.0
         b.record(5.0)
         a.merge(b)
         assert (a.count, a.min, a.max) == (1, 5.0, 5.0)
 
-    def test_merge_rejects_grid_and_unit_mismatch(self):
-        a = Histogram("a", low=1.0, high=1000.0, unit="ms")
+    def test_merge_rejects_unit_mismatch(self):
+        a = Histogram("a", unit="ms")
         with pytest.raises(ObservabilityError):
-            a.merge(Histogram("b", low=1.0, high=2000.0, unit="ms"))
-        with pytest.raises(ObservabilityError):
-            a.merge(Histogram("c", low=1.0, high=1000.0, unit="us"))
+            a.merge(Histogram("c", unit="us"))
 
     def test_from_summary_round_trip(self):
-        low, high, buckets = ECHO_GRID
-        hist = Histogram("echo", low=low, high=high, buckets=buckets, unit="ms")
-        for v in (3.0, 3.0, 88.0, 450.0, 12_000.0, 900_000.0):  # + overflow
+        hist = Histogram("echo", unit="ms")
+        for v in (3.0, 3.0, 88.0, 450.0, 12_000.0, 9e8):  # + overflow
             hist.record(v)
-        rebuilt = Histogram.from_summary(hist.summary(), low, high, buckets)
+        rebuilt = Histogram.from_summary(hist.summary())
         assert rebuilt.summary() == hist.summary()
 
     def test_merge_summaries_empty_iterable(self):
-        pooled = merge_summaries([], 1.0, 1000.0)
+        pooled = merge_summaries([])
         assert pooled.count == 0 and pooled.summary()["p50"] == 0.0
 
     def test_registry_pool_histograms_by_pattern(self):
         registry = MetricsRegistry()
         for session in ("c1", "c2"):
-            h = registry.histogram(
-                f"keystroke.{session}.echo_ms", low=1.0, high=600_000.0, unit="ms"
-            )
+            h = registry.histogram(f"keystroke.{session}.echo_ms", unit="ms")
             h.record(100.0)
-        registry.histogram("other.latency_ms", low=1.0, high=600_000.0).record(9.0)
+        registry.histogram("other.latency_ms").record(9.0)
         pooled = registry.pool_histograms("keystroke.*echo_ms")
         assert pooled.count == 2
         assert registry.pool_histograms("nothing.matches.*") is None

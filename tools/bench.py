@@ -24,7 +24,9 @@ gate asserts each stays at or below ``REPRO_BENCH_OVERHEAD_LIMIT_PCT``
 on absolute bounds (batched == unbatched wire bytes, a pkts/sec floor via
 ``REPRO_BENCH_WIRE_PPS_FLOOR``, and < 0.2 syscalls/pkt on Linux). The
 obs suite also contributes a ``histograms`` section (seal/unseal
-p50/p99) to the results file.
+p50/p99) and an ``overhead_quartiles`` section (the lower and upper
+quartiles of each ``*_overhead_pct`` scenario's paired ratios, whose
+median is the gated number) to the results file.
 
 Usage::
 
@@ -101,6 +103,7 @@ def _run_suites(quick: bool) -> dict:
     fresh["ops"].update(crypto["ops"])
     obs = _load_bench_module("bench_obs.py").run_benchmarks(quick=quick)
     fresh["ops"].update(obs["ops"])
+    fresh["overhead_quartiles"] = obs["overhead_quartiles"]
     fresh["histograms"] = obs["histograms"]
     wire = _load_bench_module("bench_wire.py").run_benchmarks(quick=quick)
     fresh["wire"] = wire["wire"]
@@ -274,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     doc.setdefault("schema", 1)
     doc["geometry"] = fresh["geometry"]
     doc["histograms"] = fresh["histograms"]
+    doc["overhead_quartiles"] = fresh["overhead_quartiles"]
     doc["wire"] = fresh["wire"]
     if args.record_baseline:
         doc["baseline"] = fresh["ops"]

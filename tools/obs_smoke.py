@@ -13,7 +13,9 @@ over a lossy link, then:
   cross-endpoint invariant (fate partition, loss vs link counters, RTT
   bound), and
 * asserts the acceptance checks the ISSUE demands of a live session —
-  the per-keystroke echo-latency histogram carries p50/p95/p99, the
+  the per-keystroke echo-latency histogram carries p50/p95/p99 (its
+  p50/p95 within 2 % of the exact quantiles of the traced per-keystroke
+  ``client.echo`` latencies), the
   seal/unseal histograms counted real datagrams, and the keystroke
   lifecycle appears in the trace, and
 * stands up a session daemon with 8 concurrent clients muxed on one
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,7 +68,11 @@ from repro.obs import (  # noqa: E402
     render_prometheus,
 )
 from repro.obs.flight import load_flight_log  # noqa: E402
-from repro.obs.registry import MetricsRegistry, validate_snapshot  # noqa: E402
+from repro.obs.registry import (  # noqa: E402
+    GRID_REL_ERROR,
+    MetricsRegistry,
+    validate_snapshot,
+)
 from repro.session.inprocess import InProcessSession  # noqa: E402
 from repro.simnet.link import LinkConfig  # noqa: E402
 
@@ -111,9 +118,38 @@ def check(session: InProcessSession, doc: dict) -> list[str]:
     for expected in ("client.keystroke", "server.input", "client.echo"):
         if expected not in names:
             failures.append(f"trace lacks {expected!r} keystroke events")
+    if ks is not None and ks["count"]:
+        latencies = [
+            event["args"]["latency_ms"]
+            for event in events
+            if event["name"] == "client.echo"
+        ]
+        failures.extend(_echo_quantile_checks(ks, latencies))
 
     if doc["counters"]["crypto.auth_failures"] != 0:
         failures.append("unexpected auth failures on a clean link")
+    return failures
+
+
+def _echo_quantile_checks(ks: dict, latencies: list[float]) -> list[str]:
+    """The echo histogram's p50/p95 against the exact nearest-rank
+    quantiles of the per-keystroke ``client.echo`` trace latencies."""
+    if len(latencies) != ks["count"]:
+        return [
+            f"trace holds {len(latencies)} client.echo events for "
+            f"{ks['count']} settled keystrokes"
+        ]
+    ordered = sorted(latencies)
+    failures = []
+    for q, p in (("p50", 0.50), ("p95", 0.95)):
+        exact = ordered[math.ceil(len(ordered) * p) - 1]
+        # Trace latencies and summary quantiles are both rounded to three
+        # decimals, hence the 1e-3 ms slack on top of the grid's 2 %.
+        if abs(ks[q] - exact) > GRID_REL_ERROR * exact + 1e-3:
+            failures.append(
+                f"keystroke.echo_ms {q}={ks[q]} is not within "
+                f"{GRID_REL_ERROR:.0%} of the traced {q}={exact}"
+            )
     return failures
 
 
