@@ -91,7 +91,7 @@ def bench_obs_hist_record(iters: int) -> float:
 
 def bench_obs_flight_note(iters: int) -> float:
     """µs to record one send event into a (wrapping) flight-recorder ring."""
-    recorder = FlightRecorder("bench", clock=lambda: 0.0, capacity=4096)
+    recorder = FlightRecorder("bench", capacity=4096)
     meta = {"old": 3, "new": 4, "ack": 2, "tw": 1,
             "frag_id": 7, "frag_idx": 0, "final": True, "dlen": 120}
     state = [0]
@@ -125,27 +125,39 @@ def bench_obs_span(iters: int) -> float:
 # ----------------------------------------------------------------------
 
 
+class _DetachedCausal:
+    """Stands in for a detached causal tracer: the core's hooks no-op."""
+
+    def on_stamp(self, index: int, now: float) -> None:
+        pass
+
+    def on_frame(self, now: float, settled: list, rx=None) -> None:
+        pass
+
+
 def _typing_session_walltime(flight: bool = True, causal: bool = True) -> float:
     """Wall seconds to type 60 echoed keystrokes through a simulation.
 
     ``flight=False`` detaches the wire-level flight recorders (and the
     link observers feeding them), isolating their cost for the dedicated
-    overhead scenario; ``causal=False`` builds the client without a
-    :class:`~repro.obs.causal.CausalTracer`, isolating the per-keystroke
-    stage-attribution cost the same way.
+    overhead scenario; ``causal=False`` detaches the client's
+    :class:`~repro.obs.causal.CausalTracer` from its endpoint and core,
+    isolating the per-keystroke stage-attribution cost the same way.
     """
     session = InProcessSession(
         LinkConfig(delay_ms=20.0),
         LinkConfig(delay_ms=20.0),
         seed=0,
         preference=DisplayPreference.ALWAYS,
-        causal=causal,
     )
     if not flight:
         session.client_endpoint.flight = None
         session.server_endpoint.flight = None
         session.network.uplink.observer = None
         session.network.downlink.observer = None
+    if not causal:
+        session.client_endpoint.causal = None
+        session.client.causal = _DetachedCausal()
     session.server.on_input = lambda data: session.server.host_write(data)
     session.connect(warmup_ms=500.0)
     # Session construction just allocated heavily; collect now, then
@@ -298,7 +310,7 @@ def bench_causal_overhead_pct(quick: bool) -> tuple[float, float, float]:
     """Percent added by per-keystroke causal tracing, instrumentation on.
 
     Both arms run with the observability switch enabled; the B arm
-    constructs the client without a causal tracer, so the difference is
+    detaches the client's causal tracer, so the difference is
     purely the stamp/send/recv/settle bookkeeping plus the seven stage
     histogram records per settled keystroke.
     """

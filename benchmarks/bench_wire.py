@@ -116,7 +116,7 @@ def _run_wirepath(sessions: int, rounds: int, wire_batch: bool) -> dict:
         key = _key_for(i)
         endpoint = mux.open_endpoint(Session(key), conn_id=i + 1)
         endpoint.flight = FlightRecorder(
-            f"s{i + 1}", clock=loop.now, clock_domain="sim", capacity=128
+            f"s{i + 1}", 128, reactor.clock_domain
         )
         if wire_batch:
             endpoint.batcher = tx

@@ -14,7 +14,6 @@ socket and stdin, and paints whenever the core reports a display change.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import termios
@@ -64,9 +63,9 @@ class ClientApp:
         self.flight: FlightRecorder | None = None
         if flight:
             # Attached before the core so the transport pump publishes the
-            # ring gauges. Real endpoints log wall-clock milliseconds.
+            # ring gauges.
             self.flight = FlightRecorder(
-                "client", clock=self.reactor.now, clock_domain="real"
+                "client", clock_domain=self.reactor.clock_domain
             )
             self.connection.flight = self.flight
         self.core = ClientCore(
@@ -76,11 +75,6 @@ class ClientApp:
             height,
             preference=preference,
             heartbeat_ms=_HEARTBEAT_MS,
-            # Live stage attribution. Two real processes have two real
-            # clocks, so the wire split leans on the streaming offset
-            # estimator rather than the simulator's shared-clock pin.
-            causal=True,
-            shared_clock=False,
         )
         self.transport = self.core.transport
         self.predictor = self.core.predictor
@@ -175,27 +169,6 @@ class ClientApp:
             f"[repro-mosh] integrity: {stats.auth_failures} auth failures, "
             f"{stats.replay_drops} replay drops"
         )
-
-    def write_metrics(self, path: str) -> dict:
-        """Dump the session's ``repro.obs/1`` snapshot as JSON."""
-        doc = self.reactor.registry.snapshot()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
-
-    def write_trace(self, path: str) -> int:
-        """Export the span ring as Chrome ``trace_event`` JSON."""
-        return self.reactor.tracer.export_chrome(path)
-
-    def write_flight_log(self, path: str) -> int:
-        """Export the flight recording as JSONL; returns the event count.
-
-        Requires the app to have been constructed with ``flight=True``.
-        """
-        if self.flight is None:
-            raise RuntimeError("client started without a flight recorder")
-        return self.flight.export_jsonl(path)
 
     def _user_requested_quit(self) -> bool:
         # The escape hatch: server silence beyond the warning threshold

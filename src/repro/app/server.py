@@ -17,7 +17,6 @@ auth failures.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from repro.app.pty_host import PtyHost
@@ -50,7 +49,7 @@ class ServerApp:
             # reads exactly like the pre-daemon one. Attached before the
             # core so the transport pump publishes the ring gauges.
             self.flight = FlightRecorder(
-                "server", clock=self.reactor.now, clock_domain="real"
+                "server", clock_domain=self.reactor.clock_domain
             )
         self.connection = MuxUdpConnection(
             bind_host=bind_host,
@@ -127,27 +126,6 @@ class ServerApp:
             f"{stats.auth_failures} auth failures, "
             f"{stats.replay_drops} replay drops"
         )
-
-    def write_metrics(self, path: str) -> dict:
-        """Dump the session's ``repro.obs/1`` snapshot as JSON."""
-        doc = self.reactor.registry.snapshot()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
-
-    def write_trace(self, path: str) -> int:
-        """Export the span ring as Chrome ``trace_event`` JSON."""
-        return self.reactor.tracer.export_chrome(path)
-
-    def write_flight_log(self, path: str) -> int:
-        """Export the flight recording as JSONL; returns the event count.
-
-        Requires the app to have been constructed with ``flight=True``.
-        """
-        if self.flight is None:
-            raise RuntimeError("server started without a flight recorder")
-        return self.flight.export_jsonl(path)
 
     def shutdown(self) -> None:
         self.running = False

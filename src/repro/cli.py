@@ -102,17 +102,24 @@ def _attach_telemetry(app, bind: str):
 
 
 def _dump_obs(app, args) -> None:
-    """Honor --metrics-dump/--trace/--flight-log for an app with a reactor."""
+    """Honor --metrics-dump/--trace/--flight-log for an app with a reactor.
+
+    Each artifact comes straight from its owner: the registry's snapshot
+    (written atomically, like the periodic dumps), the reactor's span
+    tracer, and the app's flight recorder (built when --flight-log is set).
+    """
     if args.metrics_dump:
-        app.write_metrics(args.metrics_dump)
+        from repro.obs.telemetry import write_snapshot_atomic
+
+        write_snapshot_atomic(app.reactor.registry.snapshot(), args.metrics_dump)
         print(f"[repro-mosh] metrics written to {args.metrics_dump}",
               file=sys.stderr, flush=True)
     if args.trace:
-        n = app.write_trace(args.trace)
+        n = app.reactor.tracer.export_chrome(args.trace)
         print(f"[repro-mosh] {n} trace events written to {args.trace}",
               file=sys.stderr, flush=True)
     if args.flight_log:
-        n = app.write_flight_log(args.flight_log)
+        n = app.flight.export_jsonl(args.flight_log)
         print(f"[repro-mosh] {n} flight events written to {args.flight_log}",
               file=sys.stderr, flush=True)
 

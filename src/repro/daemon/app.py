@@ -16,7 +16,6 @@ per-session.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from repro.app.pty_host import PtyHost
@@ -24,7 +23,7 @@ from repro.crypto.keys import Base64Key
 from repro.daemon.manager import SessionManager, SessionRecord
 from repro.network.batch import RxBatcher, WireBatcher
 from repro.network.connection import MuxUdpConnection
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.health import HealthMonitor, default_fleet_ruleset
 from repro.obs.telemetry import TelemetryServer
 from repro.runtime.reactor import RealReactor
@@ -53,24 +52,13 @@ class DaemonApp:
         # full-size ring per session; the manager's
         # ``daemon.flight.capacity_total`` gauge shows the resulting
         # ceiling.
-        self._session_flight_capacity: int | None = None
+        self._flight_capacity = DEFAULT_CAPACITY
         if flight_budget is not None:
-            self._session_flight_capacity = max(
-                64, flight_budget // max(1, sessions)
-            )
+            self._flight_capacity = max(64, flight_budget // max(1, sessions))
         if flight:
             # One daemon-level recorder holds pre-route fates (garbage,
             # unroutable ids); each session's endpoint gets its own ring.
-            self.flight = FlightRecorder(
-                "daemon",
-                clock=self.reactor.now,
-                clock_domain="real",
-                **(
-                    {"capacity": self._session_flight_capacity}
-                    if self._session_flight_capacity is not None
-                    else {}
-                ),
-            )
+            self.flight = self._recorder("daemon")
         self.connection = MuxUdpConnection(
             bind_host=bind_host,
             port=port,
@@ -125,16 +113,13 @@ class DaemonApp:
         for _ in range(sessions):
             self.spawn()
 
-    def _session_flight(self, conn_id: int) -> FlightRecorder:
-        kwargs = {}
-        if self._session_flight_capacity is not None:
-            kwargs["capacity"] = self._session_flight_capacity
-        recorder = FlightRecorder(
-            f"server.s{conn_id}",
-            clock=self.reactor.now,
-            clock_domain="real",
-            **kwargs,
+    def _recorder(self, role: str) -> FlightRecorder:
+        return FlightRecorder(
+            role, self._flight_capacity, self.reactor.clock_domain
         )
+
+    def _session_flight(self, conn_id: int) -> FlightRecorder:
+        recorder = self._recorder(f"server.s{conn_id}")
         self.session_flights[conn_id] = recorder
         return recorder
 
@@ -224,18 +209,6 @@ class DaemonApp:
             f"{len(parts)} sessions{detail}"
         )
 
-    def write_metrics(self, path: str) -> dict:
-        """Dump the daemon-wide ``repro.obs/1`` snapshot as JSON."""
-        doc = self.reactor.registry.snapshot()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
-
-    def write_trace(self, path: str) -> int:
-        """Export the span ring as Chrome ``trace_event`` JSON."""
-        return self.reactor.tracer.export_chrome(path)
-
     def causal_summary(self) -> dict:
         """Fleet-pooled causal stage view from the live registry.
 
@@ -256,13 +229,3 @@ class DaemonApp:
             "stages": {name: hist.summary() for name, hist in pooled.items()},
             "echo_wait": echo_wait.summary(),
         }
-
-    def write_flight_log(self, path: str) -> int:
-        """Export the daemon-level flight recording (pre-route fates).
-
-        Per-session recordings live in :attr:`session_flights`, keyed by
-        connection id; export them individually for timeline merges.
-        """
-        if self.flight is None:
-            raise RuntimeError("daemon started without a flight recorder")
-        return self.flight.export_jsonl(path)

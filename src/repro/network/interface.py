@@ -208,12 +208,20 @@ class DatagramEndpoint(ABC):
     # Sending
     # ------------------------------------------------------------------
 
-    def send(self, payload: bytes, now: float, meta: dict | None = None) -> None:
+    def send(
+        self,
+        payload: bytes,
+        now: float,
+        meta: dict | None = None,
+        dlen: int = 0,
+    ) -> None:
         """Seal and transmit one transport payload.
 
         ``meta`` is opaque flight-recorder context from the transport
         sender (instruction numbers, fragment id/idx/final, diff length);
-        it is logged alongside the datagram's wire-level fields.
+        it is logged alongside the datagram's wire-level fields. ``dlen``
+        is the length of the state diff the payload carries, which the
+        causal tracer reads whether or not a flight recorder is attached.
         """
         if self._remote_addr is None:
             raise NetworkError("no remote address known yet")
@@ -244,7 +252,7 @@ class DatagramEndpoint(ABC):
                 # Seal cost is unknowable until the batch flush; charge 0
                 # (clients are never batched, so this is a daemon-side
                 # safety net, not the common tracer path).
-                self.causal.on_send(now, packet.seq, meta, 0.0)
+                self.causal.on_send(now, packet.seq, dlen, 0.0)
             return
         raw = self._session.encrypt(
             Message(nonce=packet.nonce, text=packet.to_plaintext())
@@ -266,7 +274,7 @@ class DatagramEndpoint(ABC):
             )
         if self.causal is not None:
             self.causal.on_send(
-                now, packet.seq, meta, self._session.stats.last_seal_us
+                now, packet.seq, dlen, self._session.stats.last_seal_us
             )
         self._transmit(raw, now)
 

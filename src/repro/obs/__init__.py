@@ -1,6 +1,6 @@
 """repro.obs — the unified observability layer.
 
-One subsystem, four instruments, wired through every layer of the
+One subsystem, five instruments, wired through every layer of the
 runtime:
 
 * :class:`MetricsRegistry` — named counters, gauges, and latency
@@ -23,6 +23,16 @@ runtime:
   receive/unseal, and terminal fates), in a bounded ring exportable as
   ``repro.obs.flight/1`` JSONL. Two endpoint recordings merge offline
   into a causal timeline via :mod:`repro.analysis.flight`.
+* :class:`CausalTracer` — splits each settled keystroke's echo latency
+  into seven pipeline stages, live on the client; the server-resident
+  echo-ack wait (``{role}.causal.echo_wait_ms``) is read off the inputs
+  the terminal's echo ack retires.
+
+Each fact has one owner. The reactor names its clock domain (``sim`` or
+``real``), and every recorder built on it reports that domain. Artifacts
+come straight from the registry (``snapshot()``, written atomically by
+:func:`~repro.obs.telemetry.write_snapshot_atomic`), the reactor's span
+tracer (``export_chrome``) and the flight recorder (``export_jsonl``).
 
 ``snapshot()`` documents follow the :data:`SNAPSHOT_SCHEMA` layout and
 are checked by :func:`validate_snapshot` (CI validates the artifact each
@@ -34,7 +44,6 @@ from repro.obs.causal import (
     CAUSAL_SCHEMA,
     STAGES,
     CausalTracer,
-    ServerStageTracker,
     pool_server_echo_wait,
     pool_stage_summaries,
     render_waterfall,
@@ -72,6 +81,7 @@ from repro.obs.telemetry import (
     TelemetryServer,
     attach_metrics_writer,
     render_prometheus,
+    write_snapshot_atomic,
 )
 from repro.obs.trace import SpanTracer
 
@@ -92,7 +102,6 @@ __all__ = [
     "Histogram",
     "KeystrokeLatencyTracker",
     "MetricsRegistry",
-    "ServerStageTracker",
     "SnapshotDelta",
     "SpanTracer",
     "TelemetryServer",
@@ -111,4 +120,5 @@ __all__ = [
     "validate_causal_report",
     "validate_snapshot",
     "validate_flight_log",
+    "write_snapshot_atomic",
 ]

@@ -24,7 +24,7 @@ bit up to float associativity, never just approximately.
 Correlation rules (how a keystroke finds its datagrams):
 
 * **carrying send** — the first outgoing datagram with a non-empty diff
-  (``meta["dlen"] > 0``) after the keystroke was stamped. Any non-empty
+  (``dlen > 0``) after the keystroke was stamped. Any non-empty
   diff from the peer's acked state to the current state carries every
   pending event, so this is exact, not heuristic.
 * **settling datagram** — the received datagram whose fragment completed
@@ -47,7 +47,7 @@ from collections import deque
 from repro.errors import ObservabilityError
 from repro.obs import registry as _obs
 from repro.obs.clocksync import ClockOffsetEstimator
-from repro.obs.registry import MetricsRegistry, merge_summaries
+from repro.obs.registry import merge_summaries
 
 #: Schema tag on exported causal-trace report documents.
 CAUSAL_SCHEMA = "repro.obs.causal/1"
@@ -87,25 +87,22 @@ def _signed16(value: int) -> int:
 class CausalTracer:
     """Attributes each settled keystroke's echo latency to its stages.
 
-    One tracer per client core. The datagram endpoint drives
-    :meth:`on_send` / :meth:`on_recv`, the core drives :meth:`on_stamp`
-    and :meth:`on_frame`; everything else is derived.
+    One tracer per client core, registered in its reactor's registry.
+    The datagram endpoint drives :meth:`on_send` / :meth:`on_recv`, the
+    core drives :meth:`on_stamp` and :meth:`on_frame`; everything else is
+    derived.
 
-    ``shared_clock=True`` (the simulator: both endpoints on one clock)
-    pins the offset estimate to zero, matching the offline analyzer's
-    treatment of sim/sim recordings.
+    On a ``"sim"`` reactor both endpoints share one clock, so the offset
+    estimate is pinned to zero, matching the offline analyzer's
+    treatment of sim/sim recordings; two real processes have two real
+    clocks, so the wire split leans on the streaming offset estimator.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        label: str | None = None,
-        shared_clock: bool = False,
-        exemplar_max: int = EXEMPLAR_MAX,
-    ) -> None:
+    def __init__(self, reactor, label: str | None = None) -> None:
+        registry = reactor.registry
         prefix = "causal" if label is None else f"causal.{label}"
         self.label = label
-        self.shared_clock = shared_clock
+        self._pin_offset = reactor.clock_domain == "sim"
         self.stage_histograms = {
             stage: registry.histogram(f"{prefix}.{stage}_ms", unit="ms")
             for stage in STAGES
@@ -124,7 +121,6 @@ class CausalTracer:
         # Newest accepted rx tuple, the fallback settle context when the
         # transport could not name the completing datagram.
         self._last_rx: tuple | None = None
-        self._exemplar_max = exemplar_max
         # Min-heap of (echo_ms, tiebreak, chain) — the root is the
         # *fastest* retained exemplar, evicted first.
         self._exemplars: list[tuple] = []
@@ -143,7 +139,7 @@ class CausalTracer:
 
     def offset_ms(self) -> float:
         """Current server-minus-client clock offset used for wire splits."""
-        if self.shared_clock:
+        if self._pin_offset:
             return 0.0
         offset = self.offset_estimator.offset()
         return 0.0 if offset is None else offset
@@ -157,14 +153,10 @@ class CausalTracer:
             return
         self._pending.append([index, now, None, 0.0, None])
 
-    def on_send(
-        self, now: float, seq: int, meta: dict | None, seal_us: float
-    ) -> None:
-        """The endpoint sent a datagram; a non-empty diff carries every
-        still-unsent pending keystroke."""
-        if not _obs._enabled or not self._pending:
-            return
-        if meta is None or not meta.get("dlen", 0):
+    def on_send(self, now: float, seq: int, dlen: int, seal_us: float) -> None:
+        """The endpoint sent a datagram carrying a ``dlen``-byte diff; a
+        non-empty diff carries every still-unsent pending keystroke."""
+        if not _obs._enabled or not self._pending or not dlen:
             return
         seal_ms = seal_us / 1000.0
         # Unsent records form a suffix of the ordered pending queue.
@@ -301,13 +293,8 @@ class CausalTracer:
         rx: tuple | None,
         stages: dict[str, float],
     ) -> None:
-        if self._exemplar_max <= 0:
-            return
         exemplars = self._exemplars
-        if (
-            len(exemplars) >= self._exemplar_max
-            and echo_ms <= exemplars[0][0]
-        ):
+        if len(exemplars) >= EXEMPLAR_MAX and echo_ms <= exemplars[0][0]:
             return  # faster than every retained tail chain
         chain = {
             "index": index,
@@ -319,7 +306,7 @@ class CausalTracer:
         }
         self._tiebreak += 1
         entry = (echo_ms, self._tiebreak, chain)
-        if len(exemplars) >= self._exemplar_max:
+        if len(exemplars) >= EXEMPLAR_MAX:
             heapq.heapreplace(exemplars, entry)
         else:
             heapq.heappush(exemplars, entry)
@@ -373,37 +360,6 @@ class CausalTracer:
             },
             "exemplars": self.exemplars(),
         }
-
-
-class ServerStageTracker:
-    """The server-visible half of the waterfall: input → echo-ack wait.
-
-    A daemon has no client-side chains in its registry, but it *can*
-    measure how long each applied keystroke waited for its echo-ack —
-    the server-resident slice of the client's ``server_echo`` stage. One
-    histogram per core, role-prefixed (``server.s3.causal.echo_wait_ms``)
-    so ``repro trace --attach`` has live stage content against a real
-    daemon.
-    """
-
-    def __init__(self, registry: MetricsRegistry, role: str = "server") -> None:
-        self.echo_wait = registry.histogram(f"{role}.causal.echo_wait_ms", unit="ms")
-        self._pending: deque[tuple[int, float]] = deque(maxlen=PENDING_MAX)
-
-    def on_input(self, offset: int, now: float) -> None:
-        """One user event applied to the authoritative terminal."""
-        if _obs._enabled:
-            self._pending.append((offset, now))
-
-    def on_echo_ack(self, echo_ack: int, now: float) -> None:
-        """The terminal advanced its echo-ack; settle covered inputs."""
-        pending = self._pending
-        if not pending or pending[0][0] > echo_ack:
-            return
-        record = self.echo_wait.record
-        while pending and pending[0][0] <= echo_ack:
-            _offset, arrived = pending.popleft()
-            record(now - arrived)
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ObservabilityError
 from repro.obs import registry as _registry
@@ -115,7 +115,6 @@ class FlightRecorder:
     def __init__(
         self,
         role: str,
-        clock: Callable[[], float],
         capacity: int = DEFAULT_CAPACITY,
         clock_domain: str = "sim",
     ) -> None:
@@ -123,7 +122,6 @@ class FlightRecorder:
             raise ObservabilityError("flight recorder capacity must be >= 1")
         self.role = role
         self.clock_domain = clock_domain
-        self._clock = clock
         self._capacity = capacity
         self._events: deque[tuple] = deque(maxlen=capacity)
         #: Events overwritten after the ring filled (visibility into loss

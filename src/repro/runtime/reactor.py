@@ -101,8 +101,12 @@ class Reactor(ABC):
     """Timers + I/O sources + observability over some notion of time.
 
     ``timers`` is the reactor's :class:`~repro.timerwheel.TimerQueue`;
-    its clock is the reactor's ``now``.
+    its clock is the reactor's ``now``. ``clock_domain`` names that
+    clock's time base, the one owner of the sim/real distinction every
+    recorder built on this reactor reports.
     """
+
+    clock_domain: str
 
     def __init__(
         self, timers: TimerQueue, registry: MetricsRegistry | None = None
@@ -193,6 +197,10 @@ class SimReactor(Reactor):
     lag by construction.
     """
 
+    #: Every reactor on one simulated clock shares its time base; flight
+    #: headers and the causal tracer's offset pin read this.
+    clock_domain = "sim"
+
     def __init__(self, loop: EventLoop | None = None) -> None:
         self.loop = loop if loop is not None else EventLoop()
         super().__init__(self.loop)
@@ -215,6 +223,9 @@ class RealReactor(Reactor):
     due timer, then drains the flush hooks. A deadline already in the
     past is accepted and fires on the next iteration.
     """
+
+    #: Wall-clock milliseconds, private to this process.
+    clock_domain = "real"
 
     def __init__(self, clock: Clock | None = None) -> None:
         super().__init__(

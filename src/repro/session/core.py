@@ -22,7 +22,7 @@ from typing import Callable
 from repro.input.events import Resize, UserBytes
 from repro.input.userstream import UserStream
 from repro.network.interface import DatagramEndpoint
-from repro.obs.causal import CausalTracer, ServerStageTracker
+from repro.obs.causal import CausalTracer
 from repro.obs.keystroke import KeystrokeLatencyTracker
 from repro.prediction.engine import DisplayPreference, PredictionEngine
 from repro.prediction.overlays import NotificationEngine
@@ -57,11 +57,13 @@ class ServerCore:
         )
         self.transport.on_remote_state = self.handle_user_events
         self.transport.sender.record_send_log = record_send_log
-        #: Server-visible slice of the causal waterfall: per-keystroke
-        #: input→echo-ack wait, exported as ``{role}.causal.echo_wait_ms``
-        #: so ``repro trace --attach`` has stage content on a daemon
-        #: whose clients (and their full chains) live elsewhere.
-        self.stages = ServerStageTracker(reactor.registry, role=self.role)
+        #: Server-visible slice of the causal waterfall: each input's
+        #: arrival→echo-ack wait, read off the inputs the terminal's echo
+        #: ack retires, so ``repro trace --attach`` has stage content on
+        #: a daemon whose clients (and their full chains) live elsewhere.
+        self.echo_wait = reactor.registry.histogram(
+            f"{self.role}.causal.echo_wait_ms", unit="ms"
+        )
         self._pump = TransportPump(reactor, self.transport, role=self.role)
         self._processed_events = 0
         self._echo_timer: TimerHandle | None = None
@@ -96,7 +98,6 @@ class ServerCore:
         for offset, event in enumerate(events, start=self._processed_events + 1):
             if isinstance(event, UserBytes):
                 self.terminal.register_input(offset, now)
-                self.stages.on_input(offset, now)
                 tracer.instant("server.input", cat="keystroke", index=offset)
                 if self.on_input is not None:
                     self.on_input(event.data)
@@ -121,8 +122,11 @@ class ServerCore:
     def _echo_ack_due(self) -> None:
         self._echo_timer = None
         now = self.reactor.now()
-        if self.terminal.set_echo_ack(now):
-            self.stages.on_echo_ack(self.terminal.echo_ack, now)
+        retired = self.terminal.set_echo_ack(now)
+        if retired:
+            record = self.echo_wait.record
+            for arrived in retired:
+                record(now - arrived)
             self._pump.kick()
         self._arm_echo_ack()
 
@@ -177,8 +181,6 @@ class ClientCore:
         preference: DisplayPreference = DisplayPreference.ADAPTIVE,
         heartbeat_ms: float | None = None,
         label: str | None = None,
-        causal: bool = False,
-        shared_clock: bool = True,
     ) -> None:
         self.reactor = reactor
         #: Instrument-name prefix ("client", or "client.c3" when many
@@ -207,14 +209,9 @@ class ClientCore:
         )
         #: Causal attribution of each settled keystroke's echo latency to
         #: its pipeline stages (``causal.<stage>_ms`` histograms plus tail
-        #: exemplars). Optional: the endpoint hooks cost one attribute
-        #: check per datagram when absent.
-        self.causal: CausalTracer | None = None
-        if causal:
-            self.causal = CausalTracer(
-                reactor.registry, label=label, shared_clock=shared_clock
-            )
-            endpoint.causal = self.causal
+        #: exemplars).
+        self.causal = CausalTracer(reactor, label)
+        endpoint.causal = self.causal
         # Pump construction comes after the tracer so its observability
         # wiring sees (and exports gauges for) the attached tracer.
         self._pump = TransportPump(reactor, self.transport, role=self.role)
@@ -260,7 +257,7 @@ class ClientCore:
                 index=index,
                 latency_ms=round(latency_ms, 3),
             )
-        if self.causal is not None and settled:
+        if settled:
             self.causal.on_frame(now, settled, self.transport.last_frame_rx)
         self.predictor.report_frame(state.fb, state.echo_ack, now, self._srtt())
         self._note_display(now)
@@ -302,8 +299,7 @@ class ClientCore:
         for byte in data:
             stream.push_event(UserBytes(bytes([byte])))
             self.keystrokes.stamp(stream.total_count, now)
-            if self.causal is not None:
-                self.causal.on_stamp(stream.total_count, now)
+            self.causal.on_stamp(stream.total_count, now)
             tracer.instant(
                 "client.keystroke", cat="keystroke", index=stream.total_count
             )

@@ -15,8 +15,6 @@ the same cores to a :class:`~repro.runtime.RealReactor`.
 
 from __future__ import annotations
 
-import json
-
 from repro.crypto.keys import Base64Key
 from repro.crypto.session import NullSession, Session
 from repro.obs.flight import FlightRecorder, peek_seq
@@ -67,7 +65,6 @@ class MoshClient(ClientCore):
         preference: DisplayPreference = DisplayPreference.ADAPTIVE,
         reactor: SimReactor | None = None,
         label: str | None = None,
-        causal: bool = True,
     ) -> None:
         super().__init__(
             reactor if reactor is not None else SimReactor(loop),
@@ -77,11 +74,6 @@ class MoshClient(ClientCore):
             timing,
             preference,
             label=label,
-            causal=causal,
-            # Both simulated endpoints share one EventLoop clock, so the
-            # tracer pins its clock-offset estimate to zero — matching
-            # the offline analyzer's treatment of sim/sim recordings.
-            shared_clock=True,
         )
         self.loop = loop
 
@@ -99,7 +91,6 @@ class InProcessSession:
         encrypt: bool = True,
         timing: SenderTiming | None = None,
         preference: DisplayPreference = DisplayPreference.ADAPTIVE,
-        causal: bool = True,
     ) -> None:
         self.loop = EventLoop()
         self.reactor = SimReactor(self.loop)
@@ -117,12 +108,9 @@ class InProcessSession:
         # wire-level forensics are cheapest (deterministic clock, ground-
         # truth link drops). Attached before the cores so the transport
         # pumps publish the ring gauges.
-        self.client_flight = FlightRecorder(
-            "client", clock=self.loop.now, clock_domain="sim"
-        )
-        self.server_flight = FlightRecorder(
-            "server", clock=self.loop.now, clock_domain="sim"
-        )
+        domain = self.reactor.clock_domain
+        self.client_flight = FlightRecorder("client", clock_domain=domain)
+        self.server_flight = FlightRecorder("server", clock_domain=domain)
         self.client_endpoint.flight = self.client_flight
         self.server_endpoint.flight = self.server_flight
         self._wire_link_observers()
@@ -138,7 +126,6 @@ class InProcessSession:
             timing,
             preference,
             reactor=self.reactor,
-            causal=causal,
         )
         self._wire_link_gauges()
 
@@ -201,30 +188,9 @@ class InProcessSession:
         """The session-wide ``repro.obs/1`` snapshot document."""
         return self.reactor.registry.snapshot()
 
-    def write_metrics(self, path: str) -> dict:
-        """Dump :meth:`metrics_snapshot` as JSON; returns the document."""
-        doc = self.metrics_snapshot()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
-
-    def write_trace(self, path: str) -> int:
-        """Export the span ring as Chrome ``trace_event`` JSON."""
-        return self.reactor.tracer.export_chrome(path)
-
     def flight_recordings(self) -> tuple[tuple[dict, list], tuple[dict, list]]:
         """Both endpoints' (header, events) recordings, client first."""
         return self.client_flight.recording(), self.server_flight.recording()
-
-    def write_flight_logs(
-        self, client_path: str, server_path: str
-    ) -> tuple[int, int]:
-        """Export both recorders as JSONL; returns (client, server) counts."""
-        return (
-            self.client_flight.export_jsonl(client_path),
-            self.server_flight.export_jsonl(server_path),
-        )
 
     def run_for(self, duration_ms: float) -> None:
         """Advance the simulation by ``duration_ms``."""
@@ -296,8 +262,7 @@ class InProcessDaemon:
         self._flight_capacity = flight_capacity
         #: Pre-route fates (garbage, unroutable conn ids) land here.
         self.daemon_flight = FlightRecorder(
-            "daemon", clock=self.loop.now, clock_domain="sim",
-            capacity=flight_capacity,
+            "daemon", flight_capacity, self.reactor.clock_domain
         )
         self.mux = SessionMux(
             clock=self.loop.now,
@@ -333,8 +298,8 @@ class InProcessDaemon:
 
     def _server_flight(self, conn_id: int) -> FlightRecorder:
         recorder = FlightRecorder(
-            f"server.s{conn_id}", clock=self.loop.now, clock_domain="sim",
-            capacity=self._flight_capacity,
+            f"server.s{conn_id}", self._flight_capacity,
+            self.reactor.clock_domain,
         )
         self.server_flights[conn_id] = recorder
         return recorder
@@ -366,8 +331,8 @@ class InProcessDaemon:
         )
         client_endpoint.set_remote_addr(self.DAEMON_ADDR)
         recorder = FlightRecorder(
-            f"client.c{cid}", clock=self.loop.now, clock_domain="sim",
-            capacity=self._flight_capacity,
+            f"client.c{cid}", self._flight_capacity,
+            self.reactor.clock_domain,
         )
         self.client_flights[cid] = recorder
         client_endpoint.flight = recorder

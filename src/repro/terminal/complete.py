@@ -91,21 +91,25 @@ class Complete(StateObject):
         """Record that user input ``input_index`` reached the application."""
         self._input_log.append((input_index, now))
 
-    def set_echo_ack(self, now: float) -> bool:
+    def set_echo_ack(self, now: float) -> list[float]:
         """Advance echo_ack past inputs older than the 50 ms timeout.
 
-        Returns True if the state changed (the server then owes the client
-        a frame, "often an extra datagram 50 ms after a keystroke").
+        Returns the arrival times of the inputs this call retired, empty
+        unless the state changed (the server then owes the client a
+        frame, "often an extra datagram 50 ms after a keystroke").
         """
         advanced = False
+        retired: list[float] = []
         while self._input_log and now - self._input_log[0][1] >= ECHO_TIMEOUT_MS:
-            index, _ = self._input_log.popleft()
+            index, arrived = self._input_log.popleft()
+            retired.append(arrived)
             if index > self.echo_ack:
                 self.echo_ack = index
                 advanced = True
-        if advanced:
-            self._version = next(_version_counter)
-        return advanced
+        if not advanced:
+            return []
+        self._version = next(_version_counter)
+        return retired
 
     def next_echo_ack_time(self) -> float | None:
         """When set_echo_ack next needs to run (None if nothing pending).

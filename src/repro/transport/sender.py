@@ -389,7 +389,7 @@ class TransportSender(Generic[S]):
                     "final": fragment.final,
                     "dlen": len(diff),
                 }
-            self._endpoint.send(fragment.encode(), now, meta)
+            self._endpoint.send(fragment.encode(), now, meta, len(diff))
             self.datagrams_sent += 1
         self.instructions_sent += 1
         if self._last_instruction_at is not None:

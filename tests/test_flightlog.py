@@ -105,9 +105,8 @@ class TestFlightlogTool:
         session, _ = lossy_run
         client_path = tmp_path / "client.jsonl"
         server_path = tmp_path / "server.jsonl"
-        n_client, n_server = session.write_flight_logs(
-            str(client_path), str(server_path)
-        )
+        n_client = session.client_flight.export_jsonl(str(client_path))
+        n_server = session.server_flight.export_jsonl(str(server_path))
         assert n_client > 0 and n_server > 0
         # The exported artifacts validate against the schema on reload.
         load_flight_log(str(client_path))

@@ -1,48 +1,61 @@
 """Per-keystroke causal tracing: residual-exact stages, live vs offline.
 
-The ISSUE's acceptance checks: for a simulated session the live stage
-durations must sum to the end-to-end ``keystroke.echo_ms`` measurement,
-must agree with the offline flight-log stage partition on the same run,
-and the tracer must change nothing on the wire. Plus unit coverage for
-the degenerate paths, the exemplar ring, the report validator, and the
-server-side echo-wait tracker.
+For a simulated session the live stage durations must sum to the
+end-to-end ``keystroke.echo_ms`` measurement, must agree with the offline
+flight-log stage partition on the same run, and must not depend on a
+flight recorder being attached. Plus unit coverage for the degenerate
+paths, the exemplar ring, the report validator, the server-side echo
+wait read off the terminal's echo ack, and the clock domain every
+recorder derives from its reactor.
 """
+
+import io
+import os
+import sys
 
 import pytest
 
 from repro.analysis.flight import analyze
+from repro.crypto.keys import Base64Key
 from repro.errors import ObservabilityError
+from repro.input.events import UserBytes
 from repro.obs.causal import (
     CAUSAL_SCHEMA,
     EXEMPLAR_MAX,
     STAGES,
     CausalTracer,
-    ServerStageTracker,
     pool_server_echo_wait,
     pool_stage_summaries,
     render_waterfall,
     validate_causal_report,
 )
-from repro.obs.registry import MetricsRegistry, set_enabled
+from repro.obs.registry import set_enabled
 from repro.obs.trace import SpanTracer
+from repro.runtime.reactor import RealReactor, SimReactor
 from repro.session.inprocess import InProcessDaemon, InProcessSession
 from repro.simnet.link import LinkConfig
+from repro.terminal.complete import ECHO_TIMEOUT_MS
 
 
 def typing_session(
     up_ms: float = 20.0,
     down_ms: float = 35.0,
     keystrokes: int = 30,
-    causal: bool = True,
     seed: int = 1,
+    client_flight: bool = True,
 ) -> InProcessSession:
-    """An asymmetric-path echo session with every keystroke settled."""
+    """An asymmetric-path echo session with every keystroke settled.
+
+    ``client_flight=False`` detaches the client's flight recorder before
+    the first datagram, as a real client without ``--flight-log`` runs.
+    """
     session = InProcessSession(
         LinkConfig(delay_ms=up_ms),
         LinkConfig(delay_ms=down_ms),
         seed=seed,
-        causal=causal,
     )
+    if not client_flight:
+        session.client_endpoint.flight = None
     session.server.on_input = lambda d: session.server.host_write(d)
     session.connect(warmup_ms=500.0)
     for i in range(keystrokes):
@@ -101,7 +114,7 @@ class TestLiveAttribution:
         # Decomposition identity: the live lumped server stage equals the
         # offline apply time (settling diff sent) plus the echo-ack hold
         # the server tracks live — within the settle-diff pacing jitter.
-        echo_wait = session.server.stages.echo_wait
+        echo_wait = session.server.echo_wait
         assert echo_wait.count > 0
         live_server = tracer.stage_histograms["server_echo"].mean
         decomposed = offline["server_apply_ms"]["mean"] + echo_wait.mean
@@ -121,15 +134,39 @@ class TestLiveAttribution:
         assert all("#" in line for line in lines if "wire" in line)
         assert pool_server_echo_wait(doc).count > 0
 
-    def test_causal_disabled_registers_nothing(self):
-        session = typing_session(keystrokes=5, causal=False)
-        assert session.client.causal is None
-        names = set(session.reactor.registry.names())
+    def test_attribution_needs_no_flight_recorder(self):
+        with_flight = typing_session()
+        without = typing_session(client_flight=False)
+        assert without.client_endpoint.flight is None
+        live, bare = with_flight.client.causal, without.client.causal
+        assert bare.chains.value == live.chains.value == 30
+        assert bare.unmatched.value == live.unmatched.value == 0
+        for stage in STAGES:
+            # Only the wall-clock seal/unseal carve differs between runs.
+            assert bare.stage_histograms[stage].mean == pytest.approx(
+                live.stage_histograms[stage].mean, abs=0.5
+            ), stage
+        assert bare.stage_histograms["wire_c2s"].mean == pytest.approx(
+            20.0, abs=1.0
+        )
+        echo = without.client.keystrokes.histogram
+        stage_total = sum(bare.stage_histograms[s].total for s in STAGES)
+        assert stage_total == pytest.approx(echo.total, abs=1e-6)
+
+    def test_server_only_registry_registers_no_chains(self):
+        # A daemon whose clients live elsewhere: no client core, so no
+        # causal chains, but the server-side echo wait always measures.
+        daemon = InProcessDaemon(
+            LinkConfig(delay_ms=20.0), LinkConfig(delay_ms=20.0), sessions=0
+        )
+        record = daemon.manager.spawn(key=Base64Key.new())
+        names = set(daemon.reactor.registry.names())
         assert not any(n.startswith("causal.") for n in names)
-        # The server-side echo-wait tracker is independent of the
-        # client-side switch: it always measures.
-        assert "server.causal.echo_wait_ms" in names
-        # And keystroke latency itself still measured normally.
+        assert f"{record.core.role}.causal.echo_wait_ms" in names
+        # Every client core carries its tracer, wired to its endpoint.
+        session = typing_session(keystrokes=5)
+        assert session.client.causal is session.client_endpoint.causal
+        assert session.client.causal.chains.value == 5
         assert session.client.keystrokes.histogram.count == 5
 
 
@@ -171,8 +208,7 @@ class TestExemplars:
 
 class TestDegeneratePaths:
     def test_unmatched_settle_charges_server_stage(self):
-        registry = MetricsRegistry()
-        tracer = CausalTracer(registry, shared_clock=True)
+        tracer = CausalTracer(SimReactor())
         # A settle for a keystroke that was never stamped (tracer
         # attached mid-flight): boundaries still hold, interior lumps
         # into server_echo, and the fallback is counted.
@@ -184,12 +220,11 @@ class TestDegeneratePaths:
         assert total == pytest.approx(120.0)
 
     def test_disabled_switch_noops_every_hook(self):
-        registry = MetricsRegistry()
-        tracer = CausalTracer(registry, shared_clock=True)
+        tracer = CausalTracer(SimReactor())
         set_enabled(False)
         try:
             tracer.on_stamp(0, 1.0)
-            tracer.on_send(2.0, 1, {"dlen": 10}, 50.0)
+            tracer.on_send(2.0, 1, 10, 50.0)
             tracer.on_recv((3.0, 2, 3, 2, 1.0, 40.0, None))
             tracer.on_frame(4.0, [(0, 3.0)])
         finally:
@@ -210,18 +245,103 @@ class TestDegeneratePaths:
             validate_causal_report(report)
 
 
-class TestServerStageTracker:
-    def test_echo_ack_wait_measured_per_input(self):
-        registry = MetricsRegistry()
-        tracker = ServerStageTracker(registry, role="server.s9")
-        tracker.on_input(10, 100.0)
-        tracker.on_input(11, 110.0)
-        tracker.on_echo_ack(9, 115.0)  # covers nothing yet
-        assert tracker.echo_wait.count == 0
-        tracker.on_echo_ack(11, 160.0)  # settles both
-        assert tracker.echo_wait.count == 2
-        assert tracker.echo_wait.total == pytest.approx(110.0)  # 60 + 50
-        assert "server.s9.causal.echo_wait_ms" in registry.names()
+class TestServerEchoWait:
+    def test_echo_wait_is_read_off_retired_inputs(self):
+        session = InProcessSession(
+            LinkConfig(delay_ms=20.0), LinkConfig(delay_ms=35.0), seed=1
+        )
+        server = session.server
+        retire = server.terminal.set_echo_ack
+        waits = []
+
+        def recording_set_echo_ack(now):
+            retired = retire(now)
+            waits.extend(now - arrived for arrived in retired)
+            return retired
+
+        server.terminal.set_echo_ack = recording_set_echo_ack
+        server.on_input = lambda d: server.host_write(d)
+        session.connect(warmup_ms=500.0)
+        session.client.resize(60, 20)  # a non-input event: no sample
+        for i in range(12):
+            session.client.type_bytes(b"w")
+            session.run_for(20.0 if i % 3 else 90.0)
+        session.run_for(2000.0)
+
+        applied = [
+            event
+            for event in server.transport.remote_state.events_since(0)
+            if isinstance(event, UserBytes)
+        ]
+        echo_wait = server.echo_wait
+        assert len(applied) == 12
+        assert echo_wait.count == len(waits) == len(applied)
+        assert echo_wait.total == sum(waits)
+        assert echo_wait.min == min(waits) >= ECHO_TIMEOUT_MS
+        assert echo_wait.max == max(waits)
+
+
+class TestClockDomain:
+    def test_sim_recorders_report_sim(self):
+        session = typing_session(keystrokes=1)
+        assert session.reactor.clock_domain == "sim"
+        for recorder in (session.client_flight, session.server_flight):
+            assert recorder.header()["clock"] == "sim"
+        daemon = InProcessDaemon(
+            LinkConfig(delay_ms=20.0), LinkConfig(delay_ms=20.0), sessions=1
+        )
+        recorders = [daemon.daemon_flight]
+        recorders += daemon.server_flights.values()
+        recorders += daemon.client_flights.values()
+        assert len(recorders) == 3
+        assert {r.header()["clock"] for r in recorders} == {"sim"}
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="pty/UDP apps are Linux-only",
+    )
+    def test_real_app_recorders_report_real(self):
+        from repro.app.client import ClientApp
+        from repro.app.server import ServerApp
+        from repro.daemon.app import DaemonApp
+
+        server = ServerApp(argv=["/bin/sh"], bind_host="127.0.0.1", flight=True)
+        daemon = DaemonApp(
+            argv=["/bin/sh"], bind_host="127.0.0.1", sessions=1, flight=True
+        )
+        read_fd, write_fd = os.pipe()
+        client = ClientApp(
+            "127.0.0.1",
+            server.connection.port,
+            server.key,
+            stdin_fd=read_fd,
+            stdout=io.BytesIO(),
+            flight=True,
+        )
+        try:
+            recorders = [server.flight, daemon.flight, client.flight]
+            recorders += daemon.session_flights.values()
+            assert len(recorders) == 4
+            assert {r.header()["clock"] for r in recorders} == {"real"}
+        finally:
+            client.close()
+            daemon.shutdown()
+            server.shutdown()
+            os.close(write_fd)
+            os.close(read_fd)
+
+    def test_tracer_pins_offset_only_on_a_sim_reactor(self):
+        # ts - reply = 50 ms apparent c2s, t_recv - ts = 10 ms apparent
+        # s2c: a 20 ms server-minus-client offset on two real clocks.
+        rx = (160.0, 1, 150, 100, 55.0, 0.0, None)
+        sim = CausalTracer(SimReactor())
+        real = CausalTracer(RealReactor())
+        for tracer in (sim, real):
+            tracer.on_recv(rx)
+        assert sim.offset_ms() == 0.0
+        assert real.offset_ms() == pytest.approx(20.0)
+        assert sim.report()["clock_offset_ms"] == 0.0
+        assert real.report()["clock_offset_ms"] == pytest.approx(20.0)
 
 
 class TestDaemonFleet:

@@ -16,7 +16,7 @@ from repro.obs.registry import set_enabled
 
 
 def _recorder(capacity=64):
-    return FlightRecorder("client", clock=lambda: 0.0, capacity=capacity)
+    return FlightRecorder("client", capacity=capacity)
 
 
 class TestRecording:
@@ -125,7 +125,7 @@ class TestSchema:
 
     def test_capacity_validated(self):
         with pytest.raises(ObservabilityError):
-            FlightRecorder("x", clock=lambda: 0.0, capacity=0)
+            FlightRecorder("x", capacity=0)
 
 
 class TestPeekSeq:

@@ -16,6 +16,7 @@ from repro.crypto.session import Message, NullSession, Session
 from repro.errors import ReplayError
 from repro.obs.keystroke import KeystrokeLatencyTracker
 from repro.obs.registry import MetricsRegistry, validate_snapshot
+from repro.obs.telemetry import write_snapshot_atomic
 from repro.session.inprocess import InProcessSession
 from repro.simnet.link import LinkConfig
 
@@ -42,8 +43,9 @@ class TestLiveSessionAcceptance:
     def test_lossy_session_emits_trace_and_metrics(self, tmp_path):
         session = lossy_session()
         type_script(session, b"echo observability\n")
-        doc = session.write_metrics(str(tmp_path / "metrics.json"))
-        count = session.write_trace(str(tmp_path / "trace.json"))
+        doc = session.metrics_snapshot()
+        write_snapshot_atomic(doc, str(tmp_path / "metrics.json"))
+        count = session.reactor.tracer.export_chrome(str(tmp_path / "trace.json"))
 
         # (a) Chrome-loadable trace with the keystroke lifecycle.
         chrome = json.loads((tmp_path / "trace.json").read_text())

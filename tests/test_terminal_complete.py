@@ -101,6 +101,15 @@ class TestEchoAck:
         assert c.set_echo_ack(100.0)
         assert c.echo_ack == 2
 
+    def test_returns_retired_arrival_times(self):
+        c = Complete(10, 3)
+        c.register_input(1, 0.0)
+        c.register_input(2, 10.0)
+        c.register_input(3, 200.0)
+        assert c.set_echo_ack(100.0) == [0.0, 10.0]
+        assert c.set_echo_ack(200.0) == []
+        assert c.set_echo_ack(250.0) == [200.0]
+
     def test_next_echo_ack_time(self):
         c = Complete(10, 3)
         assert c.next_echo_ack_time() is None

@@ -270,7 +270,7 @@ class TestWireBatcherOrdering:
     def _endpoint(self, name):
         server, _ = _keyed_pair()
         endpoint = RecordingEndpoint(session=server)
-        endpoint.flight = FlightRecorder(name, clock=lambda: 0.0)
+        endpoint.flight = FlightRecorder(name)
         return endpoint
 
     def test_flush_preserves_enqueue_order(self):

@@ -3,7 +3,7 @@
 
 Feed it the client's and the server's ``repro.obs.flight/1`` JSONL
 recordings (produced by ``--flight-log`` on the real apps, or
-``InProcessSession.write_flight_logs`` on the simulator) and it prints a
+``export_jsonl`` on an ``InProcessSession``'s recorders) and it prints a
 human-readable merge report: per-direction delivery/loss/reorder
 accounting, one-way delays, the sender's RTT-estimator audit,
 per-instruction convergence latencies, and anomaly flags.

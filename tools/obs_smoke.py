@@ -73,6 +73,7 @@ from repro.obs.registry import (  # noqa: E402
     MetricsRegistry,
     validate_snapshot,
 )
+from repro.obs.telemetry import write_snapshot_atomic  # noqa: E402
 from repro.session.inprocess import InProcessSession  # noqa: E402
 from repro.simnet.link import LinkConfig  # noqa: E402
 
@@ -156,7 +157,8 @@ def _echo_quantile_checks(ks: dict, latencies: list[float]) -> list[str]:
 def flight_stage(session: InProcessSession, args) -> list[str]:
     """Record both endpoints, round-trip through JSONL, merge, audit."""
     failures: list[str] = []
-    session.write_flight_logs(args.flight_client, args.flight_server)
+    session.client_flight.export_jsonl(args.flight_client)
+    session.server_flight.export_jsonl(args.flight_server)
     # Round-trip the on-disk artifacts (load validates the schema).
     client = load_flight_log(args.flight_client)
     server = load_flight_log(args.flight_server)
@@ -241,9 +243,7 @@ def daemon_stage(args) -> list[str]:
         if f"session-{cid}" not in screen:
             failures.append(f"session {cid} never converged on its marker")
 
-    with open(args.daemon_metrics, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_snapshot_atomic(doc, args.daemon_metrics)
     with open(args.daemon_metrics, encoding="utf-8") as fh:
         validate_snapshot(json.load(fh))
     print(
@@ -321,9 +321,6 @@ def causal_stage(args) -> list[str]:
     reports = {}
     for cid in daemon.conn_ids:
         tracer = daemon.client(cid).causal
-        if tracer is None:
-            failures.append(f"causal: client c{cid} has no tracer attached")
-            continue
         if tracer.unmatched.value:
             failures.append(
                 f"causal: client c{cid} left {int(tracer.unmatched.value)} "
@@ -630,8 +627,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     session = run_session()
-    doc = session.write_metrics(args.metrics)
-    events = session.write_trace(args.trace)
+    doc = session.metrics_snapshot()
+    write_snapshot_atomic(doc, args.metrics)
+    events = session.reactor.tracer.export_chrome(args.trace)
     validate_snapshot(doc)
     # The artifact on disk must round-trip through JSON unchanged.
     with open(args.metrics, encoding="utf-8") as fh:
