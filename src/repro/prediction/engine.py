@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.terminal.cell import Cell
+from repro.terminal.cell import canonical_cell
 from repro.terminal.framebuffer import Framebuffer
 
 SRTT_TRIGGER_LOW = 20.0
@@ -386,18 +386,13 @@ class PredictionEngine:
             pred.displayed = True
             if pred.row >= shown.height or pred.col >= shown.width:
                 continue
-            base = shown.cell_at(pred.row, pred.col)
-            renditions = base.renditions
+            renditions = shown.cell_at(pred.row, pred.col).renditions
             if underline and pred.replacement:
                 renditions = renditions.with_attr(underlined=True)
             shown.set_cell(
                 pred.row,
                 pred.col,
-                Cell(
-                    contents=pred.replacement,
-                    width=1,
-                    renditions=renditions,
-                ),
+                canonical_cell(pred.replacement, 1, renditions),
             )
         if self._cursor is not None and self._epoch_visible(
             self._cursor.tentative_until_epoch

@@ -9,7 +9,7 @@ the elapsed time, and clears it the moment contact resumes.
 
 from __future__ import annotations
 
-from repro.terminal.cell import Cell
+from repro.terminal.cell import canonical_pen
 from repro.terminal.framebuffer import Framebuffer
 from repro.terminal.renditions import DEFAULT_RENDITIONS
 
@@ -73,7 +73,7 @@ class NotificationEngine:
         # framebuffer until one of them writes (COW).
         row = shown.writable_row(0)
         bar = f" {text} ".ljust(shown.width)[: shown.width]
-        for col, ch in enumerate(bar):
-            row.cells[col] = Cell(contents=ch, renditions=_BAR_RENDITIONS)
+        cells = canonical_pen(_BAR_RENDITIONS).cells
+        row.cells[: len(bar)] = map(cells.__getitem__, bar)
         row.touch()
         return shown

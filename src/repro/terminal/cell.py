@@ -1,4 +1,4 @@
-"""Cells and rows of the framebuffer.
+"""Cells and rows of the framebuffer, and the canonical pen and cell table.
 
 Cells are immutable so framebuffer copies (taken for every sent SSP state)
 can share them freely. Rows are shared copy-on-write: a framebuffer
@@ -8,36 +8,58 @@ first mutation after a snapshot clones the row
 a generation number from a global counter: two rows with equal generations
 are guaranteed content-equal, which makes the per-frame diff scan cheap.
 
-Because cells are immutable, the common ones are shared rather than built
-per write: :func:`erase_cell` per background colour, and
-:func:`narrow_cells` per pen for printable ASCII. Both tables are bounded,
-since truecolor pens are chosen by the host.
+Because pens and cells are immutable, the emulator draws with *canonical*
+ones: :func:`canonical_pen` keeps one instance per distinct pen, and each
+canonical pen keeps one cell per ``(contents, width)`` in its
+:class:`PenCells` table. The table keeps one invariant: at most one live
+canonical object exists per value, and an object demoted on eviction never
+becomes canonical again. So for two canonical cells (or pens) ``a is b``
+exactly when ``a == b``, and the frame diff decides equality by identity,
+falling back to ``==`` only when an operand is not canonical — a cell a
+test built directly, or one evicted while a frame still held it.
+
+The table is bounded, because truecolor pens and combining sequences are
+chosen by the host: at most :data:`PENS` pens, each with at most
+:data:`PEN_CELLS` cells and :data:`PEN_TRANSITIONS` memoised SGR
+transitions. Past a bound the oldest entry is demoted (first in, first
+out). The default pen and every pen's blank cell are pinned.
+
+The table takes no lock. The apps and the daemon run every terminal on
+one thread; where two threads do share it (the localhost demo), a race
+can at worst leave two canonical copies of one value, which identity
+reads as different: a longer diff, never a wrong one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 from repro.terminal.renditions import COLOR_DEFAULT, DEFAULT_RENDITIONS, Renditions
 
+#: Canonical pens kept at once.
+PENS = 64
+#: Canonical cells kept per pen: printable ASCII, the blank, and room for
+#: a text's other characters.
+PEN_CELLS = 256
+#: SGR transitions memoised per pen (see ``Emulator._sgr``).
+PEN_TRANSITIONS = 32
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One character cell.
 
     ``contents`` is the base character plus any combining characters; an
     empty string means blank (rendered as a space). ``width`` is 1 or 2
     for a leading cell, 0 for the continuation of a wide character.
+    ``canonical`` is set only by the cell's :class:`PenCells` table.
     """
 
     contents: str = ""
     width: int = 1
     renditions: Renditions = DEFAULT_RENDITIONS
-
-    def is_blank(self) -> bool:
-        return self.contents in ("", " ") and self.width == 1
+    canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def display_text(self) -> str:
         """What to print for this cell (blank cells print a space)."""
@@ -46,56 +68,108 @@ class Cell:
         return self.contents if self.contents else " "
 
 
-BLANK_CELL = Cell()
+class PenCells(dict):
+    """A canonical pen's canonical cells, built on first use.
 
-
-@lru_cache(maxsize=256)
-def erase_cell(background: int) -> Cell:
-    """The blank cell an erase leaves behind.
-
-    ECMA-48 erases take the pen's background colour (BCE) and nothing
-    else. Memoised, and bounded because truecolor backgrounds are chosen
-    by the host.
+    Keyed by ``contents`` for width-1 cells and by ``(contents, width)``
+    for the others. The first key is the pen's blank cell ``""``, which is
+    pinned. The table itself knows whether it is live: once its pen is
+    demoted it holds nothing and mints only plain cells, so a caller still
+    holding it can never produce a second canonical cell.
     """
-    if background == COLOR_DEFAULT:
-        return BLANK_CELL
-    return Cell(renditions=DEFAULT_RENDITIONS.with_attr(background=background))
 
-
-#: Pens whose narrow cells :func:`narrow_cells` keeps at once; the oldest
-#: pen's table is dropped when a new pen would exceed it.
-NARROW_PENS = 64
-
-
-class _PenCells(dict):
-    """One pen's narrow cells, keyed by character and built on first use."""
-
-    __slots__ = ("pen",)
+    __slots__ = ("pen", "live")
 
     def __init__(self, pen: Renditions) -> None:
         super().__init__()
         self.pen = pen
+        self.live = True
+        self[""]  # mint the pinned blank
 
-    def __missing__(self, ch: str) -> Cell:
-        cell = self[ch] = Cell(ch, 1, self.pen)
+    def __missing__(self, key: str | tuple[str, int]) -> Cell:
+        contents, width = (key, 1) if key.__class__ is str else key
+        cell = Cell(contents, width, self.pen)
+        if self.live:
+            if len(self) >= PEN_CELLS:
+                keys = iter(self)
+                next(keys)  # the pinned blank
+                _demote(self.pop(next(keys)))
+            object.__setattr__(cell, "canonical", True)
+            self[key] = cell
         return cell
 
+    def demote(self) -> None:
+        """Drop every cell from the canonical table, for good."""
+        self.live = False
+        for cell in self.values():
+            _demote(cell)
+        self.clear()
 
-_narrow_tables: dict[Renditions, _PenCells] = {}
+
+def _demote(obj: Cell | Renditions) -> None:
+    object.__setattr__(obj, "canonical", False)
 
 
-def narrow_cells(pen: Renditions) -> dict[str, Cell]:
-    """The shared width-1 cells drawn with ``pen``, keyed by character.
+_pens: dict[Renditions, Renditions] = {}
 
-    Only printable ASCII is looked up here, so each table holds at most 95
-    cells and all of them at most ``NARROW_PENS`` × 95.
+
+def _promote(pen: Renditions) -> Renditions:
+    """Make ``pen``, never canonical before, the canonical instance of its value.
+
+    A canonical pen carries its cell table (``cells``), its SGR memo
+    (``transitions``) and ``erase``: its blank cell when the pen is what
+    an erase leaves (background only), else None.
     """
-    table = _narrow_tables.get(pen)
-    if table is None:
-        if len(_narrow_tables) >= NARROW_PENS:
-            del _narrow_tables[next(iter(_narrow_tables))]
-        table = _narrow_tables[pen] = _PenCells(pen)
-    return table
+    cells = PenCells(pen)
+    object.__setattr__(pen, "cells", cells)
+    object.__setattr__(pen, "transitions", {})
+    erases = pen == Renditions(background=pen.background)
+    object.__setattr__(pen, "erase", cells[""] if erases else None)
+    object.__setattr__(pen, "canonical", True)
+    _pens[pen] = pen  # published last, fully built
+    return pen
+
+
+def canonical_pen(pen: Renditions) -> Renditions:
+    """The canonical pen equal to ``pen``, interned on first use."""
+    if pen.canonical:
+        return pen
+    found = _pens.get(pen)
+    if found is not None:
+        return found
+    if len(_pens) >= PENS:
+        keys = iter(_pens)
+        next(keys)  # the pinned default pen
+        old = _pens.pop(next(keys))
+        _demote(old)
+        old.cells.demote()
+        old.transitions.clear()
+    # A demoted pen is never promoted again: its value gets a fresh object.
+    return _promote(replace(pen) if "cells" in pen.__dict__ else pen)
+
+
+_promote(DEFAULT_RENDITIONS)
+
+#: The default pen's blank, which every screen starts as.
+BLANK_CELL = DEFAULT_RENDITIONS.erase
+
+
+def canonical_cell(contents: str, width: int, pen: Renditions) -> Cell:
+    """The canonical cell with these values."""
+    cells = canonical_pen(pen).cells
+    return cells[contents] if width == 1 else cells[contents, width]
+
+
+def erase_cell(background: int) -> Cell:
+    """The blank cell an erase leaves behind.
+
+    ECMA-48 erases take the pen's background colour (BCE) and nothing
+    else.
+    """
+    if background == COLOR_DEFAULT:
+        return BLANK_CELL
+    return canonical_pen(Renditions(background=background)).erase
+
 
 _row_gen = itertools.count(1)
 

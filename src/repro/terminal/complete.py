@@ -138,7 +138,6 @@ class Complete(StateObject):
         dup._emulator._g0 = self._emulator._g0
         dup._emulator._g1 = self._emulator._g1
         dup._emulator._shift = self._emulator._shift
-        dup._emulator._pen_cells_for = None
         dup.echo_ack = self.echo_ack
         dup._input_log = deque()  # bookkeeping stays with the original
         dup._version = self._version

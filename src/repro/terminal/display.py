@@ -13,11 +13,16 @@ The diff speaks a restricted vocabulary — CUP, SGR, ECH, printed text, OSC
 title, BEL, and mode toggles — whose interpretation does not depend on any
 receiver state outside Framebuffer equality, so applying a diff can never
 desynchronize a client that was content-equal to ``old``.
+
+Cells and pens are compared by identity when both sides are canonical
+(:mod:`repro.terminal.cell`: for canonical objects ``a is b`` exactly when
+``a == b``) and by value otherwise, so the bytes never depend on which
+cells happen to be canonical.
 """
 
 from __future__ import annotations
 
-from repro.terminal.cell import Cell, Row, erase_cell
+from repro.terminal.cell import BLANK_CELL, Cell, Row, erase_cell
 from repro.terminal.framebuffer import Framebuffer
 from repro.terminal.renditions import DEFAULT_RENDITIONS, Renditions
 
@@ -52,9 +57,12 @@ class Display:
         out = bytearray()
         out += b"\x1b[0m\x1b[2J"  # reset pen, clear screen
         pen_state: list[Renditions | None] = [None]
-        cleared = Cell()  # what \x1b[2J leaves in every cell
+        # BLANK_CELL is what \x1b[2J leaves in every cell.
         for r in range(new.height):
-            if any(c != cleared for c in new.rows[r].cells):
+            if any(
+                c is not BLANK_CELL and (c.canonical or c != BLANK_CELL)
+                for c in new.rows[r].cells
+            ):
                 Display._emit_row_segment(
                     out, r, 0, new.rows[r].cells, pen_state
                 )
@@ -143,19 +151,24 @@ class Display:
     ) -> None:
         old_cells, new_cells = old_row.cells, new_row.cells
         width = len(new_cells)
-        # Identity first: a row cloned from a snapshot shares every Cell
-        # object except the ones actually overwritten, so most pairs skip
-        # the dataclass comparison entirely.
-        differ = [a is not b and a != b for a, b in zip(old_cells, new_cells)]
+        # Identity decides: a row cloned from a snapshot shares every Cell
+        # object except the ones actually overwritten, and two distinct
+        # canonical cells always differ. Only a pair with a non-canonical
+        # cell needs the dataclass comparison.
+        differ = [
+            a is not b and ((a.canonical and b.canonical) or a != b)
+            for a, b in zip(old_cells, new_cells)
+        ]
         # A differing continuation cell is repaired by reprinting its
         # leader (the canonical invariant guarantees one exists).
         for c in range(width - 1, 0, -1):
             if differ[c] and new_cells[c].width == 0:
                 differ[c - 1] = True
-        col = 0
+        differ.append(True)  # a sentinel past the last column
+        col = differ.index(True)
         while col < width:
-            if not differ[col] or new_cells[col].width == 0:
-                col += 1
+            if new_cells[col].width == 0:
+                col = differ.index(True, col + 1)
                 continue
             # Gather a span of work, absorbing short equal gaps so we
             # don't emit a cursor move for every other cell.
@@ -174,7 +187,7 @@ class Display:
             Display._emit_row_segment(
                 out, row_idx, col, new_cells[col:end], pen_state
             )
-            col = end
+            col = differ.index(True, end)
 
     @staticmethod
     def _emit_row_segment(
@@ -224,10 +237,14 @@ class Display:
             j = i + 1
             while j < n:
                 nxt = cells[j]
+                other = nxt.renditions
                 if (
                     nxt.width != 1
-                    or (nxt.renditions is not pen and nxt.renditions != pen)
-                    or is_erase(nxt)
+                    or (
+                        other is not pen
+                        and ((other.canonical and pen.canonical) or other != pen)
+                    )
+                    or (not nxt.contents and is_erase(nxt))
                 ):
                     break
                 j += 1
@@ -238,10 +255,11 @@ class Display:
     @staticmethod
     def _is_erase_cell(cell: Cell) -> bool:
         """Whether ``cell`` is what an erase in its background leaves."""
-        if cell.contents != "":
-            return False
-        erase = erase_cell(cell.renditions.background)
-        return cell is erase or cell == erase
+        if cell.canonical:
+            return cell is cell.renditions.erase
+        return cell.contents == "" and cell == erase_cell(
+            cell.renditions.background
+        )
 
     # ------------------------------------------------------------------
     # Modes, cursor, title
@@ -293,6 +311,11 @@ class Display:
         pen_state: list[Renditions | None],
         renditions: Renditions,
     ) -> None:
-        if pen_state[0] != renditions:
+        current = pen_state[0]
+        if current is not renditions and (
+            current is None
+            or (current.canonical and renditions.canonical)
+            or current != renditions
+        ):
             out += renditions.sgr()
             pen_state[0] = renditions

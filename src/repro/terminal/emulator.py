@@ -10,10 +10,15 @@ write back.
 
 Text arrives from the parser as runs. A run of printable ASCII is written
 a row segment at a time (:meth:`Emulator._print_run`): one slice
-assignment of shared narrow cells per row, with autowrap between
-segments. Everything a segment cannot express — non-ASCII, wide and
+assignment of the pen's canonical narrow cells per row, with autowrap
+between segments. Everything a segment cannot express — non-ASCII, wide and
 combining characters, insert mode, autowrap off, and any character set
 but ASCII — goes through the per-character :meth:`Emulator._print`.
+
+Every cell the emulator writes comes from the canonical table
+(:mod:`repro.terminal.cell`), and every pen it selects is canonical, so
+the frame diff can compare cells by identity. SGR transitions are
+memoised per pen.
 """
 
 from __future__ import annotations
@@ -21,7 +26,12 @@ from __future__ import annotations
 import re
 
 from repro.terminal import charsets
-from repro.terminal.cell import Cell, erase_cell, narrow_cells
+from repro.terminal.cell import (
+    PEN_TRANSITIONS,
+    canonical_cell,
+    canonical_pen,
+    erase_cell,
+)
 from repro.terminal.framebuffer import Framebuffer
 from repro.terminal.parser import (
     CsiDispatch,
@@ -57,9 +67,6 @@ class Emulator:
         self._g1 = charsets.CHARSET_ASCII
         self._shift = 0  # 0 = G0 active, 1 = G1 active
         self._last_graphic = ""  # for REP (CSI b)
-        # The shared narrow-cell table of the pen last printed with.
-        self._pen_cells_for: Renditions | None = None
-        self._pen_cells: dict[str, Cell] = {}
 
     # ------------------------------------------------------------------
 
@@ -117,17 +124,17 @@ class Emulator:
                     self._print_ascii(piece)
 
     def _print_ascii(self, text: str) -> None:
-        """Write printable ASCII: one slice of shared cells per row segment.
+        """Write printable ASCII: one slice of canonical cells per row segment.
 
         Equivalent to :meth:`_print` per character with autowrap on and
         insert mode off. Only a segment's two end cells can overlap a wide
         character outside it, so only they are checked.
         """
         fb = self.fb
-        if fb.pen is not self._pen_cells_for:
-            self._pen_cells_for = fb.pen
-            self._pen_cells = narrow_cells(fb.pen)
-        cells = self._pen_cells
+        pen = fb.pen
+        if not pen.canonical:
+            pen = fb.pen = canonical_pen(pen)
+        cells = pen.cells
         width = fb.width
         pos = 0
         end = len(text)
@@ -202,15 +209,14 @@ class Emulator:
         if width == 2:
             self._clear_wide_overlap(fb.cursor_row, fb.cursor_col + 1)
 
+        pen = fb.pen = canonical_pen(fb.pen)
         fb.set_cell(
-            fb.cursor_row,
-            fb.cursor_col,
-            Cell(contents=ch, width=width, renditions=fb.pen),
+            fb.cursor_row, fb.cursor_col, canonical_cell(ch, width, pen)
         )
-        if width == 2:
-            continuation = Cell(contents="", width=0, renditions=fb.pen)
-            if fb.cursor_col + 1 < fb.width:
-                fb.set_cell(fb.cursor_row, fb.cursor_col + 1, continuation)
+        if width == 2 and fb.cursor_col + 1 < fb.width:
+            fb.set_cell(
+                fb.cursor_row, fb.cursor_col + 1, canonical_cell("", 0, pen)
+            )
 
         if fb.cursor_col + width >= fb.width:
             fb.cursor_col = fb.width - 1
@@ -251,13 +257,7 @@ class Emulator:
         if len(base) >= 8:
             return  # cap runaway combining sequences
         fb.set_cell(
-            row,
-            col,
-            Cell(
-                contents=base + ch,
-                width=target.width,
-                renditions=target.renditions,
-            ),
+            row, col, canonical_cell(base + ch, target.width, target.renditions)
         )
 
     # ------------------------------------------------------------------
@@ -358,9 +358,10 @@ class Emulator:
                 fb.application_keypad = False
         elif inter == "#":
             if final == "8":  # DECALN: fill screen with E
+                e_cell = canonical_cell("E", 1, DEFAULT_RENDITIONS)
                 for row in range(fb.height):
                     for col in range(fb.width):
-                        fb.set_cell(row, col, Cell(contents="E"))
+                        fb.set_cell(row, col, e_cell)
                 fb.cursor_row = 0
                 fb.cursor_col = 0
         elif inter == "(":
@@ -611,12 +612,29 @@ class Emulator:
     # ------------------------------------------------------------------
 
     def _sgr(self, params: tuple[int | None, ...]) -> None:
+        """Select the canonical pen ``params`` turn the current one into.
+
+        The transition is memoised on the current pen, so a repeated SGR
+        is one dict hit.
+        """
         fb = self.fb
+        pen = canonical_pen(fb.pen)
+        memo = pen.transitions
+        nxt = memo.get(params)
+        if nxt is None or not nxt.canonical:
+            nxt = canonical_pen(self._sgr_pen(pen, params))
+            if len(memo) >= PEN_TRANSITIONS:
+                del memo[next(iter(memo))]
+            memo[params] = nxt
+        fb.pen = nxt
+
+    def _sgr_pen(
+        self, pen: Renditions, params: tuple[int | None, ...]
+    ) -> Renditions:
         if not params:
             params = (0,)
         values = [0 if p is None else p for p in params]
         i = 0
-        pen = fb.pen
         while i < len(values):
             v = values[i]
             if v == 0:
@@ -673,7 +691,7 @@ class Emulator:
                     pen = pen.with_attr(background=color)
                 i += consumed
             i += 1
-        fb.pen = pen
+        return pen
 
     @staticmethod
     def _extended_color(rest: list[int]) -> tuple[int | None, int]:

@@ -7,6 +7,9 @@ comparisons are cheap:
 * ``0x0100_0000 | index`` — indexed color 0..255 (the classic 8/16 colors
   are indexes 0..15);
 * ``0x0200_0000 | (r << 16 | g << 8 | b)`` — 24-bit truecolor.
+
+The emulator draws with canonical pens, one instance per distinct value
+(:func:`repro.terminal.cell.canonical_pen`).
 """
 
 from __future__ import annotations
@@ -51,7 +54,12 @@ def _color_sgr(color: int, is_background: bool) -> list[int]:
 
 @dataclass(frozen=True)
 class Renditions:
-    """One cell's (or the pen's) graphic state."""
+    """One cell's (or the pen's) graphic state.
+
+    ``canonical`` is true only on the interned instance of a value, which
+    also carries its cell table, SGR memo and erase cell
+    (:func:`repro.terminal.cell.canonical_pen`).
+    """
 
     bold: bool = False
     faint: bool = False
@@ -64,11 +72,19 @@ class Renditions:
     foreground: int = COLOR_DEFAULT
     background: int = COLOR_DEFAULT
 
+    canonical = False  # not a field: set on the interned instance only
+
     def with_attr(self, **kwargs: object) -> "Renditions":
         return replace(self, **kwargs)
 
     def sgr(self) -> bytes:
-        """The escape sequence that sets this rendition from a reset pen."""
+        """The escape sequence that sets this rendition from a reset pen.
+
+        Built once per instance; pens are immutable.
+        """
+        cached = self.__dict__.get("_sgr")
+        if cached is not None:
+            return cached
         params: list[int] = [0]
         if self.bold:
             params.append(1)
@@ -91,7 +107,9 @@ class Renditions:
         if self.background != COLOR_DEFAULT:
             params.extend(_color_sgr(self.background, is_background=True))
         body = ";".join(str(p) for p in params)
-        return f"\x1b[{body}m".encode("ascii")
+        cached = f"\x1b[{body}m".encode("ascii")
+        object.__setattr__(self, "_sgr", cached)
+        return cached
 
 
 #: The default pen: all attributes off, default colors.

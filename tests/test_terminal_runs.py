@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.terminal import cell as cell_module
-from repro.terminal.cell import NARROW_PENS, Cell, narrow_cells
+from repro.terminal.cell import PEN_CELLS, PENS, Cell, canonical_cell
 from repro.terminal.display import Display
 from repro.terminal.emulator import Emulator
 from repro.terminal.renditions import DEFAULT_RENDITIONS, rgb_color
@@ -143,7 +143,7 @@ class TestRunPath:
         assert cells[0] is cells[3]
         assert cells[4] is cells[5]
         assert cells[0] is not cells[4]
-        assert cells[0] is narrow_cells(DEFAULT_RENDITIONS)["a"]
+        assert cells[0] is canonical_cell("a", 1, DEFAULT_RENDITIONS)
 
     def test_ascii_overwrites_half_of_wide_char(self):
         e = Emulator(10, 2)
@@ -153,8 +153,13 @@ class TestRunPath:
 
     def test_cell_table_is_bounded(self):
         e = Emulator(10, 2)
-        for i in range(NARROW_PENS * 2):
+        for i in range(PENS * 2):
             e.write(f"\x1b[38;2;{i};0;0m\rx".encode())
-        assert len(cell_module._narrow_tables) == NARROW_PENS
-        pen = DEFAULT_RENDITIONS.with_attr(foreground=rgb_color(NARROW_PENS * 2 - 1, 0, 0))
+        assert len(cell_module._pens) == PENS
+        pen = DEFAULT_RENDITIONS.with_attr(foreground=rgb_color(PENS * 2 - 1, 0, 0))
         assert e.fb.rows[0].cells[0] == Cell("x", 1, pen)
+        assert e.fb.rows[0].cells[0] is canonical_cell("x", 1, pen)
+        # One pen's cells are bounded too: the oldest are demoted.
+        e.write("".join(chr(0x100 + i) for i in range(PEN_CELLS * 2)).encode())
+        assert len(e.fb.pen.cells) == PEN_CELLS
+        assert all(c.canonical for c in e.fb.pen.cells.values())
