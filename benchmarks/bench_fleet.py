@@ -16,7 +16,7 @@ into a capacity model:
   latency is the service-level objective.
 * **Detach + idle ladder** — every client "closes the laptop"
   (pump suspended, address unregistered). The daemon-side wall cost of
-  holding the detached fleet (timer wheel, idle parking, O(active)
+  holding the detached fleet (idle parking, dormancy, O(active)
   reaping) is metered over a long idle window at several fleet sizes.
 * **Mass-reconnect storm** — every client comes back in the same
   millisecond and types; the bench asserts every session wakes and

@@ -22,11 +22,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import shutil
 import sys
 import time
+
+
+def _interval_seconds(text: str) -> float:
+    """argparse type for a timer interval: finite seconds, > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, not {text!r}"
+        )
+    return value
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -38,7 +52,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics-interval",
-        type=float,
+        type=_interval_seconds,
         default=None,
         metavar="SECONDS",
         help="with --metrics-dump: rewrite the snapshot atomically every "
@@ -182,7 +196,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--idle-timeout",
-        type=float,
+        type=_interval_seconds,
         default=None,
         metavar="SECONDS",
         help="reap sessions with no authenticated traffic for this long",

@@ -208,24 +208,3 @@ class DaemonApp:
             f"{replay} replay drops across "
             f"{len(parts)} sessions{detail}"
         )
-
-    def causal_summary(self) -> dict:
-        """Fleet-pooled causal stage view from the live registry.
-
-        The same aggregation ``repro trace --attach`` renders remotely:
-        any client-side ``causal.*`` stage histograms in this registry
-        pooled per stage, plus every session's server-resident echo-ack
-        hold (``server.s<N>.causal.echo_wait_ms``). On a daemon whose
-        clients run elsewhere, the stage section is empty and the
-        echo-wait section carries the fleet's server-visible slice.
-        """
-        from repro.obs.causal import pool_server_echo_wait, pool_stage_summaries
-
-        doc = self.reactor.registry.snapshot()
-        pooled = pool_stage_summaries(doc)
-        echo_wait = pool_server_echo_wait(doc)
-        return {
-            "schema": "repro.obs.causal.pool/1",
-            "stages": {name: hist.summary() for name, hist in pooled.items()},
-            "echo_wait": echo_wait.summary(),
-        }

@@ -9,13 +9,12 @@ process, lifetime must be explicit.
 
 Reaping is O(active), not O(sessions): instead of a periodic sweep over
 every record, each session owns one idle-deadline timer armed at
-``last_heard + idle_timeout``. The timer lives on the reactor's coarse
-timer wheel (deadlines are seconds out), fires O(1) work, and simply
-re-arms from the fresh ``last_heard`` when the session turns out to be
-alive — so a daemon full of parked sessions does *zero* per-tick reaper
-work, and a 10k-session fleet costs one wheel bucket insert per session
-per timeout period. Dead ptys are collected event-driven: a pty EOF
-wakes its reader, which closes the session on the spot.
+``last_heard + idle_timeout`` on the reactor's timer queue. The timer
+fires O(1) work and simply re-arms from the fresh ``last_heard`` when the
+session turns out to be alive — so a daemon full of parked sessions does
+*zero* per-tick reaper work, and a 10k-session fleet costs one heap push
+per session per timeout period. Dead ptys are collected event-driven: a
+pty EOF wakes its reader, which closes the session on the spot.
 
 The manager also tracks the fleet's parked/active split: every spawned
 core's pump reports park transitions here, feeding the
@@ -31,11 +30,13 @@ injected via ``pty_factory`` so simulated daemons run without processes.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.crypto.keys import Base64Key
 from repro.crypto.session import Session
 from repro.daemon.mux import VirtualEndpoint
+from repro.errors import ReactorError
 from repro.obs.flight import FlightRecorder
 from repro.runtime.reactor import Reactor, TimerHandle
 from repro.session.core import ServerCore
@@ -91,7 +92,7 @@ class SessionRecord:
         self.created_at = created_at
         #: "open" while routed; "closed" / "reaped" / "exited" afterwards.
         self.state = "open"
-        #: This session's idle-deadline timer (wheel-resident), if any.
+        #: This session's idle-deadline timer, if any.
         self.reap_timer: TimerHandle | None = None
 
     def last_heard(self) -> float:
@@ -120,6 +121,12 @@ class SessionManager:
         idle_timeout_ms: float | None = None,
         flight_factory: Callable[[int], FlightRecorder] | None = None,
     ) -> None:
+        if idle_timeout_ms is not None and not (
+            math.isfinite(idle_timeout_ms) and idle_timeout_ms > 0
+        ):
+            raise ReactorError(
+                f"idle timeout must be finite and > 0, not {idle_timeout_ms}"
+            )
         self._reactor = reactor
         self._port = port
         self._pty_factory = pty_factory
@@ -306,7 +313,7 @@ class SessionManager:
             self.close(conn_id)
 
     # ------------------------------------------------------------------
-    # Idle reaper — per-session deadlines on the timer wheel
+    # Idle reaper — per-session deadlines on the timer queue
     # ------------------------------------------------------------------
 
     def _arm_session_deadline(
@@ -315,10 +322,9 @@ class SessionManager:
         """Arm this session's next lifetime check.
 
         With an idle timeout the deadline sits at ``last_heard +
-        timeout`` — i.e. in the wheel bucket its last-heard time maps to
-        — so nothing at all runs for the session until the earliest
-        instant it could possibly expire. Pty-only sessions (no timeout)
-        get the slow fallback liveness sweep.
+        timeout``, so nothing at all runs for the session until the
+        earliest instant it could possibly expire. Pty-only sessions (no
+        timeout) get the slow fallback liveness sweep.
         """
         if delay_ms is None:
             if self._idle_timeout_ms is not None:

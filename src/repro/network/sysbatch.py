@@ -39,6 +39,14 @@ from repro.network.batch import SyscallCounter
 #: Environment gate forcing the portable (non-ctypes) code paths.
 PORTABLE_ENV = "REPRO_WIRE_PORTABLE"
 
+#: Datagrams per ``sendmmsg`` call; a longer flush goes out in chunks.
+SEND_BATCH = 64
+
+#: Datagrams per ``recvmmsg`` intake burst, and the size of each
+#: preallocated receive slot (the largest UDP payload).
+RECV_BATCH = 32
+RECV_SLOT_BYTES = 65536
+
 _MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0x40)
 
 
@@ -143,17 +151,15 @@ class BatchSender:
         self,
         sock: socket.socket,
         counter: SyscallCounter | None = None,
-        max_batch: int = 64,
     ) -> None:
         self._sock = sock
         self.counter = counter if counter is not None else SyscallCounter()
-        self._max_batch = max_batch
         self._fast = available()
         if self._fast:
-            self._hdrs = (_Mmsghdr * max_batch)()
-            self._iovs = (_Iovec * (2 * max_batch))()
-            self._addrs = (_SockaddrIn * max_batch)()
-            for i in range(max_batch):
+            self._hdrs = (_Mmsghdr * SEND_BATCH)()
+            self._iovs = (_Iovec * (2 * SEND_BATCH))()
+            self._addrs = (_SockaddrIn * SEND_BATCH)()
+            for i in range(SEND_BATCH):
                 hdr = self._hdrs[i].msg_hdr
                 hdr.msg_name = ctypes.cast(
                     ctypes.byref(self._addrs[i]), ctypes.c_void_p
@@ -171,7 +177,7 @@ class BatchSender:
         failed: list[int] = []
         base = 0
         while base < len(sends):
-            chunk = sends[base : base + self._max_batch]
+            chunk = sends[base : base + SEND_BATCH]
             self._send_chunk(chunk, base, failed)
             base += len(chunk)
         return failed
@@ -256,23 +262,22 @@ class BatchReceiver:
         self,
         sock: socket.socket,
         counter: SyscallCounter | None = None,
-        max_batch: int = 32,
-        slot_size: int = 65536,
     ) -> None:
         self._sock = sock
         self.counter = counter if counter is not None else SyscallCounter()
-        self._max_batch = max_batch
         self._fast = available()
         if self._fast:
-            self._slots = [bytearray(slot_size) for _ in range(max_batch)]
+            self._slots = [
+                bytearray(RECV_SLOT_BYTES) for _ in range(RECV_BATCH)
+            ]
             self._views = [memoryview(s) for s in self._slots]
-            self._hdrs = (_Mmsghdr * max_batch)()
-            self._iovs = (_Iovec * max_batch)()
-            self._addrs = (_SockaddrIn * max_batch)()
+            self._hdrs = (_Mmsghdr * RECV_BATCH)()
+            self._iovs = (_Iovec * RECV_BATCH)()
+            self._addrs = (_SockaddrIn * RECV_BATCH)()
             for i, slot in enumerate(self._slots):
-                buf = (ctypes.c_char * slot_size).from_buffer(slot)
+                buf = (ctypes.c_char * RECV_SLOT_BYTES).from_buffer(slot)
                 self._iovs[i].iov_base = ctypes.cast(buf, ctypes.c_void_p)
-                self._iovs[i].iov_len = slot_size
+                self._iovs[i].iov_len = RECV_SLOT_BYTES
                 hdr = self._hdrs[i].msg_hdr
                 hdr.msg_name = ctypes.cast(
                     ctypes.byref(self._addrs[i]), ctypes.c_void_p
@@ -285,13 +290,13 @@ class BatchReceiver:
                 hdr.msg_iovlen = 1
         else:
             # One reused intake buffer; recv_many copies out exact sizes.
-            self._buf = bytearray(slot_size)
+            self._buf = bytearray(RECV_SLOT_BYTES)
 
     def recv_many(self) -> list[tuple]:
         """One intake burst; [] when the socket has nothing waiting."""
         if not self._fast:
             return self._recv_many_portable()
-        n = self._max_batch
+        n = RECV_BATCH
         for i in range(n):
             # The kernel overwrites namelen with the actual address size;
             # reset it so a short previous answer can't truncate this one.
@@ -322,7 +327,7 @@ class BatchReceiver:
     def _recv_many_portable(self) -> list[tuple]:
         out = []
         buf = self._buf
-        for _ in range(self._max_batch):
+        for _ in range(RECV_BATCH):
             try:
                 length, addr = self._sock.recvfrom_into(buf)
             except (BlockingIOError, InterruptedError):

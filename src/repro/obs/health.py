@@ -39,6 +39,9 @@ HEALTH_SCHEMA = "repro.obs.health/1"
 #: Alert events kept for late-attaching subscribers.
 ALERT_RING = 256
 
+#: Name prefix of the roll-up and per-rule level gauges.
+GAUGE_PREFIX = "daemon.health"
+
 
 class RuleContext:
     """What a rule's value callable may read during one evaluation.
@@ -204,7 +207,6 @@ class HealthMonitor:
         registry: MetricsRegistry,
         rules: Sequence[HealthRule],
         clock: Callable[[], float] | None = None,
-        gauge_prefix: str = "daemon.health",
     ) -> None:
         names = [rule.name for rule in rules]
         if len(set(names)) != len(names):
@@ -219,10 +221,12 @@ class HealthMonitor:
         self.alert_seq = 0
         self.evaluations = 0
         self._timer = None
-        registry.gauge(f"{gauge_prefix}.level", fn=lambda: float(self.level_index))
+        registry.gauge(
+            f"{GAUGE_PREFIX}.level", fn=lambda: float(self.level_index)
+        )
         for rule in self.rules:
             registry.gauge(
-                f"{gauge_prefix}.{rule.name}",
+                f"{GAUGE_PREFIX}.{rule.name}",
                 fn=lambda r=rule: float(r.level),
             )
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import re
 import socket
@@ -189,8 +190,10 @@ class MetricsWriter:
         path: str,
         interval_ms: float,
     ) -> None:
-        if interval_ms <= 0:
-            raise ObservabilityError("metrics interval must be > 0")
+        if not (math.isfinite(interval_ms) and interval_ms > 0):
+            raise ObservabilityError(
+                f"metrics interval must be finite and > 0, not {interval_ms}"
+            )
         self._reactor = reactor
         self._registry = registry
         self.path = path
@@ -298,13 +301,11 @@ class TelemetryServer:
         bind: str = "127.0.0.1:0",
         health=None,
         feed_interval_ms: float = FEED_INTERVAL_MS,
-        max_buffer: int = MAX_CLIENT_BUFFER,
     ) -> None:
         self._reactor = reactor
         self._registry = registry
         self.health = health
         self.feed_interval_ms = feed_interval_ms
-        self.max_buffer = max_buffer
         self._clients: dict[int, _Client] = {}
         self._feed_timer: TimerHandle | None = None
         self._drain_timer: TimerHandle | None = None
@@ -450,7 +451,7 @@ class TelemetryServer:
         client = self._clients.get(fd)
         if client is None:
             return
-        if len(client.outbuf) > self.max_buffer:
+        if len(client.outbuf) > MAX_CLIENT_BUFFER:
             # Slow subscriber: its backlog would grow without bound.
             self.dropped.inc()
             self._drop(fd)

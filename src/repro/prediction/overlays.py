@@ -23,8 +23,7 @@ _BAR_RENDITIONS = DEFAULT_RENDITIONS.with_attr(inverse=True, bold=True)
 class NotificationEngine:
     """Tracks server liveness and renders the warning bar."""
 
-    def __init__(self, warn_after_ms: float = WARN_AFTER_MS) -> None:
-        self.warn_after_ms = warn_after_ms
+    def __init__(self) -> None:
         self._last_heard: float | None = None
         self._last_ack_sent: float | None = None
         #: Optional sticky message (e.g. a client-side error), shown even
@@ -47,7 +46,7 @@ class NotificationEngine:
             # Never heard at all: warn once the threshold passes from
             # engine creation — callers seed server_heard() at connect.
             return False
-        return age >= self.warn_after_ms
+        return age >= WARN_AFTER_MS
 
     def bar_text(self, now: float) -> str | None:
         """The text to show, or None when no bar is needed."""

@@ -56,8 +56,8 @@ class TransportPump:
         self._timer: TimerHandle | None = None
         #: True while this session is parked: the sender has no pending
         #: diff and no unacked data, so the only armed timer (if any) is
-        #: the coarse heartbeat on the wheel, and no tick runs before it is
-        #: due. A parked pump wakes synchronously on datagram arrival
+        #: the coarse heartbeat, and no tick runs before it is due. A
+        #: parked pump wakes synchronously on datagram arrival
         #: (``on_datagram`` chains into :meth:`kick`) or on any local
         #: activity (host writes and keystrokes kick directly).
         self.parked = False

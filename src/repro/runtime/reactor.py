@@ -1,10 +1,10 @@
 """Reactors: timers + I/O readiness + observability, simulated or real.
 
 A reactor is the runtime's notion of "the select() loop": it owns a
-:class:`~repro.timerwheel.TimerQueue` (the package's one scheduler:
-precise heap, coarse timer wheel, O(1) lazy cancellation, flush hooks)
-whose clock is the reactor's, optional file-descriptor readiness
-sources, and the session's observability substrate — a
+:class:`~repro.timerqueue.TimerQueue` (the package's one scheduler:
+a heap, O(1) lazy cancellation, flush hooks) whose clock is the
+reactor's, optional file-descriptor readiness sources, and the
+session's observability substrate — a
 :class:`~repro.obs.MetricsRegistry` plus a :class:`~repro.obs.SpanTracer`
 timed by this reactor's clock, so simulated-time and wall-time sessions
 produce comparable traces.
@@ -38,7 +38,7 @@ from repro.errors import ReactorError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanTracer
 from repro.simnet.eventloop import EventLoop
-from repro.timerwheel import TimerQueue
+from repro.timerqueue import TimerQueue
 
 Callback = Callable[[], None]
 
@@ -100,7 +100,7 @@ class TimerHandle:
 class Reactor(ABC):
     """Timers + I/O sources + observability over some notion of time.
 
-    ``timers`` is the reactor's :class:`~repro.timerwheel.TimerQueue`;
+    ``timers`` is the reactor's :class:`~repro.timerqueue.TimerQueue`;
     its clock is the reactor's ``now``. ``clock_domain`` names that
     clock's time base, the one owner of the sim/real distinction every
     recorder built on this reactor reports.

@@ -3,9 +3,9 @@
 Events fire in timestamp order; ties break by scheduling order, which makes
 every simulation fully deterministic for a given seed and call sequence.
 
-:class:`EventLoop` is the package's one :class:`~repro.timerwheel.TimerQueue`
-(precise heap, coarse timer wheel, lazy cancellation, flush hooks) driven
-by a :class:`~repro.clock.SimulatedClock`: the loop jumps the clock to each
+:class:`EventLoop` is the package's one :class:`~repro.timerqueue.TimerQueue`
+(heap, lazy cancellation, flush hooks) driven by a
+:class:`~repro.clock.SimulatedClock`: the loop jumps the clock to each
 event in turn. Link deliveries and the :class:`~repro.runtime.SimReactor`'s
 timers share its token counter, so their ties also fire in scheduling
 order. Unlike the wall-clock reactor, a deadline in the past is an error.
@@ -17,7 +17,7 @@ from typing import Callable
 
 from repro.clock import SimulatedClock
 from repro.errors import SimulationError
-from repro.timerwheel import TimerQueue
+from repro.timerqueue import TimerQueue
 
 Callback = Callable[[], None]
 
@@ -30,8 +30,8 @@ class EventLoop(TimerQueue):
     simulated instant they were queued.
     """
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        self.clock = SimulatedClock(start_ms)
+    def __init__(self) -> None:
+        self.clock = SimulatedClock()
         super().__init__(self.clock.now)
 
     def _past_deadline(self, when_ms: float, now_ms: float) -> None:

@@ -57,13 +57,6 @@ class SimNetwork:
     def unregister(self, addr: str) -> None:
         self._endpoints.pop(addr, None)
 
-    def link_for(self, from_side: str) -> Link:
-        if from_side == CLIENT_SIDE:
-            return self.uplink
-        if from_side == SERVER_SIDE:
-            return self.downlink
-        raise SimulationError(f"unknown side {from_side!r}")
-
     def add_addr_profile(
         self,
         addr: str,

@@ -31,6 +31,10 @@ from repro.simnet.link import Link
 #: TCP/IP header overhead added to every segment's wire size.
 HEADER_BYTES = 40
 
+#: Bulk cross-traffic: bytes queued per refill, and the refill cadence.
+BULK_CHUNK_BYTES = 64 * 1024
+BULK_REFILL_INTERVAL_MS = 20.0
+
 
 @dataclass(frozen=True)
 class TcpConfig:
@@ -345,13 +349,9 @@ class BulkSender:
         self,
         loop: EventLoop,
         endpoint: TcpEndpoint,
-        chunk_bytes: int = 64 * 1024,
-        refill_interval_ms: float = 20.0,
     ) -> None:
         self._loop = loop
         self._endpoint = endpoint
-        self._chunk = chunk_bytes
-        self._interval = refill_interval_ms
         self._running = False
 
     def start(self) -> None:
@@ -367,6 +367,6 @@ class BulkSender:
         # Keep the *unsent* backlog topped up: like a real bulk writer, the
         # congestion window — not the application — must be the limiter.
         backlog = self._endpoint.buffered_bytes() - self._endpoint.unacked_bytes()
-        if backlog < 2 * self._chunk:
-            self._endpoint.send(b"\x00" * self._chunk)
-        self._loop.schedule(self._interval, self._refill)
+        if backlog < 2 * BULK_CHUNK_BYTES:
+            self._endpoint.send(b"\x00" * BULK_CHUNK_BYTES)
+        self._loop.schedule(BULK_REFILL_INTERVAL_MS, self._refill)

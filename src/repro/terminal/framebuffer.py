@@ -182,9 +182,6 @@ class Framebuffer:
         self.cursor_row = min(max(self.cursor_row, 0), self.height - 1)
         self.cursor_col = min(max(self.cursor_col, 0), self.width - 1)
 
-    def region_height(self) -> int:
-        return self.scroll_bottom - self.scroll_top + 1
-
     def set_scrolling_region(self, top: int, bottom: int) -> None:
         if top < 0 or bottom >= self.height or top >= bottom:
             # Invalid regions reset to the full screen, like real

@@ -26,6 +26,37 @@ class TestArgParsing:
             cli.client_main([])
 
 
+class TestIntervalFlags:
+    """Timer intervals must be finite seconds > 0, rejected at parse time
+    before the daemon binds a socket or spawns a pty."""
+
+    @pytest.fixture(autouse=True)
+    def no_daemon(self, monkeypatch):
+        import repro.daemon.app
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the daemon was started")
+
+        monkeypatch.setattr(repro.daemon.app, "DaemonApp", refuse)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_idle_timeout_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.serve_main([f"--idle-timeout={value}"])
+        assert exc.value.code == 2
+        assert "--idle-timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_metrics_interval_rejected(self, value, tmp_path, capsys):
+        dump = str(tmp_path / "m.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.serve_main(
+                ["--metrics-dump", dump, f"--metrics-interval={value}"]
+            )
+        assert exc.value.code == 2
+        assert "--metrics-interval" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="examples use pty/UDP"
 )

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.crypto.keys import Base64Key
 from repro.crypto.session import Session
 from repro.daemon.mux import SessionMux
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ReactorError
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import CONN_WIRE_MAGIC
 
@@ -195,6 +195,18 @@ class TestIdleReaper:
         for _ in range(sessions):
             manager.spawn(width=20, height=4)
         return loop, reactor, mux, manager
+
+    @pytest.mark.parametrize(
+        "timeout_ms", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_rejects_non_finite_or_non_positive_timeout(self, timeout_ms):
+        from repro.daemon.manager import SessionManager
+        from repro.runtime.reactor import SimReactor
+
+        reactor = SimReactor()
+        mux = SessionMux(clock=reactor.now, registry=reactor.registry)
+        with pytest.raises(ReactorError):
+            SessionManager(reactor, mux, idle_timeout_ms=timeout_ms)
 
     def test_idle_sessions_reaped_and_routes_freed(self):
         loop, reactor, mux, manager = self.make_daemon()

@@ -424,6 +424,18 @@ class TestMetricsWriter:
                 reactor, reactor.registry, str(tmp_path / "m.json"), 0.0
             )
 
+    @pytest.mark.parametrize("interval_ms", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_interval(
+        self, tmp_path, interval_ms
+    ):
+        reactor = SimReactor()
+        with pytest.raises(ObservabilityError):
+            attach_metrics_writer(
+                reactor, reactor.registry, str(tmp_path / "m.json"),
+                interval_ms,
+            )
+        assert not (tmp_path / "m.json").exists()
+
 
 # ----------------------------------------------------------------------
 # Live control socket: scrape, health, watch, garbage
@@ -584,7 +596,7 @@ class TestTelemetryServerLive:
     def test_slow_subscriber_dropped_at_buffer_cap(self):
         """A wedged reader is cut loose; the select loop keeps serving.
 
-        When a subscriber's unsent backlog passes ``max_buffer`` the
+        When a subscriber's unsent backlog passes ``MAX_CLIENT_BUFFER`` the
         server must drop it and count it in
         ``telemetry.dropped_subscribers`` rather than queue without
         bound — and other clients must still get answers afterwards.
@@ -606,7 +618,7 @@ class TestTelemetryServerLive:
             # The reader has wedged: simulate the backlog its stalled
             # socket would accumulate and let the next flush judge it.
             counter.inc()
-            client.outbuf += b"x" * (server.max_buffer + 1)
+            client.outbuf += b"x" * (telemetry.MAX_CLIENT_BUFFER + 1)
             server._flush_client(client.fd)
             assert registry.get("telemetry.dropped_subscribers").value == 1
             assert not server._subscribers()

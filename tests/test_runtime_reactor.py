@@ -12,7 +12,6 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.errors import ReactorError, SimulationError
 from repro.runtime import RealReactor, SimReactor
-from repro.timerwheel import WHEEL_SLOT_MS, WHEEL_SPAN, WHEEL_THRESHOLD_MS
 
 
 @pytest.fixture(params=["sim", "real"])
@@ -153,14 +152,13 @@ class TestPastDeadline:
 
 
 def _call_at_script(seed: int, steps: int) -> list:
-    """Random call_later/cancel/advance ops at heap and wheel distances.
+    """Random call_later/cancel/advance ops at near and far distances.
 
     A ``call`` carries a delay and how many times its callback re-arms
     itself; a ``cancel`` names an earlier handle by index, which may
     have fired already, be cancelled already, or still be pending.
     """
     rng = random.Random(seed)
-    span_ms = WHEEL_SLOT_MS * WHEEL_SPAN
     script = []
     for _ in range(steps):
         op = rng.random()
@@ -168,11 +166,11 @@ def _call_at_script(seed: int, steps: int) -> list:
             delay = rng.choice(
                 [
                     0.0,
-                    rng.uniform(0.0, WHEEL_THRESHOLD_MS),
-                    WHEEL_THRESHOLD_MS,
-                    rng.uniform(WHEEL_THRESHOLD_MS, span_ms),
-                    span_ms,
-                    rng.uniform(span_ms, 60_000.0),
+                    rng.uniform(0.0, 100.0),
+                    100.0,
+                    rng.uniform(100.0, 6_400.0),
+                    6_400.0,
+                    rng.uniform(6_400.0, 60_000.0),
                 ]
             )
             rearms = rng.choice([0, 0, 0, 1, 3])

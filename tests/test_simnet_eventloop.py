@@ -33,14 +33,16 @@ class TestScheduling:
         assert loop.now() == 100.0
 
     def test_relative_schedule(self):
-        loop = EventLoop(start_ms=50.0)
+        loop = EventLoop()
+        loop.run_until(50.0)
         seen = []
         loop.schedule(25.0, lambda: seen.append(loop.now()))
         loop.run_until(100.0)
         assert seen == [75.0]
 
     def test_past_scheduling_rejected(self):
-        loop = EventLoop(start_ms=10.0)
+        loop = EventLoop()
+        loop.run_until(10.0)
         with pytest.raises(SimulationError):
             loop.schedule_at(5.0, lambda: None)
         with pytest.raises(SimulationError):
@@ -118,7 +120,7 @@ class TestCancellationBookkeeping:
             loop.run_for(2.0)
             loop.cancel(token)  # always after the fire
         assert loop.pending == 0  # no live token
-        assert loop.queued == 0  # no heap or wheel residue
+        assert loop.queued == 0  # no heap residue
 
 
 class TestRunModes:
@@ -133,7 +135,8 @@ class TestRunModes:
         assert fired == [1, 2]
 
     def test_run_for(self):
-        loop = EventLoop(start_ms=100.0)
+        loop = EventLoop()
+        loop.run_until(100.0)
         loop.run_for(40.0)
         assert loop.now() == 140.0
 

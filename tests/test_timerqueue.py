@@ -1,11 +1,11 @@
-"""Timer wheel: unit behaviour, scheduling parity, and O(active) reaping.
+"""Timer queue: behaviour at near and far distances, and scheduling parity.
 
-The wheel's contract is that it is *invisible*: an :class:`EventLoop` or
-:class:`RealReactor` must fire exactly the same callbacks in exactly the
-same order at exactly the same times as a plain heap would. The
-randomized parity tests here drive each scheduler and :class:`HeapModel`
-— a ``heapq`` reference model kept in this file as the oracle — with
-identical 10k-operation scripts and compare the full fire logs.
+An :class:`EventLoop` or :class:`RealReactor` must fire exactly the same
+callbacks in exactly the same order at exactly the same times as a plain
+``(when, token)`` heap would. The randomized parity tests here drive each
+scheduler and :class:`HeapModel` — a ``heapq`` reference model kept in
+this file as the oracle — with identical 10k-operation scripts and
+compare the full fire logs.
 """
 
 import heapq
@@ -17,20 +17,14 @@ from repro.clock import SimulatedClock
 from repro.errors import SimulationError
 from repro.runtime.reactor import RealReactor
 from repro.simnet.eventloop import EventLoop
-from repro.timerwheel import (
-    WHEEL_SLOT_MS,
-    WHEEL_SPAN,
-    WHEEL_THRESHOLD_MS,
-    TimerWheel,
-)
 
 
 class HeapModel:
     """Reference scheduler: one plain ``heapq`` with lazy cancellation.
 
     Entries fire in ``(when, token)`` order; a cancelled token is skipped
-    when it surfaces. No wheel, no tiers — the behaviour both real
-    schedulers must reproduce exactly.
+    when it surfaces — the behaviour both real schedulers must reproduce
+    exactly.
     """
 
     def __init__(self):
@@ -86,102 +80,8 @@ def run_model(script, drain_ms, stamp_at_deadline):
     return fired
 
 
-class TestTimerWheelUnit:
-    """Direct drive of the wheel data structure."""
-
-    def test_len_counts_entries_across_levels(self):
-        wheel = TimerWheel()
-        assert len(wheel) == 0
-        wheel.add((150.0, 0, None), 0.0)               # level 0
-        wheel.add((WHEEL_SLOT_MS * WHEEL_SPAN * 3, 1, None), 0.0)  # level 1
-        assert len(wheel) == 2
-
-    def test_next_bucket_start_is_lower_bound(self):
-        wheel = TimerWheel()
-        wheel.add((12_345.0, 0, None), 0.0)
-        start = wheel.next_bucket_start()
-        assert start is not None
-        assert start <= 12_345.0
-
-    def test_next_bucket_start_spans_both_levels(self):
-        wheel = TimerWheel()
-        far = WHEEL_SLOT_MS * WHEEL_SPAN * 5  # level 1
-        wheel.add((far, 0, None), 0.0)
-        assert wheel.next_bucket_start() == pytest.approx(
-            (far // (WHEEL_SLOT_MS * WHEEL_SPAN)) * WHEEL_SLOT_MS * WHEEL_SPAN
-        )
-        wheel.add((250.0, 1, None), 0.0)  # level 0, earlier bucket
-        assert wheel.next_bucket_start() == pytest.approx(200.0)
-
-    def test_drain_stops_at_heap_top(self):
-        """Buckets at or past the heap's earliest deadline stay put."""
-        wheel = TimerWheel()
-        wheel.add((150.0, 0, None), 0.0)
-        wheel.add((5_000.0, 1, None), 0.0)
-        pushed = []
-        moved = wheel.drain_into(pushed.append, lambda: 400.0)
-        assert moved == 1
-        assert [e[0] for e in pushed] == [150.0]
-        assert len(wheel) == 1  # the 5 s entry never moved
-
-    def test_drain_empty_heap_drains_earliest_bucket_only(self):
-        """With no heap top, exactly enough buckets drain to produce one."""
-        wheel = TimerWheel()
-        wheel.add((150.0, 0, None), 0.0)
-        wheel.add((180.0, 1, None), 0.0)   # same level-0 bucket
-        wheel.add((950.0, 2, None), 0.0)   # later bucket
-        pushed = []
-
-        def heap_top():
-            return min((e[0] for e in pushed), default=None)
-
-        wheel.drain_into(pushed.append, heap_top)
-        # The 100ms bucket drained (both entries); 950 stayed bucketed.
-        assert sorted(e[1] for e in pushed) == [0, 1]
-        assert len(wheel) == 1
-
-    def test_level1_cascades_into_level0_before_reaching_heap(self):
-        wheel = TimerWheel()
-        span_ms = WHEEL_SLOT_MS * WHEEL_SPAN
-        # Two entries in one coarse bucket but different fine slots.
-        a = (span_ms * 2 + 50.0, 0, None)
-        b = (span_ms * 2 + 950.0, 1, None)
-        wheel.add(a, 0.0)
-        wheel.add(b, 0.0)
-        pushed = []
-
-        def heap_top():
-            return min((e[0] for e in pushed), default=None)
-
-        wheel.drain_into(pushed.append, heap_top)
-        # Cascade split the coarse bucket: only a's fine bucket reached
-        # the heap; b re-bucketed at level 0 and stayed there.
-        assert pushed == [a]
-        assert len(wheel) == 1
-        # Asking again with a heap top past b's slot releases it.
-        wheel.drain_into(pushed.append, lambda: span_ms * 3)
-        assert pushed == [a, b]
-        assert len(wheel) == 0
-
-    def test_level_boundary_exactly_one_span_out_goes_coarse(self):
-        wheel = TimerWheel()
-        span_ms = WHEEL_SLOT_MS * WHEEL_SPAN
-        wheel.add((span_ms, 0, None), 0.0)      # when - now == span: level 1
-        wheel.add((span_ms - 1.0, 1, None), 0.0)  # just inside: level 0
-        assert len(wheel) == 2
-        # Both still drain correctly and in time order.
-        pushed = []
-
-        def heap_top():
-            return min((e[0] for e in pushed), default=None)
-
-        wheel.drain_into(pushed.append, heap_top)
-        wheel.drain_into(pushed.append, lambda: span_ms * 2)
-        assert [e[1] for e in pushed] == [1, 0]
-
-
-class TestEventLoopWheel:
-    """The wheel behind EventLoop.schedule/peek_time."""
+class TestEventLoopTimers:
+    """The queue behind EventLoop.schedule/peek_time."""
 
     def make_loop(self):
         return EventLoop()
@@ -202,7 +102,7 @@ class TestEventLoopWheel:
         loop.run_for(2.0)
         assert fired == [86_400_000.0]
 
-    def test_cancel_wheel_resident_timer(self):
+    def test_cancel_far_future_timer(self):
         loop = self.make_loop()
         fired = []
         token = loop.schedule(5_000.0, lambda: fired.append("a"))
@@ -224,7 +124,7 @@ class TestEventLoopWheel:
         assert fired == ["a", "b"]
         assert later != token
 
-    def test_pending_tracks_wheel_residents(self):
+    def test_pending_tracks_far_future_timers(self):
         loop = self.make_loop()
         tokens = [loop.schedule(3_000.0, lambda: None) for _ in range(5)]
         assert loop.pending == 5
@@ -233,18 +133,17 @@ class TestEventLoopWheel:
         loop.run_for(5_000.0)
         assert loop.pending == 0
 
-    def test_tie_break_is_scheduling_order_across_tiers(self):
+    def test_tie_break_is_scheduling_order_across_distances(self):
         """Same-deadline timers fire in scheduling order even when one
-        was bucketed (scheduled far out) and the other heap-resident
-        (scheduled near-term later)."""
+        was scheduled far out and the other near-term, later."""
         loop = self.make_loop()
         fired = []
         when = 500.0
-        loop.schedule_at(when, lambda: fired.append("wheel-first"))
-        loop.run_for(450.0)  # now 50 ms out: next schedule goes to heap
-        loop.schedule_at(when, lambda: fired.append("heap-second"))
+        loop.schedule_at(when, lambda: fired.append("far-first"))
+        loop.run_for(450.0)  # now 50 ms out
+        loop.schedule_at(when, lambda: fired.append("near-second"))
         loop.run_for(100.0)
-        assert fired == ["wheel-first", "heap-second"]
+        assert fired == ["far-first", "near-second"]
 
     def test_negative_delay_still_rejected(self):
         loop = self.make_loop()
@@ -252,22 +151,22 @@ class TestEventLoopWheel:
             loop.schedule(-1.0, lambda: None)
 
     def test_randomized_parity_with_heap_only_loop(self):
-        """10k random schedule/cancel ops: the wheel-backed loop and the
-        heap reference model produce byte-identical fire logs."""
+        """10k random schedule/cancel ops: the loop and the heap
+        reference model produce byte-identical fire logs."""
         rng = random.Random(1234)
         script = []
         for step in range(10_000):
             op = rng.random()
             if op < 0.70:
-                # Delay distribution straddles the threshold and both
-                # wheel levels, including exact boundary values.
+                # Delay distribution spans zero, sub-100 ms, 100 ms,
+                # 100 ms-1 s, 6.4 s and 6.4-600 s, boundary values included.
                 delay = rng.choice(
                     [
                         0.0,
-                        rng.uniform(0.0, WHEEL_THRESHOLD_MS),
-                        WHEEL_THRESHOLD_MS,
-                        rng.uniform(WHEEL_THRESHOLD_MS, 1_000.0),
-                        WHEEL_SLOT_MS * WHEEL_SPAN,
+                        rng.uniform(0.0, 100.0),
+                        100.0,
+                        rng.uniform(100.0, 1_000.0),
+                        6_400.0,
                         rng.uniform(6_400.0, 600_000.0),
                     ]
                 )
@@ -297,8 +196,8 @@ class TestEventLoopWheel:
         assert run() == run_model(script, 700_000.0, stamp_at_deadline=True)
 
 
-class TestRealReactorWheel:
-    """The wheel behind RealReactor.call_at, driven by a fake clock."""
+class TestRealReactorTimers:
+    """The queue behind RealReactor.call_at, driven by a fake clock."""
 
     def make(self):
         clock = SimulatedClock()
@@ -308,7 +207,7 @@ class TestRealReactorWheel:
         clock.advance_to(to_ms)
         reactor.timers.run_due()
 
-    def test_coarse_timer_fires_and_handle_flags(self):
+    def test_far_timer_fires_and_handle_flags(self):
         clock, reactor = self.make()
         fired = []
         handle = reactor.call_later(3_000.0, lambda: fired.append(1))
@@ -321,7 +220,7 @@ class TestRealReactorWheel:
         handle.cancel()  # cancel-after-fire: a recorded no-op
         assert not handle.cancelled
 
-    def test_cancel_wheel_resident(self):
+    def test_cancel_far_future(self):
         clock, reactor = self.make()
         fired = []
         handle = reactor.call_later(5_000.0, lambda: fired.append("dead"))
@@ -348,9 +247,9 @@ class TestRealReactorWheel:
                 delay = rng.choice(
                     [
                         0.0,
-                        rng.uniform(0.0, WHEEL_THRESHOLD_MS),
-                        WHEEL_THRESHOLD_MS,
-                        rng.uniform(WHEEL_THRESHOLD_MS, 10_000.0),
+                        rng.uniform(0.0, 100.0),
+                        100.0,
+                        rng.uniform(100.0, 10_000.0),
                         rng.uniform(6_400.0, 300_000.0),
                     ]
                 )

@@ -26,7 +26,7 @@ from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
 from repro.obs.flight import FlightRecorder
 from repro.runtime.reactor import RealReactor
 from repro.simnet.eventloop import EventLoop
-from repro.timerwheel import FLUSH_ROUNDS
+from repro.timerqueue import FLUSH_ROUNDS
 
 
 def _keyed_pair():
