@@ -31,6 +31,7 @@ def main() -> None:
         "127.0.0.1",
         server.connection.port,
         server.key,
+        server.conn_id,
         stdin_fd=read_fd,
         stdout=io.BytesIO(),
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.crypto.keys import Base64Key
 from repro.errors import CryptoError, NetworkError
+from repro.network.packet import MAX_CONN_ID
 
 CONNECT_PREFIX = "MOSH CONNECT"
 
@@ -32,12 +33,12 @@ class BootstrapResult:
     host: str
     port: int
     key: Base64Key
+    #: Mux connection id (the connect line's fifth field); the server's
+    #: port routes by this id only.
+    conn_id: int
     #: The login transport, kept alive as the server's parent (our server
     #: does not daemonize). Terminate it to end the remote server.
     transport: subprocess.Popen | None = None
-    #: Mux connection id from a session-daemon server (fifth connect-line
-    #: field); None for classic one-port-per-session servers.
-    conn_id: int | None = None
 
     def shutdown(self) -> None:
         proc = self.transport
@@ -61,21 +62,25 @@ class BootstrapResult:
             proc.wait(timeout=3)
 
 
-def parse_connect_line(line: str) -> tuple[int, Base64Key]:
-    """Parse ``MOSH CONNECT <port> <key>`` (ignoring any conn id)."""
-    port, key, _ = parse_connect_line_ex(line)
-    return port, key
+def parse_conn_id(text: str) -> int:
+    """A connection id: a decimal integer in ``0..MAX_CONN_ID``."""
+    try:
+        conn_id = int(text)
+    except ValueError as exc:
+        raise NetworkError(f"bad connection id: {text!r}") from exc
+    if not 0 <= conn_id <= MAX_CONN_ID:
+        raise NetworkError(f"connection id {conn_id} out of range")
+    return conn_id
 
 
-def parse_connect_line_ex(line: str) -> tuple[int, Base64Key, int | None]:
-    """Parse ``MOSH CONNECT <port> <key> [conn_id]``.
+def parse_connect_line(line: str) -> tuple[int, Base64Key, int]:
+    """Parse ``MOSH CONNECT <port> <key> <conn_id>``.
 
-    Session-daemon servers append their mux connection id as a fifth
-    field; classic servers print only four. Returns (port, key,
-    conn_id-or-None).
+    The server's port routes by connection id only, so the fifth field
+    is required. Returns (port, key, conn_id).
     """
     parts = line.strip().split()
-    if len(parts) not in (4, 5) or parts[0] != "MOSH" or parts[1] != "CONNECT":
+    if len(parts) != 5 or parts[0] != "MOSH" or parts[1] != "CONNECT":
         raise NetworkError(f"not a MOSH CONNECT line: {line!r}")
     try:
         port = int(parts[2])
@@ -87,17 +92,7 @@ def parse_connect_line_ex(line: str) -> tuple[int, Base64Key, int | None]:
         key = Base64Key.from_printable(parts[3])
     except CryptoError as exc:
         raise NetworkError(f"bad session key in connect line: {exc}") from exc
-    conn_id: int | None = None
-    if len(parts) == 5:
-        try:
-            conn_id = int(parts[4])
-        except ValueError as exc:
-            raise NetworkError(
-                f"bad connection id in connect line: {parts[4]!r}"
-            ) from exc
-        if conn_id < 0:
-            raise NetworkError(f"connection id {conn_id} out of range")
-    return port, key, conn_id
+    return port, key, parse_conn_id(parts[4])
 
 
 def bootstrap(
@@ -148,7 +143,7 @@ def bootstrap(
             if not line:
                 break
             if line.startswith(CONNECT_PREFIX):
-                port, key, conn_id = parse_connect_line_ex(line)
+                port, key, conn_id = parse_connect_line(line)
                 return BootstrapResult(
                     host=host, port=port, key=key, transport=proc,
                     conn_id=conn_id,

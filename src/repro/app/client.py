@@ -44,17 +44,16 @@ class ClientApp:
         host: str,
         port: int,
         key: Base64Key,
+        conn_id: int,
         width: int = 80,
         height: int = 24,
         preference: DisplayPreference = DisplayPreference.ADAPTIVE,
         stdin_fd: int | None = None,
         stdout=None,
         flight: bool = False,
-        conn_id: int | None = None,
     ) -> None:
-        # ``conn_id`` comes from the daemon's extended connect line; with
-        # one attached, datagrams carry the v2 mux header so the daemon
-        # routes by session id rather than source address.
+        # ``conn_id`` is the connect line's fifth field: every datagram
+        # carries it, and the server's port routes by it alone.
         self.connection = UdpConnection(
             Session(key), is_server=False, conn_id=conn_id
         )
@@ -113,8 +112,8 @@ class ClientApp:
         """Move to a fresh source address mid-session (§2.2 roaming).
 
         The socket rebinds to a new ephemeral port and the next outbound
-        datagram — kicked immediately — teaches the server the new
-        address (v1) or simply keeps routing by connection id (v2).
+        datagram — kicked immediately — still routes by connection id;
+        the server answers the source of the newest authentic datagram.
         """
         self.reactor.remove_reader(self.connection.fileno())
         new_fd = self.connection.rebind(bind_host)

@@ -10,9 +10,10 @@ same machinery :class:`~repro.daemon.app.DaemonApp` uses for N sessions:
 a :class:`~repro.network.connection.MuxUdpConnection` owns the socket, a
 :class:`~repro.daemon.manager.SessionManager` owns the (single) session,
 and the select loop and metric names are unchanged — a solitary session
-keeps the bare ``server`` instrument prefix and behaves exactly like the
-pre-daemon dedicated connection, including forgeries counting as its
-auth failures.
+keeps the bare ``server`` instrument prefix. Like every daemon port it
+routes by connection id only: the client must pass the fifth field of
+:meth:`ServerApp.connect_line`, and an unframed datagram counts
+``daemon.no_route`` rather than an auth failure.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ class ServerApp:
     def connect_line(self) -> str:
         """The out-of-band bootstrap line, like mosh-server prints.
 
-        The daemon's connection id rides along as a fifth field, which
-        v1 parsers ignore.
+        The daemon's connection id rides along as a required fifth field.
         """
         return self._record.connect_line(self.connection.port)
 

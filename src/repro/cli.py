@@ -1,11 +1,13 @@
 """Command-line entry points.
 
 * ``repro-mosh-server [-- command ...]`` — start the unprivileged server,
-  print ``MOSH CONNECT <port> <key>``, serve until the shell exits.
+  print ``MOSH CONNECT <port> <key> <conn-id>``, serve until the shell
+  exits.
 * ``repro-mosh-serve --sessions N`` — start the multi-session daemon:
   N pty sessions muxed on one UDP port, one connect line per session.
-* ``repro-mosh-client <host> <port> <key> [conn-id]`` — connect
-  interactively (the conn id comes from a daemon's connect line).
+* ``repro-mosh-client <host> <port> <key> <conn-id>`` — connect
+  interactively (the conn id is the connect line's fifth field; server
+  ports route by it alone).
 * ``repro-mosh-demo`` — run a self-contained server+client pair on
   localhost, type a command, show the synchronized screen, and exit.
   Useful as a smoke test of the real-UDP/pty path.
@@ -41,6 +43,17 @@ def _interval_seconds(text: str) -> float:
             f"must be a finite number of seconds > 0, not {text!r}"
         )
     return value
+
+
+def _conn_id(text: str) -> int:
+    """argparse type for a connection id: an integer in 0..MAX_CONN_ID."""
+    from repro.app.bootstrap import parse_conn_id
+    from repro.errors import NetworkError
+
+    try:
+        return parse_conn_id(text)
+    except NetworkError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -254,10 +267,8 @@ def client_main(argv: list[str] | None = None) -> int:
     parser.add_argument("key", help="22-character base64 session key")
     parser.add_argument(
         "conn_id",
-        nargs="?",
-        type=int,
-        default=None,
-        help="mux connection id from a daemon's connect line (optional)",
+        type=_conn_id,
+        help="connection id, the fifth field of the server's connect line",
     )
     parser.add_argument(
         "--predict",
@@ -276,11 +287,11 @@ def client_main(argv: list[str] | None = None) -> int:
         args.host,
         args.port,
         Base64Key.from_printable(args.key),
+        args.conn_id,
         width=size.columns,
         height=size.lines,
         preference=DisplayPreference(args.predict),
         flight=args.flight_log is not None,
-        conn_id=args.conn_id,
     )
     app.send_resize(size.columns, size.lines)
     _start_obs(app, args, parser)
@@ -323,10 +334,10 @@ def mosh_main(argv: list[str] | None = None) -> int:
         result.host,
         result.port,
         result.key,
+        result.conn_id,
         width=size.columns,
         height=size.lines,
         preference=DisplayPreference(args.predict),
-        conn_id=result.conn_id,
     )
     app.send_resize(size.columns, size.lines)
     app.run()
@@ -364,6 +375,7 @@ def demo_main(argv: list[str] | None = None) -> int:
         "127.0.0.1",
         server.connection.port,
         server.key,
+        server.conn_id,
         stdin_fd=read_fd,
         stdout=sink,
         flight=args.flight_log is not None,
@@ -684,7 +696,7 @@ def main(argv: list[str] | None = None) -> int:
         " [args...]\n"
         "  server  one-session SSP server (mosh-server equivalent)\n"
         "  serve   multi-session daemon: N sessions on one UDP port\n"
-        "  client  interactive SSP client\n"
+        "  client  interactive SSP client (host port key conn-id)\n"
         "  mosh    bootstrap over SSH, then connect over SSP/UDP\n"
         "  demo    localhost server+client smoke test\n"
         "  scrape  one-shot metrics/health scrape of a live daemon\n"

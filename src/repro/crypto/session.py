@@ -85,10 +85,9 @@ class Message:
 class CryptoStats:
     """One session's crypto counts and seal/unseal latency histograms.
 
-    The counts are plain per-session numbers (the daemon's integrity
-    summary and the mux's fallback routing read them). Until
-    :meth:`bind_registry` the histograms and reactor-wide totals are
-    free-standing; once bound, each ``note_*`` call counts into this
+    The counts are plain per-session numbers (the integrity summaries
+    read them). Until :meth:`bind_registry` the histograms and
+    reactor-wide totals are free-standing; once bound, each ``note_*`` call counts into this
     session, the registry's ``crypto.*`` totals, and the histograms.
     """
 
@@ -221,27 +220,6 @@ class Session:
         self.stats.note_seal(len(text), (perf_counter() - t0) * 1e6)
         return wire + sealed
 
-    def probe(self, data: bytes) -> bool:
-        """Does this datagram authenticate under this session's key?
-
-        A side-effect-free check for the mux daemon's legacy-source
-        fallback routing: no counters move and the replay window is not
-        touched, so a positive probe can be followed by a real
-        :meth:`decrypt` of the same bytes.
-        """
-        if len(data) < _NONCE_WIRE_LEN + TAG_LEN:
-            return False
-        view = memoryview(data)
-        try:
-            self._cipher.decrypt(
-                OCB_NONCE_PREFIX + bytes(view[:_NONCE_WIRE_LEN]),
-                view[_NONCE_WIRE_LEN:],
-                None,
-            )
-        except _TAG_ERRORS:
-            return False
-        return True
-
     def decrypt(self, data) -> Message:
         """Unseal wire bytes (``bytes`` or a ``memoryview``); raises
         AuthenticationError on tampering and ReplayError on an authentic
@@ -297,15 +275,6 @@ class NullSession:
         wire = message.nonce.wire() + message.text + bytes(TAG_LEN)
         self.stats.note_seal(len(message.text), (perf_counter() - t0) * 1e6)
         return wire
-
-    def probe(self, data: bytes) -> bool:
-        """Parseability stand-in for :meth:`Session.probe`.
-
-        Plaintext sessions cannot distinguish peers cryptographically, so
-        any well-formed datagram probes true — the mux daemon's legacy
-        fallback routing is only meaningful with real per-session keys.
-        """
-        return len(data) >= _NONCE_WIRE_LEN + TAG_LEN
 
     def decrypt(self, data) -> Message:
         if len(data) < _NONCE_WIRE_LEN + TAG_LEN:

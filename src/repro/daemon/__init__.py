@@ -2,11 +2,11 @@
 
 One process, one UDP port, N concurrent SSP sessions: a
 :class:`~repro.daemon.mux.SessionMux` routes datagrams by cleartext
-connection id (with authenticated-source fallback for v1 clients), a
-:class:`~repro.daemon.manager.SessionManager` owns session lifecycle
-(spawn, idle reaping, teardown), and :class:`~repro.daemon.app.DaemonApp`
-binds both to real sockets and ptys. See DESIGN.md's "Session daemon"
-section for the wire-header change and routing rules.
+connection id only (an unframed datagram is dropped before any crypto
+work), a :class:`~repro.daemon.manager.SessionManager` owns session
+lifecycle (spawn, idle reaping, teardown), and
+:class:`~repro.daemon.app.DaemonApp` binds both to real sockets and
+ptys. See DESIGN.md's "Session daemon" section for the routing rule.
 
 ``DaemonApp`` is re-exported lazily: the mux and manager are
 substrate-neutral (simulator harnesses import them), while the app pulls

@@ -9,9 +9,9 @@ inbound datagram to its session, and per-session
 believes it owns a private connection.
 
 Bootstrap prints one ``MOSH CONNECT <port> <key> <conn_id>`` line per
-session (the first four fields are exactly mosh-server's; v1 parsers
-ignore the fifth). All sessions share the port; keys and conn ids are
-per-session.
+session (the first four fields are exactly mosh-server's; the fifth is
+required, since the port routes by conn id only). All sessions share the
+port; keys and conn ids are per-session.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ class SessionRecord:
 
         The first four fields are exactly mosh-server's ``MOSH CONNECT
         <port> <key>``; the daemon appends the connection id as a fifth
-        field, which v1 parsers ignore.
+        field, which a client needs: the port routes by that id only.
         """
         return f"MOSH CONNECT {port} {self.key.printable()} {self.conn_id}"
 

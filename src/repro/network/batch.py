@@ -140,7 +140,7 @@ class WireBatcher:
 class RxBatcher:
     """Inbound staging area: unseal a whole burst in one kernel pass.
 
-    Endpoints with ``rx_stage`` set divert each unframed datagram here
+    Endpoints with ``rx_stage`` set divert each datagram body here
     instead of unsealing inline; :meth:`flush` runs the batched unseal
     and hands every result back through ``endpoint.handle_unsealed``,
     then notifies each endpoint *once* (coalesced pump kick). Staged
@@ -162,11 +162,8 @@ class RxBatcher:
     def __len__(self) -> int:
         return len(self._staged)
 
-    def stage(
-        self, endpoint: Any, body: Any, arrived_framed: bool,
-        addr: Any, now: float,
-    ) -> None:
-        self._staged.append((endpoint, body, arrived_framed, addr, now))
+    def stage(self, endpoint: Any, body: Any, addr: Any, now: float) -> None:
+        self._staged.append((endpoint, body, addr, now))
 
     def flush(self) -> int:
         """Unseal and deliver everything staged; returns the count."""
@@ -177,10 +174,8 @@ class RxBatcher:
         results = unseal_many([(e[0].session, e[1]) for e in staged])
         accepted: dict[Any, int] = {}
         last_now: dict[Any, float] = {}
-        for (endpoint, body, framed, addr, now), res in zip(staged, results):
-            if endpoint.handle_unsealed(
-                res, body, addr, now, framed, notify=False
-            ):
+        for (endpoint, body, addr, now), res in zip(staged, results):
+            if endpoint.handle_unsealed(res, body, addr, now, notify=False):
                 accepted[endpoint] = accepted.get(endpoint, 0) + 1
                 last_now[endpoint] = now
         for endpoint, count in accepted.items():

@@ -267,27 +267,3 @@ class MuxUdpConnection:
 
     def close(self) -> None:
         self._sock.close()
-
-    # ------------------------------------------------------------------
-    # Single-session compatibility (ServerApp wraps a one-session daemon)
-
-    def _sole_endpoint(self) -> VirtualEndpoint:
-        ids = self.mux.conn_ids
-        if len(ids) != 1:
-            raise NetworkError(
-                f"{len(ids)} sessions on this port; "
-                "single-session accessors need exactly one"
-            )
-        endpoint = self.mux.endpoint(ids[0])
-        assert endpoint is not None
-        return endpoint
-
-    @property
-    def session(self) -> Session | NullSession:
-        """The sole session's sealing state (single-session shells only)."""
-        return self._sole_endpoint().session
-
-    @property
-    def last_heard(self) -> float | None:
-        """The sole session's liveness stamp (single-session shells only)."""
-        return self._sole_endpoint().last_heard

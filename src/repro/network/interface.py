@@ -74,13 +74,11 @@ class DatagramEndpoint(ABC):
         self._dir_in = DIR_C2S if is_server else DIR_S2C
         self._next_seq = 0
         self._expected_receiver_seq = 0
-        # Mux (v2) wire framing: when a connection id is attached, sent
-        # datagrams carry the cleartext conn-id header and framed inbound
-        # datagrams must match it. ``_peer_legacy`` tracks whether the
-        # authenticated peer speaks v1 (so we answer unframed).
+        # Mux wire framing: when a connection id is attached, every sent
+        # datagram carries the cleartext conn-id header and every inbound
+        # datagram must carry the same id.
         self._conn_id: int | None = None
         self._conn_header: bytes | None = None
-        self._peer_legacy = False
         #: Inbound datagrams dropped before decryption for bad or
         #: mismatched mux framing (surfaced alongside crypto counters).
         self.framing_drops = 0
@@ -118,7 +116,7 @@ class DatagramEndpoint(ABC):
         #: the owner flushes once per tick.
         self.batcher = None
         #: Inbound staging hook (:class:`~repro.network.batch.RxBatcher`
-        #: ``.stage``). When set, unframed datagrams are staged for a
+        #: ``.stage``). When set, datagram bodies are staged for a
         #: batched unseal instead of being decrypted inline.
         self.rx_stage: Callable[..., None] | None = None
         #: Optional per-keystroke causal tracer
@@ -164,9 +162,8 @@ class DatagramEndpoint(ABC):
     def set_conn_id(self, conn_id: int | None) -> None:
         """Attach (or detach) the mux connection id for this session.
 
-        With an id attached, outgoing datagrams gain the v2 conn-id
-        header (unless the authenticated peer turned out to speak v1)
-        and framed inbound datagrams must carry the matching id.
+        With an id attached, every outgoing datagram gains the conn-id
+        header and every inbound datagram must carry the matching id.
         """
         self._conn_id = conn_id
         self._conn_header = (
@@ -174,35 +171,29 @@ class DatagramEndpoint(ABC):
         )
 
     def _unframe(self, raw: bytes, now: float):
-        """Strip/validate the mux header; returns (body, arrived_framed).
+        """Strip/validate the mux header; returns the body, or None.
 
-        Returns ``(None, False)`` when the datagram must be dropped:
-        pre-auth garbage or a conn id that does not belong to this
-        session. Both fates are counted and flight-logged — they can
+        None means the datagram must be dropped: pre-auth garbage, an
+        unframed datagram, or a conn id that does not belong to this
+        session. Every such fate is counted and flight-logged — it can
         never raise, whatever bytes the network delivers.
         """
         peeked = peek_conn_id(raw)
-        if peeked is None:
-            self.framing_drops += 1
-            self._framing_drops.value += 1
-            if self.flight is not None and _obs._enabled:
+        if peeked is not None and peeked[0] == self._conn_id:
+            return raw[peeked[1]:]
+        self.framing_drops += 1
+        self._framing_drops.value += 1
+        if self.flight is not None and _obs._enabled:
+            if peeked is None:
                 self.flight.note_drop(
                     now, self._dir_in, "bad_packet", wire_len=len(raw)
                 )
-            return None, False
-        cid, header_len = peeked
-        if cid is None:
-            return raw, False
-        if cid != self._conn_id:
-            self.framing_drops += 1
-            self._framing_drops.value += 1
-            if self.flight is not None and _obs._enabled:
+            else:
                 self.flight.note_drop(
                     now, self._dir_in, "no_route",
                     seq=peek_seq(raw), wire_len=len(raw),
                 )
-            return None, False
-        return raw[header_len:], True
+        return None
 
     # ------------------------------------------------------------------
     # Sending
@@ -232,9 +223,7 @@ class DatagramEndpoint(ABC):
             # ordering and wire bytes match the inline path exactly); the
             # seal and the transmit happen at the tick's batch flush. The
             # sealed length is knowable now, so counters move immediately.
-            header = (
-                self._conn_header if not self._peer_legacy else None
-            )
+            header = self._conn_header
             text = packet.to_plaintext()
             wire_len = (
                 (len(header) if header is not None else 0)
@@ -257,7 +246,7 @@ class DatagramEndpoint(ABC):
         raw = self._session.encrypt(
             Message(nonce=packet.nonce, text=packet.to_plaintext())
         )
-        if self._conn_header is not None and not self._peer_legacy:
+        if self._conn_header is not None:
             raw = self._conn_header + raw
         self.datagrams_sent += 1
         self.bytes_sent += len(raw)
@@ -306,22 +295,21 @@ class DatagramEndpoint(ABC):
     def _handle_datagram(self, raw: bytes, addr: Any, now: float) -> None:
         """Unseal one inbound datagram; drops forgeries (recorded, never
         trusted)."""
-        arrived_framed = False
         if self._conn_id is not None:
-            raw, arrived_framed = self._unframe(raw, now)
+            raw = self._unframe(raw, now)
             if raw is None:
                 return
         stage = self.rx_stage
         if stage is not None:
             # Batched-unseal path: park the (possibly zero-copy) body for
             # the tick's flush; :meth:`handle_unsealed` finishes the job.
-            stage(self, raw, arrived_framed, addr, now)
+            stage(self, raw, addr, now)
             return
         try:
             message: Message | CryptoError = self._session.decrypt(raw)
         except CryptoError as exc:
             message = exc
-        self.handle_unsealed(message, raw, addr, now, arrived_framed)
+        self.handle_unsealed(message, raw, addr, now)
 
     def handle_unsealed(
         self,
@@ -329,7 +317,6 @@ class DatagramEndpoint(ABC):
         raw,
         addr: Any,
         now: float,
-        arrived_framed: bool,
         notify: bool = True,
     ) -> bool:
         """Post-unseal half of datagram handling (inline and batched).
@@ -371,10 +358,6 @@ class DatagramEndpoint(ABC):
                     seq=message.nonce.seq, wire_len=len(raw),
                 )
             return False  # reflected packet
-        if self._conn_id is not None:
-            # Only an *authenticated* datagram may decide the peer's wire
-            # dialect; an attacker's framing choice must not flip ours.
-            self._peer_legacy = not arrived_framed
         try:
             packet = Packet.from_plaintext(message.nonce, message.text)
         except PacketError:

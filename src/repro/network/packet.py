@@ -19,12 +19,13 @@ Muxed sessions (the one-port daemon, :mod:`repro.daemon`) prepend one more
 cleartext field ahead of the nonce — a connection id that routes the
 datagram to its session without touching any key material::
 
-    1 byte    0xD6 magic (never the first byte of a v1 datagram)
+    1 byte    0xD6 magic (never the first byte of an unframed datagram)
     1-9 bytes connection id, LEB128 varint (7 bits per byte, MSB = more)
     8 bytes   nonce
     N+16      sealed payload
 
-A v1 datagram starts directly with the nonce, whose first byte is the
+An unframed datagram (a point-to-point session, one port per session)
+starts directly with the nonce, whose first byte is the
 direction bit over seven high sequence bits — ``0x00`` or ``0x80`` for any
 sequence number below 2^55, i.e. for every datagram a real session can
 ever emit — so the magic byte makes the two layouts self-describing.
@@ -46,7 +47,7 @@ MTU_DEFAULT = 500
 
 TIMESTAMP_NONE = 0xFFFF
 
-#: First byte of a muxed (v2) datagram; v1 datagrams start with the nonce.
+#: First byte of a muxed datagram; unframed datagrams start with the nonce.
 CONN_WIRE_MAGIC = 0xD6
 
 #: Connection ids are 63-bit like sequence numbers (9 varint bytes max).
@@ -76,8 +77,8 @@ def encode_conn_id(conn_id: int) -> bytes:
 def peek_conn_id(raw: bytes | memoryview) -> tuple[int | None, int] | None:
     """Pre-auth peek at a datagram's connection id.
 
-    Returns ``(conn_id, header_len)`` for a v2 datagram, ``(None, 0)``
-    for a v1 datagram (no mux header, nonce first), and ``None`` for
+    Returns ``(conn_id, header_len)`` for a framed datagram, ``(None, 0)``
+    for an unframed one (no mux header, nonce first), and ``None`` for
     anything unparseable — truncated varints, overlong encodings, or
     datagrams too short to even hold a nonce. Never raises: this runs on
     every inbound datagram before any authentication.

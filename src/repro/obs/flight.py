@@ -68,7 +68,7 @@ DROP_REASONS = (
     "replay",      # authentic but sequence-reusing (duplicate) datagram
     "reflect",     # our own direction bit came back at us
     "bad_packet",  # pre-auth unparseable header, or unparseable packet body
-    "no_route",    # mux daemon: no session owns this connection id/source
+    "no_route",    # unframed, or no session owns this connection id
     "send_err",    # the real-UDP socket refused the transmit
 )
 
@@ -94,7 +94,7 @@ def peek_seq(raw: bytes | memoryview) -> int | None:
     The 8-byte nonce (direction bit | sequence) travels ahead of the
     sealed payload, so even a datagram that fails authentication still
     yields the sequence number its sender claimed — exactly what a drop
-    event should record. Muxed (v2) datagrams carry a connection-id
+    event should record. Muxed datagrams carry a connection-id
     header ahead of the nonce; it is skipped here. Never raises on
     truncated or garbage input — this runs pre-auth on hostile bytes.
     """

@@ -233,7 +233,6 @@ class InProcessDaemon:
         timing: SenderTiming | None = None,
         preference: DisplayPreference = DisplayPreference.ADAPTIVE,
         idle_timeout_ms: float | None = None,
-        conn_id_framing: bool = True,
         flight_capacity: int = 8192,
         flight_budget: int | None = None,
         wire_batch: bool = True,
@@ -252,7 +251,6 @@ class InProcessDaemon:
         self._preference = preference
         self._width = width
         self._height = height
-        self._conn_id_framing = conn_id_framing
         # ``flight_budget`` is the daemon-level cap: a total event budget
         # split evenly across the planned fleet, so 10k sessions cannot
         # hold 10k full-size rings. Per-session capacity floors at 64 so
@@ -327,7 +325,7 @@ class InProcessDaemon:
             Session(key),
             is_server=False,
             local_addr=f"client-{cid}",
-            conn_id=cid if self._conn_id_framing else None,
+            conn_id=cid,
         )
         client_endpoint.set_remote_addr(self.DAEMON_ADDR)
         recorder = FlightRecorder(

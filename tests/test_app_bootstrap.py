@@ -10,6 +10,7 @@ import pytest
 from repro.app.bootstrap import bootstrap, parse_connect_line
 from repro.crypto.keys import Base64Key
 from repro.errors import NetworkError
+from repro.network.packet import MAX_CONN_ID
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="subprocess/pty tests"
@@ -19,9 +20,8 @@ pytestmark = pytest.mark.skipif(
 class TestParseConnectLine:
     def test_valid(self):
         key = Base64Key.new()
-        port, parsed = parse_connect_line(f"MOSH CONNECT 60001 {key.printable()}")
-        assert port == 60001
-        assert parsed == key
+        line = f"MOSH CONNECT 60001 {key.printable()} 7"
+        assert parse_connect_line(line) == (60001, key, 7)
 
     def test_rejects_garbage(self):
         with pytest.raises(NetworkError):
@@ -30,13 +30,34 @@ class TestParseConnectLine:
     def test_rejects_bad_port(self):
         key = Base64Key.new().printable()
         with pytest.raises(NetworkError):
-            parse_connect_line(f"MOSH CONNECT notaport {key}")
+            parse_connect_line(f"MOSH CONNECT notaport {key} 1")
         with pytest.raises(NetworkError):
-            parse_connect_line(f"MOSH CONNECT 99999 {key}")
+            parse_connect_line(f"MOSH CONNECT 99999 {key} 1")
 
     def test_rejects_bad_key(self):
         with pytest.raises(NetworkError):
-            parse_connect_line("MOSH CONNECT 60001 short")
+            parse_connect_line("MOSH CONNECT 60001 short 1")
+
+    def test_requires_conn_id(self):
+        """Server ports route by connection id only: a four-field line
+        names no session."""
+        key = Base64Key.new().printable()
+        with pytest.raises(NetworkError):
+            parse_connect_line(f"MOSH CONNECT 60001 {key}")
+
+    @pytest.mark.parametrize(
+        "conn_id", ["-1", str(MAX_CONN_ID + 1), "18446744073709551616", "x1"]
+    )
+    def test_rejects_conn_id_out_of_range(self, conn_id):
+        key = Base64Key.new().printable()
+        with pytest.raises(NetworkError):
+            parse_connect_line(f"MOSH CONNECT 60001 {key} {conn_id}")
+
+    @pytest.mark.parametrize("conn_id", [0, MAX_CONN_ID])
+    def test_accepts_conn_id_range_ends(self, conn_id):
+        key = Base64Key.new()
+        line = f"MOSH CONNECT 60001 {key.printable()} {conn_id}"
+        assert parse_connect_line(line)[2] == conn_id
 
 
 class TestBootstrap:
@@ -47,7 +68,7 @@ class TestBootstrap:
             "127.0.0.1",
             login_command=["sh", "-c"],
             server_command=(
-                f"{sys.executable} -c \"print('MOSH CONNECT 60123 {key}')\""
+                f"{sys.executable} -c \"print('MOSH CONNECT 60123 {key} 5')\""
             ),
             timeout_s=15.0,
         )
@@ -55,6 +76,7 @@ class TestBootstrap:
             assert result.port == 60123
             assert result.host == "127.0.0.1"
             assert result.key.printable() == key
+            assert result.conn_id == 5
         finally:
             result.shutdown()
 
@@ -77,6 +99,7 @@ class TestBootstrap:
             result.host,
             result.port,
             result.key,
+            result.conn_id,
             stdin_fd=read_fd,
             stdout=io.BytesIO(),
         )

@@ -125,6 +125,7 @@ class TestFullSession:
             "127.0.0.1",
             server.connection.port,
             server.key,
+            server.conn_id,
             stdin_fd=read_fd,
             stdout=io.BytesIO(),
         )
@@ -149,16 +150,21 @@ class TestFullSession:
             os.close(read_fd)
 
     def test_tampered_datagrams_counted_and_summarized(self):
-        """Garbage UDP at the server's port shows up as auth failures in
-        the integrity summary and the bridged reactor metrics."""
+        """A forgery framed with the session's id shows up as an auth
+        failure in the integrity summary and the reactor metrics; an
+        unframed datagram dies at the port as ``daemon.no_route``."""
         import socket
+
+        from repro.network.packet import encode_conn_id
 
         server = ServerApp(argv=["/bin/sh"], bind_host="127.0.0.1")
         attacker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        address = ("127.0.0.1", server.connection.port)
+        registry = server.reactor.registry
         try:
             # Long enough to pass the length check, wrong key for the tag.
-            attacker.sendto(bytes(64), ("127.0.0.1", server.connection.port))
-            stats = server.connection.session.stats
+            attacker.sendto(encode_conn_id(server.conn_id) + bytes(64), address)
+            stats = server.core.transport.endpoint.session.stats
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline and stats.auth_failures == 0:
                 server.step(timeout_ms=10.0)
@@ -167,8 +173,18 @@ class TestFullSession:
             assert "0 replay drops" in server.integrity_summary()
             # Counted into the registry where the unseal failed: no tick
             # has to run first.
-            doc = server.reactor.registry.snapshot()
+            doc = registry.snapshot()
             assert doc["counters"]["crypto.auth_failures"] == 1
+
+            # The same forgery unframed names no session.
+            no_route = registry.counter("daemon.no_route")
+            attacker.sendto(bytes(64), address)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and no_route.value == 0:
+                server.step(timeout_ms=10.0)
+            assert no_route.value == 1
+            assert stats.auth_failures == 1
+            assert registry.counter("crypto.auth_failures").value == 1
         finally:
             attacker.close()
             server.shutdown()

@@ -26,6 +26,37 @@ class TestArgParsing:
             cli.client_main([])
 
 
+class TestConnIdArg:
+    """The client's connection id is required and range-checked at parse
+    time, before any socket opens."""
+
+    @pytest.fixture(autouse=True)
+    def no_client(self, monkeypatch):
+        import repro.app.client
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the client was started")
+
+        monkeypatch.setattr(repro.app.client, "ClientApp", refuse)
+
+    KEY = "A" * 22
+
+    @pytest.mark.parametrize(
+        "value", ["-1", str(2**63), "18446744073709551616", "abc"]
+    )
+    def test_bad_conn_id_exits_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.client_main(["127.0.0.1", "60001", self.KEY, value])
+        assert exc.value.code == 2
+        assert "conn_id" in capsys.readouterr().err
+
+    def test_conn_id_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.client_main(["127.0.0.1", "60001", self.KEY])
+        assert exc.value.code == 2
+        assert "conn_id" in capsys.readouterr().err
+
+
 class TestIntervalFlags:
     """Timer intervals must be finite seconds > 0, rejected at parse time
     before the daemon binds a socket or spawns a pty."""

@@ -1,4 +1,4 @@
-"""The session daemon: one-port muxing, legacy fallback, reaping.
+"""The session daemon: one-port muxing by connection id, reaping.
 
 Unit tests drive :class:`~repro.daemon.mux.SessionMux` with hand-built
 datagrams; the integration tests stand up 256 concurrent sessions in the
@@ -24,6 +24,7 @@ from repro.daemon.mux import SessionMux
 from repro.errors import NetworkError, ReactorError
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import CONN_WIRE_MAGIC
+from repro.obs.flight import FlightRecorder
 
 
 class WireClient(DatagramEndpoint):
@@ -66,19 +67,17 @@ class TestMuxLifecycle:
         with pytest.raises(NetworkError):
             mux.open_endpoint(Session(Base64Key.new()), conn_id=7)
 
-    def test_close_frees_route_and_learned_addresses(self):
+    def test_close_frees_route(self):
         mux = make_mux()
-        key_a, key_b, key_c = (Base64Key.new() for _ in range(3))
+        key_a, key_b = Base64Key.new(), Base64Key.new()
         mux.open_endpoint(Session(key_a))
         endpoint_b = mux.open_endpoint(Session(key_b))
-        mux.open_endpoint(Session(key_c))
-        # A v1 datagram teaches the mux that "addr-b" belongs to B.
-        client_b = WireClient(key_b, addr="addr-b")
+        client_b = WireClient(key_b, conn_id=endpoint_b.conn_id)
         assert mux.dispatch(client_b.datagram(), "addr-b") is endpoint_b
-        assert mux._addr_routes == {"addr-b": endpoint_b.conn_id}
         endpoint_b.close()
         assert endpoint_b.conn_id not in mux.conn_ids
-        assert mux._addr_routes == {}
+        assert mux.dispatch(client_b.datagram(), "addr-b") is None
+        assert mux.registry.counter("daemon.no_route").value == 1
 
 
 class TestMuxRouting:
@@ -128,57 +127,71 @@ class TestMuxRouting:
 
 
 class TestLegacyRouting:
-    """v1 clients (no mux header): address learning and key probing."""
+    """Unframed (v1) datagrams: the port routes by conn id only, so they
+    die pre-auth in O(1), whatever the fleet size."""
 
-    def two_sessions(self):
-        mux = make_mux()
-        key_a, key_b = Base64Key.new(), Base64Key.new()
-        endpoint_a = mux.open_endpoint(Session(key_a))
-        endpoint_b = mux.open_endpoint(Session(key_b))
-        return mux, (key_a, endpoint_a), (key_b, endpoint_b)
+    @staticmethod
+    def crypto_state(endpoints):
+        return [
+            (
+                e.session.stats.datagrams_unsealed,
+                e.session.stats.auth_failures,
+                e.session.stats.replay_drops,
+                e.datagrams_received,
+            )
+            for e in endpoints
+        ]
 
-    def test_probe_learns_address_then_routes_directly(self):
-        mux, _, (key_b, endpoint_b) = self.two_sessions()
-        client = WireClient(key_b)
-        assert mux.dispatch(client.datagram(b"one"), "addr-b") is endpoint_b
-        assert mux.registry.counter("daemon.legacy_fallbacks").value == 1
-        assert mux.dispatch(client.datagram(b"two"), "addr-b") is endpoint_b
-        # Second datagram went through the learned-address fast path.
-        assert mux.registry.counter("daemon.legacy_fallbacks").value == 1
-        assert endpoint_b.pop_received() == [b"one", b"two"]
+    def test_unframed_refused_before_unseal_at_256_sessions(self, monkeypatch):
+        flight = FlightRecorder("daemon")
+        mux = make_mux(flight=flight)
+        keys = [Base64Key.new() for _ in range(256)]
+        endpoints = [mux.open_endpoint(Session(key)) for key in keys]
+        unseals = []
+        decrypt = Session.decrypt
 
-    def test_v1_roaming_reprobes_from_new_address(self):
-        mux, _, (key_b, endpoint_b) = self.two_sessions()
-        client = WireClient(key_b)
-        mux.dispatch(client.datagram(b"home"), "addr-1")
-        assert mux.dispatch(client.datagram(b"roamed"), "addr-2") is endpoint_b
-        assert endpoint_b.pop_received() == [b"home", b"roamed"]
-        assert mux._addr_routes["addr-2"] == endpoint_b.conn_id
-        assert mux.registry.counter("daemon.legacy_fallbacks").value == 2
+        def spy(session, data):
+            unseals.append(session)
+            return decrypt(session, data)
 
-    def test_address_reassignment_when_key_changes(self):
-        """A stale learned address must not pin the wrong session."""
-        mux, (key_a, endpoint_a), (key_b, endpoint_b) = self.two_sessions()
-        mux.dispatch(WireClient(key_b).datagram(), "nat-addr")
-        assert mux._addr_routes["nat-addr"] == endpoint_b.conn_id
-        # The NAT rebinds: the same public address now fronts client A.
-        assert mux.dispatch(WireClient(key_a).datagram(b"now-a"), "nat-addr") \
-            is endpoint_a
-        assert endpoint_a.pop_received() == [b"now-a"]
-        assert mux._addr_routes["nat-addr"] == endpoint_a.conn_id
+        monkeypatch.setattr(Session, "decrypt", spy)
+        before = self.crypto_state(endpoints)
+        # One datagram sealed under a live session's own key, one of garbage.
+        sealed = WireClient(keys[100]).datagram(b"v1")
+        for n, raw in enumerate((sealed, bytes(64)), start=1):
+            assert mux.dispatch(raw, ("10.0.0.9", 4000 + n)) is None
+            assert mux.registry.counter("daemon.no_route").value == n
+        assert unseals == []
+        assert self.crypto_state(endpoints) == before
+        assert mux.registry.counter("daemon.datagrams_routed").value == 0
+        assert mux.registry.counter("daemon.bad_packets").value == 0
+        drops = [e for e in flight.events() if e["ev"] == "drop"]
+        assert [e["reason"] for e in drops] == ["no_route", "no_route"]
+        assert drops[0]["seq"] == 0
+        # The same session's framed datagram still routes.
+        framed = WireClient(keys[100], conn_id=endpoints[100].conn_id)
+        assert mux.dispatch(framed.datagram(b"v2"), "x") is endpoints[100]
+        assert endpoints[100].pop_received() == [b"v2"]
 
     def test_unroutable_v1_counts_no_route(self):
-        mux, _, _ = self.two_sessions()
+        mux = make_mux()
+        mux.open_endpoint(Session(Base64Key.new()))
+        mux.open_endpoint(Session(Base64Key.new()))
         assert mux.dispatch(WireClient(Base64Key.new()).datagram(), "x") is None
         assert mux.registry.counter("daemon.no_route").value == 1
 
-    def test_single_session_fast_path_preserves_auth_accounting(self):
-        """With one route, forgeries land on the session (v1 behavior)."""
+    def test_single_session_port_refuses_unframed(self):
+        """One route is no exception: an unframed datagram, even one
+        sealed under the session's key, never reaches the session."""
         mux = make_mux()
-        endpoint = mux.open_endpoint(Session(Base64Key.new()))
-        assert mux.dispatch(bytes(64), "attacker") is endpoint
-        assert endpoint.session.stats.auth_failures == 1
-        assert mux.registry.counter("daemon.no_route").value == 0
+        key = Base64Key.new()
+        endpoint = mux.open_endpoint(Session(key))
+        for raw in (WireClient(key).datagram(b"v1"), bytes(64)):
+            assert mux.dispatch(raw, "attacker") is None
+        assert mux.registry.counter("daemon.no_route").value == 2
+        assert endpoint.session.stats.auth_failures == 0
+        assert endpoint.session.stats.datagrams_unsealed == 0
+        assert endpoint.pop_received() == []
 
 
 class TestIdleReaper:
@@ -375,7 +388,6 @@ class TestManySessionsOnePort:
         counters = daemon.metrics_snapshot()["counters"]
         assert counters["daemon.no_route"] == 0
         assert counters["daemon.bad_packets"] == 0
-        assert counters["daemon.legacy_fallbacks"] == 0
         assert counters["daemon.datagrams_routed"] >= 2 * 256
 
         # Fate partition: everything a session's server received is a
@@ -401,32 +413,6 @@ class TestManySessionsOnePort:
             assert client_got and client_got <= server_sent
             assert not any(e["ev"] == "drop" for e in server_events)
             assert not any(e["ev"] == "drop" for e in client_events)
-
-    def test_legacy_clients_share_the_port(self):
-        """v1 clients (no conn-id framing) still mux via key probing."""
-        from repro.session.inprocess import InProcessDaemon
-        from repro.simnet import LinkConfig
-
-        daemon = InProcessDaemon(
-            LinkConfig(delay_ms=10),
-            LinkConfig(delay_ms=10),
-            sessions=4,
-            width=40,
-            height=8,
-            seed=7,
-            conn_id_framing=False,
-        )
-        daemon.connect(warmup_ms=1500)
-        for cid in daemon.conn_ids:
-            daemon.client(cid).type_bytes(f"#{cid}#".encode())
-        daemon.run_for(6000)
-        for cid in daemon.conn_ids:
-            screen = daemon.record(cid).core.terminal.fb.screen_text()
-            assert {int(m) for m in MARKER.findall(screen)} == {cid}
-            assert daemon.record(cid).session.stats.auth_failures == 0
-        counters = daemon.metrics_snapshot()["counters"]
-        assert counters["daemon.legacy_fallbacks"] >= 4
-        assert counters["daemon.no_route"] == 0
 
 
 @pytest.mark.skipif(
@@ -520,7 +506,7 @@ class TestDaemonRealUdp:
                 os.close(write_fd)
 
     def test_daemon_connect_lines_and_spawn(self):
-        from repro.app.bootstrap import parse_connect_line_ex
+        from repro.app.bootstrap import parse_connect_line
         from repro.daemon.app import DaemonApp
 
         app = DaemonApp(argv=["/bin/sh"], bind_host="127.0.0.1", sessions=2)
@@ -529,7 +515,7 @@ class TestDaemonRealUdp:
             assert len(lines) == 2
             seen = set()
             for line, record in zip(lines, app.manager.records()):
-                port, key, conn_id = parse_connect_line_ex(line)
+                port, key, conn_id = parse_connect_line(line)
                 assert port == app.port
                 assert key == record.key
                 assert conn_id == record.conn_id

@@ -4,6 +4,7 @@ from repro.crypto.keys import Base64Key, Nonce
 from repro.crypto.session import NullSession, Session
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import Packet, peek_conn_id, timestamp16
+from repro.obs.flight import FlightRecorder
 
 
 class RecordingEndpoint(DatagramEndpoint):
@@ -177,16 +178,25 @@ class TestConnIdFraming:
         assert server.pop_received() == []
         assert server.framing_drops == 1
 
-    def test_unframed_peer_flips_outbound_framing(self):
-        """A v1 peer's authenticated datagram switches replies to v1."""
-        server = RecordingEndpoint(is_server=True)
+    def test_unframed_datagram_is_framing_drop(self):
+        """An endpoint with a conn id accepts only datagrams framed with
+        it: an authentic unframed datagram is dropped before unsealing,
+        and replies stay framed."""
+        key = Base64Key.new()
+        server = RecordingEndpoint(is_server=True, session=Session(key))
         server.set_conn_id(3)
-        client = RecordingEndpoint(is_server=False)  # no conn id: v1
-        client.send(b"old-style", now=0.0)
+        server.flight = FlightRecorder("server")
+        client = RecordingEndpoint(is_server=False, session=Session(key))
+        client.send(b"old-style", now=0.0)  # no conn id: unframed
         server._handle_datagram(client.wire[0], "addr", now=1.0)
-        assert server.pop_received() == [b"old-style"]
+        assert server.pop_received() == []
+        assert server.framing_drops == 1
+        assert server.session.stats.datagrams_unsealed == 0
+        assert server.remote_addr == "peer"
+        drops = [e for e in server.flight.events() if e["ev"] == "drop"]
+        assert [(e["reason"], e["seq"]) for e in drops] == [("no_route", 0)]
         server.send(b"reply", now=2.0)
-        assert peek_conn_id(server.wire[0]) == (None, 0)
+        assert peek_conn_id(server.wire[0]) == (3, 2)
 
     def test_framed_peer_keeps_framing(self):
         server = RecordingEndpoint(is_server=True)
@@ -199,7 +209,7 @@ class TestConnIdFraming:
         assert peek_conn_id(server.wire[0]) == (3, 2)
 
     def test_unauthenticated_framing_cannot_flip_dialect(self):
-        """Only a *sealed* v1 datagram may downgrade outbound framing."""
+        """No unframed datagram, forged or not, changes outbound framing."""
         server = RecordingEndpoint(is_server=True, session=Session(Base64Key.new()))
         server.set_conn_id(3)
         server.set_remote_addr("peer")

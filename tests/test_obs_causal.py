@@ -314,6 +314,7 @@ class TestClockDomain:
             "127.0.0.1",
             server.connection.port,
             server.key,
+            server.conn_id,
             stdin_fd=read_fd,
             stdout=io.BytesIO(),
             flight=True,

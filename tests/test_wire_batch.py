@@ -17,7 +17,6 @@ from repro.crypto.session import (
     seal_many,
     unseal_many,
 )
-from repro.daemon.mux import SessionMux
 from repro.errors import AuthenticationError, CryptoError, ReplayError
 from repro.network import sysbatch
 from repro.network.batch import RxBatcher, SyscallCounter, WireBatcher
@@ -227,12 +226,11 @@ class TestRxStageZeroCopy:
             payloads.append(b"pay-%d" % i)
             slots.append(slot)
         assert len(rx) == 3
-        for (_, body, framed, _, _), slot in zip(rx._staged, slots):
+        for (_, body, _, _), slot in zip(rx._staged, slots):
             # No copy between the socket slot and the unseal: the staged
             # body is a window into the very buffer the datagram landed in.
             assert isinstance(body, memoryview)
             assert body.obj is slot
-            assert framed is True
         assert rx.flush() == 3
         delivered = [ep.pop_received() for ep in endpoints]
         assert delivered == [[p] for p in payloads]
@@ -604,40 +602,3 @@ class TestRealReactorFlushHooks:
         reactor.run_once(0.0)
         assert fired == [1]
         assert armed[0].fired
-
-
-# ----------------------------------------------------------------------
-# Legacy v1 routing needs an immediate unseal verdict: deliver_now must
-# bypass (and then restore) the staged receive path.
-# ----------------------------------------------------------------------
-
-
-class TestDeliverNowLegacyRouting:
-    def _legacy_datagram(self, client, seq, payload=b"v1"):
-        packet = Packet(
-            Nonce(DIRECTION_TO_SERVER, seq), 100, TIMESTAMP_NONE, payload
-        )
-        return client.encrypt(
-            Message(nonce=packet.nonce, text=packet.to_plaintext())
-        )
-
-    def test_known_addr_path_is_synchronous(self):
-        mux = SessionMux(clock=lambda: 0.0)
-        (s1, c1), (s2, _) = _keyed_pair(), _keyed_pair()
-        e1 = mux.open_endpoint(s1, conn_id=1)
-        mux.open_endpoint(s2, conn_id=2)
-        rx = RxBatcher()
-        stage = rx.stage
-        for conn_id in (1, 2):
-            mux.endpoint(conn_id).rx_stage = stage
-        # Unknown source: the probe path claims it; delivery may stage.
-        assert mux.dispatch(self._legacy_datagram(c1, 0), "addr-a") is e1
-        rx.flush()
-        assert e1.pop_received() == [b"v1"]
-        # Known source: routing reads the unseal verdict immediately, so
-        # delivery must run inline — nothing staged, payload available now.
-        assert mux.dispatch(self._legacy_datagram(c1, 1), "addr-a") is e1
-        assert len(rx) == 0
-        assert e1.pop_received() == [b"v1"]
-        # The staged path is restored for regular v2 traffic afterwards.
-        assert e1.rx_stage is stage

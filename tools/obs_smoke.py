@@ -243,6 +243,7 @@ def daemon_stage(args) -> list[str]:
         if f"session-{cid}" not in screen:
             failures.append(f"session {cid} never converged on its marker")
 
+    failures.extend(_unroutable_checks(daemon))
     write_snapshot_atomic(doc, args.daemon_metrics)
     with open(args.daemon_metrics, encoding="utf-8") as fh:
         validate_snapshot(json.load(fh))
@@ -252,6 +253,37 @@ def daemon_stage(args) -> list[str]:
         f"-> {args.daemon_metrics}"
     )
     return failures
+
+
+def _unroutable_checks(daemon) -> list[str]:
+    """The port routes by connection id only: an unframed datagram, even
+    one sealed under a live session's key, and a framed datagram naming
+    no session both die pre-auth as ``daemon.no_route``."""
+    from repro.crypto.keys import DIRECTION_TO_SERVER, Nonce
+    from repro.crypto.session import Message, Session
+    from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
+
+    registry = daemon.reactor.registry
+    names = ("daemon.no_route", "daemon.bad_packets", "crypto.auth_failures")
+    before = [registry.counter(name).value for name in names]
+    cid = daemon.conn_ids[0]
+    packet = Packet(Nonce(DIRECTION_TO_SERVER, 1 << 20), 0, TIMESTAMP_NONE, b"")
+    unframed = Session(daemon.record(cid).key).encrypt(
+        Message(nonce=packet.nonce, text=packet.to_plaintext())
+    )
+    unknown = encode_conn_id(max(daemon.conn_ids) + 1) + bytes(64)
+    for raw in (unframed, unknown):
+        daemon.network.send_datagram("client", "intruder", daemon.DAEMON_ADDR, raw)
+    daemon.run_for(200.0)
+    delta = dict(
+        zip(names, (registry.counter(n).value - b for n, b in zip(names, before)))
+    )
+    expected = {"daemon.no_route": 2, "daemon.bad_packets": 0,
+                "crypto.auth_failures": 0}
+    if delta != expected:
+        return [f"daemon: unroutable datagrams moved {delta}, want {expected}"]
+    print("  daemon: unframed and unknown-id datagrams refused as no_route")
+    return []
 
 
 def causal_stage(args) -> list[str]:
