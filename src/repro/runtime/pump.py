@@ -27,8 +27,9 @@ from repro.transport.transport import Transport
 #: transport's 3 s heartbeat interval.
 MAX_TICK_DELAY_MS = 3000.0
 
-#: Floor on the re-arm delay so a confused timer can never pin a simulated
-#: clock in place (defense in depth; a due tick should always progress).
+#: Re-arm delay for a deadline that is not after ``now`` (a tick that
+#: left something due), so a confused timer can never pin a simulated
+#: clock in place. Future deadlines are armed exactly.
 MIN_TICK_DELAY_MS = 0.5
 
 #: A session parks only when its next deadline is at least this far out:
@@ -46,14 +47,24 @@ DORMANT_AFTER_MS = 10_000.0
 
 
 class TransportPump:
-    """Self-scheduling pump binding one :class:`Transport` to a reactor."""
+    """Self-scheduling pump binding one :class:`Transport` to a reactor.
+
+    Every event runs exactly one sender tick: kicks nested inside a
+    running kick coalesce into it. The pump holds at most one live
+    timer, armed exactly at the sender's next deadline and kept while
+    that deadline does not move; parked and suspended pumps hold none.
+    """
 
     def __init__(
         self, reactor: Reactor, transport: Transport, role: str
     ) -> None:
         self._reactor = reactor
         self._transport = transport
+        #: The one live tick timer, if any, and the deadline it fires at.
         self._timer: TimerHandle | None = None
+        self._when = 0.0
+        #: True while :meth:`kick` runs; nested kicks coalesce into it.
+        self._kicking = False
         #: True while this session is parked: the sender has no pending
         #: diff and no unacked data, so the only armed timer (if any) is
         #: the coarse heartbeat, and no tick runs before it is due. A
@@ -137,42 +148,66 @@ class TransportPump:
         self._dormant_wakes = registry.counter("pump.dormant_wakes")
 
     def kick(self) -> None:
-        """Tick the transport now and re-arm from its next deadline."""
+        """Tick the transport now and re-arm at its next deadline.
+
+        A kick that arrives while this pump is already inside ``kick``
+        returns at once. Such nested kicks come from the receive phase
+        (user events applied, the app's echo written to the terminal),
+        and the running kick's sender tick and re-arm come after that
+        phase, so they already see the nested caller's change.
+        """
+        if self._kicking:
+            return
+        self._kicking = True
+        try:
+            reactor = self._reactor
+            now = reactor.now()
+            transport = self._transport
+            wait = transport.tick(now)
+            # Fast-path span: ``now`` is already in hand and this runs on
+            # every tick, so skip the context-manager machinery.
+            reactor.tracer.record_span(self._tick_span_name, now)
+            self._ticks.value += 1
+            if wait is None:
+                # Deep park: no peer address yet, so nothing can become due
+                # until the network speaks. No timer is armed at all — the
+                # first datagram (or local activity) kicks synchronously.
+                self._disarm()
+                self._set_parked(True)
+                return
+            idle = transport.sender.last_wait_idle
+            endpoint = transport.endpoint
+            if (
+                idle
+                and endpoint.is_server
+                and endpoint.last_heard is not None
+                and now - endpoint.last_heard >= DORMANT_AFTER_MS
+            ):
+                # Dormant park: the client has been gone for several
+                # heartbeat periods. Stop heartbeating at its stale address;
+                # its next authentic datagram wakes us.
+                self._disarm()
+                self._set_parked(True)
+                return
+            self._set_parked(idle and wait >= PARK_MIN_WAIT_MS)
+            if wait > 0.0:
+                when = now + min(wait, MAX_TICK_DELAY_MS)
+            else:
+                when = now + MIN_TICK_DELAY_MS
+            timer = self._timer
+            if timer is not None and timer.active:
+                if self._when == when:
+                    return  # the armed timer already fires at this deadline
+                timer.cancel()
+            self._when = when
+            self._timer = reactor.call_at(when, self.kick)
+        finally:
+            self._kicking = False
+
+    def _disarm(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        reactor = self._reactor
-        now = reactor.now()
-        transport = self._transport
-        transport.tick(now)
-        # Fast-path span: ``now`` is already in hand and this runs on
-        # every tick, so skip the context-manager machinery.
-        reactor.tracer.record_span(self._tick_span_name, now)
-        self._ticks.value += 1
-        wait = transport.wait_time(now)
-        if wait is None:
-            # Deep park: no peer address yet, so nothing can become due
-            # until the network speaks. No timer is armed at all — the
-            # first datagram (or local activity) kicks synchronously.
-            self._set_parked(True)
-            return
-        idle = transport.sender.last_wait_idle
-        endpoint = transport.endpoint
-        if (
-            idle
-            and endpoint.is_server
-            and endpoint.last_heard is not None
-            and now - endpoint.last_heard >= DORMANT_AFTER_MS
-        ):
-            # Dormant park: the client has been gone for several
-            # heartbeat periods. Stop heartbeating at its stale address;
-            # its next authentic datagram wakes us.
-            self._set_parked(True)
-            return
-        self._set_parked(idle and wait >= PARK_MIN_WAIT_MS)
-        self._timer = reactor.call_later(
-            max(min(wait, MAX_TICK_DELAY_MS), MIN_TICK_DELAY_MS), self.kick
-        )
 
     def suspend(self) -> None:
         """Stop self-scheduling: the endpoint's machine "went to sleep".
@@ -182,9 +217,7 @@ class TransportPump:
         or local activity — resumes the schedule. Used by harnesses to
         model detached clients (closed laptops) at fleet scale.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._disarm()
         self._set_parked(True)
 
     def _set_parked(self, parked: bool) -> None:

@@ -43,6 +43,12 @@ _MAX_SENT_STATES = 32
 #: churn between acknowledgments.
 _DIFF_CACHE_MAX = 32
 
+#: Bound on the memoized state-equality results, keyed like the diff
+#: cache. A deadline evaluation compares the current state with at most
+#: three sent states, and a pending diff repeats those compares on every
+#: tick; the memo keeps each to one framebuffer walk.
+_SAME_STATE_MAX = 4
+
 #: Bound on the instrumentation send log (ring buffer). Sized for the
 #: paper-scale trace replays (~10k keystrokes, a few sends each) while
 #: keeping a long-lived recording session's memory flat.
@@ -92,14 +98,18 @@ class TransportSender(Generic[S]):
         self._mindelay_clock: float | None = None
         self._last_heard = -1e12
         self._shutdown = False
-        #: Refreshed by :meth:`wait_time`: True when the only upcoming
-        #: deadline is the heartbeat (no pending diff, no unacked data).
+        #: Refreshed by :meth:`tick` and :meth:`wait_time`: True when the
+        #: only upcoming deadline is the heartbeat (no pending diff, no
+        #: unacked data).
         self.last_wait_idle = False
 
         # Memoized diffs keyed by (source, target) fingerprints: the
         # retransmission-by-diff and heartbeat paths recompute identical
         # diffs; fingerprint equality guarantees byte-identical output.
         self._diff_cache: OrderedDict[tuple[int, int], bytes] = OrderedDict()
+        # Memoized ``a == b`` for states with unequal fingerprints, on the
+        # same premise: a fingerprint pair names a pair of states.
+        self._same_state_memo: dict[tuple[int, int], bool] = {}
 
         # Instrumentation (read by the experiment harness).
         self.instructions_sent = 0
@@ -150,9 +160,14 @@ class TransportSender(Generic[S]):
     def set_data_ack(self, now: float) -> None:
         """Note that the peer sent data we must acknowledge within
         ``ack_delay``; the ack rides the next instruction if possible."""
-        if not self._pending_data_ack:
-            self._pending_data_ack = True
-            self._pending_ack_since = now
+        if self._pending_data_ack:
+            # Mosh's rule: once data is pending, its ack deadline only
+            # moves earlier, and one that ties with ``now`` is due. It
+            # already lies within ack_delay of the first unacked data, so
+            # later data never postpones it.
+            return
+        self._pending_data_ack = True
+        self._pending_ack_since = now
         target = now + self.timing.ack_delay_ms
         if now < self._next_ack_time < target:
             return  # an earlier live deadline already covers this ack
@@ -187,19 +202,30 @@ class TransportSender(Generic[S]):
 
     def _same_state(self, a: StateObject, b: StateObject) -> bool:
         fa, fb = a.fingerprint(), b.fingerprint()
-        if fa is not None and fb is not None and fa == fb:
+        if fa is None or fb is None:
+            return a == b
+        if fa == fb:
             return True
-        return a == b
+        key = (fa, fb)
+        memo = self._same_state_memo
+        same = memo.get(key)
+        if same is None:
+            if len(memo) >= _SAME_STATE_MAX:
+                del memo[next(iter(memo))]
+            same = memo[key] = a == b
+        return same
 
     def _update_assumed_receiver_state(self, now: float) -> None:
         """Assume receipt of every state younger than RTO + ACK_DELAY."""
-        horizon = self._endpoint.rto() + self.timing.ack_delay_ms
+        sent = self._sent_states
         idx = 0
-        for i in range(1, len(self._sent_states)):
-            if now - self._sent_states[i].timestamp < horizon:
-                idx = i
-            else:
-                break
+        if len(sent) > 1:
+            horizon = self._endpoint.rto() + self.timing.ack_delay_ms
+            for i in range(1, len(sent)):
+                if now - sent[i].timestamp < horizon:
+                    idx = i
+                else:
+                    break
         self._assumed_idx = idx
 
     # ------------------------------------------------------------------
@@ -209,25 +235,29 @@ class TransportSender(Generic[S]):
     def _next_send_time(self, now: float) -> float | None:
         back = self._sent_states[-1]
         timing = self.timing
-        interval = timing.send_interval(self._effective_srtt())
-        if not self._same_state(self._current_state, back.state):
+        current = self._current_state
+        if not self._same_state(current, back.state):
             if self._mindelay_clock is None:
                 self._mindelay_clock = now
             return max(
                 self._mindelay_clock + timing.send_mindelay_ms,
-                back.timestamp + interval,
+                back.timestamp + self._send_interval(),
             )
+        if self._last_heard + timing.active_retry_timeout_ms <= now:
+            return None  # the peer went quiet: stop retrying
         assumed = self._sent_states[self._assumed_idx]
-        retry_alive = self._last_heard + timing.active_retry_timeout_ms > now
-        if not self._same_state(self._current_state, assumed.state) and retry_alive:
-            when = back.timestamp + interval
+        if not self._same_state(current, assumed.state):
+            when = back.timestamp + self._send_interval()
             if self._mindelay_clock is not None:
                 when = max(when, self._mindelay_clock + timing.send_mindelay_ms)
             return when
         front = self._sent_states[0]
-        if not self._same_state(self._current_state, front.state) and retry_alive:
+        if not self._same_state(current, front.state):
             return back.timestamp + timing.heartbeat_interval_ms
         return None
+
+    def _send_interval(self) -> float:
+        return self.timing.send_interval(self._effective_srtt())
 
     def _effective_srtt(self) -> float:
         # Until the first RTT sample arrives, pace at the minimum interval
@@ -248,27 +278,35 @@ class TransportSender(Generic[S]):
             self.last_wait_idle = True
             return None
         self._update_assumed_receiver_state(now)
-        nst = self._next_send_time(now)
+        return self._wait_until(self._next_send_time(now), now)
+
+    def _wait_until(self, nst: float | None, now: float) -> float:
+        """The wait before the earlier of ``nst`` and the ack deadline."""
+        self.last_wait_idle = nst is None
         if nst is None:
-            self.last_wait_idle = True
             return max(0.0, self._next_ack_time - now)
-        self.last_wait_idle = False
         return max(0.0, min(nst, self._next_ack_time) - now)
 
     # ------------------------------------------------------------------
     # The main clock tick
     # ------------------------------------------------------------------
 
-    def tick(self, now: float) -> None:
-        """Send an instruction, ack, or heartbeat if one is due."""
+    def tick(self, now: float) -> float | None:
+        """Send an instruction, ack, or heartbeat if one is due.
+
+        Returns what :meth:`wait_time` would return right after, and
+        refreshes :attr:`last_wait_idle` the same way. The deadline is
+        worked out once per tick: only a send moves it, so only a send
+        makes the tick work it out again.
+        """
         if self._endpoint.remote_addr is None:
-            return
+            self.last_wait_idle = True
+            return None
         self._update_assumed_receiver_state(now)
         nst = self._next_send_time(now)
         send_due = nst is not None and nst <= now
-        ack_due = self._next_ack_time <= now
-        if not send_due and not ack_due:
-            return
+        if not send_due and self._next_ack_time > now:
+            return self._wait_until(nst, now)
         assumed = self._sent_states[self._assumed_idx]
         diff = self._diff_between(assumed.state)
         if not diff:
@@ -278,12 +316,12 @@ class TransportSender(Generic[S]):
             # back): an empty ack mints a fresh state number whose content
             # is current, re-aligning the sent-state list so the send timer
             # stops firing.
-            if ack_due or send_due:
-                self._send_empty_ack(now)
-            return
-        # A pending diff rides out whether the frame timer or the ack
-        # timer fired — the ack piggybacks on host data (§2.3).
-        self._send_to_receiver(diff, now)
+            self._send_empty_ack(now)
+        else:
+            # A pending diff rides out whether the frame timer or the ack
+            # timer fired — the ack piggybacks on host data (§2.3).
+            self._send_to_receiver(diff, now)
+        return self.wait_time(now)
 
     def _diff_between(self, source: S) -> bytes:
         """``current.diff_from(source)``, memoized by fingerprint pair.

@@ -77,14 +77,13 @@ class Transport(Generic[MyState, RemoteState]):
     # Event loop interface
     # ------------------------------------------------------------------
 
-    def tick(self, now: float) -> None:
-        """Process arrived datagrams, then let the sender act."""
-        self._receive(now)
-        self.sender.tick(now)
+    def tick(self, now: float) -> float | None:
+        """Process arrived datagrams, then let the sender act.
 
-    def wait_time(self, now: float) -> float | None:
-        """Milliseconds until the next timer-driven tick (None = idle)."""
-        return self.sender.wait_time(now)
+        Returns the sender's wait until its next deadline (None = idle).
+        """
+        self._receive(now)
+        return self.sender.tick(now)
 
     def _receive(self, now: float) -> None:
         payloads, rx_infos = self._endpoint.pop_received_rx()

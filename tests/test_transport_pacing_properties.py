@@ -6,6 +6,7 @@ collection interval delays the first frame after a quiet period, and the
 sender never holds more than roughly one instruction in flight.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,3 +150,33 @@ class TestHeartbeat:
         assert gaps, "no heartbeats at all"
         for gap in gaps:
             assert 2500.0 <= gap <= 3600.0
+
+
+class TestAckDeadline:
+    @pytest.mark.parametrize("interval", [10.0, 20.0, 25.0, 50.0])
+    def test_one_way_data_is_acked_within_ack_delay_plus_one_frame(
+        self, interval
+    ):
+        """Mosh's rule: once data is pending, its ack deadline only moves
+        earlier, and a deadline that ties with ``now`` is due. The
+        intervals divide ACK_DELAY, so data lands on the very instant the
+        deadline falls due, ahead of that instant's tick."""
+        timing = SenderTiming()
+        endpoint = PacedEndpoint(100.0)
+        sender = TransportSender(endpoint, UserStream(), timing)
+        sender.tick(0.0)  # the connection-opening empty ack
+        endpoint.sent_at.clear()
+        first = 1000.0
+        # Tick the way the pump does: at each data arrival (after noting
+        # the data) and at the deadline the previous tick reported.
+        t = first
+        next_data = first
+        while t <= first + 1000.0 and not endpoint.sent_at:
+            if t == next_data:
+                sender.set_data_ack(t)
+                next_data += interval
+            sender.tick(t)
+            t = min(next_data, t + sender.wait_time(t))
+        assert endpoint.sent_at, "the data was never acknowledged"
+        delay = endpoint.sent_at[0] - first
+        assert timing.ack_delay_ms <= delay <= timing.ack_delay_ms + interval

@@ -246,6 +246,50 @@ class TestDelayedDataAck:
         sender.set_data_ack(550.0)  # still covered by the live deadline
         assert sender._next_ack_time == first_deadline
 
+    def test_deadline_tying_with_new_data_is_due(self):
+        # Regression: data landing on the instant its pending ack falls
+        # due used to push the deadline another ack_delay out, every
+        # time, so steady one-way data was never acknowledged.
+        endpoint, sender = make_sender()
+        sender.tick(0.0)
+        endpoint.sent.clear()
+        sender.set_data_ack(500.0)
+        deadline = sender._next_ack_time
+        sender.set_data_ack(deadline)
+        assert sender._next_ack_time == deadline
+        sender.tick(deadline)
+        assert len(endpoint.sent) == 1
+
+    def test_initial_deadline_is_not_live(self):
+        # The constructor's 0.0 deadline is no deadline: data arriving at
+        # t=0, before any tick, still waits the full ack delay.
+        endpoint, sender = make_sender()
+        sender.set_data_ack(0.0)
+        sender.tick(0.0)
+        assert endpoint.sent == []
+        sender.tick(sender.timing.ack_delay_ms)
+        assert len(endpoint.sent) == 1
+
+
+class TestTickDeadline:
+    def test_tick_returns_the_wait_wait_time_reports(self):
+        endpoint, sender = make_sender()
+        times = [0.0, 5.0, 30.0, 31.0, 90.0, 400.0, 3500.0]
+        for i, now in enumerate(times):
+            if i % 2:
+                sender.state.push_event(UserBytes(b"k"))
+            wait = sender.tick(now)
+            idle = sender.last_wait_idle
+            assert wait == sender.wait_time(now)
+            assert idle == sender.last_wait_idle
+        assert endpoint.sent
+
+    def test_idle_without_peer(self):
+        endpoint, sender = make_sender()
+        endpoint.set_remote_addr(None)
+        assert sender.tick(0.0) is None
+        assert sender.last_wait_idle
+
 
 class TestDiffMemoization:
     def test_repeated_diff_hits_cache_with_identical_bytes(self):
