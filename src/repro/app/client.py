@@ -125,13 +125,13 @@ class ClientApp:
     def render(self) -> None:
         """Paint the display: frame + predictions + connectivity bar."""
         shown = self.core.display()
+        if shown is self._painted:
+            return
         diff = Display.new_frame(self._painted, shown)
         if diff:
             self._stdout.write(diff)
             self._stdout.flush()
-        self._painted = (
-            shown.copy() if shown is self.transport.remote_state.fb else shown
-        )
+        self._painted = shown
 
     def step(self, timeout_ms: float = 20.0) -> None:
         """One select()-driven iteration of the client loop."""

@@ -263,11 +263,14 @@ class ClientCore:
         self._note_display(now)
 
     def _note_display(self, now: float) -> None:
+        # Received states are never mutated, so holding the shown frame by
+        # reference is safe, and showing the same object again is no change.
         shown = self.display()
-        if self._last_display is None or self._last_display != shown:
-            self._last_display = (
-                shown.copy() if shown is self.remote_terminal.fb else shown
-            )
+        last = self._last_display
+        if shown is last:
+            return
+        self._last_display = shown
+        if last is None or last != shown:
             self._frames_rendered.value += 1
             if self.on_display_change is not None:
                 self.on_display_change(now)

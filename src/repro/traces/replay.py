@@ -23,6 +23,7 @@ answer and are excluded from the latency population, counted separately.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -161,6 +162,7 @@ class _MoshMeter:
         self._pending: list[_Pending] = []
         self._first_write_time: dict[int, float] = {}
         self._state_birth: dict[int, float] = {}
+        self._log_scanned = 0  # send_log entries already in _state_birth
         session.server.transport.sender.record_send_log = True
         session.client.transport.on_remote_state = self._frame_arrived
         # Chain the client's own frame handling (prediction validation).
@@ -185,8 +187,14 @@ class _MoshMeter:
         num = self._session.client.transport.remote_state_num
         birth = self._state_birth.get(num)
         if birth is None:
-            for when, state_num, _ in self._session.server.transport.sender.send_log:
+            log = self._session.server.transport.sender.send_log
+            # Below its bound the log only grows, so the entries before the
+            # cursor are already scanned; a full log may have dropped its
+            # oldest entries and shifted them all, so rescan it whole.
+            start = self._log_scanned if len(log) < log.maxlen else 0
+            for when, state_num, _ in itertools.islice(log, start, None):
                 self._state_birth.setdefault(state_num, when)
+            self._log_scanned = len(log)
             birth = self._state_birth.get(num)
             if birth is None:
                 return

@@ -18,7 +18,12 @@ S = TypeVar("S", bound=StateObject)
 
 
 class TransportReceiver(Generic[S]):
-    """Tracks the peer's numbered states and applies incoming diffs."""
+    """Tracks the peer's numbered states and applies incoming diffs.
+
+    Stored states are never mutated: a diff is applied to a fresh copy of
+    its source, and an empty diff (heartbeat or empty ack) aliases its
+    source, storing that same object under the new number.
+    """
 
     def __init__(self, initial_state: S) -> None:
         self._states: dict[int, S] = {0: initial_state.copy()}
@@ -51,14 +56,16 @@ class TransportReceiver(Generic[S]):
             # and it will re-diff from an acknowledged state).
             self.unusable_ignored += 1
             return False
-        new_state = source.copy()
         if inst.diff:
+            new_state = source.copy()
             try:
                 new_state.apply_diff(inst.diff)
             except Exception as exc:
                 raise StateError(
                     f"could not apply diff {inst.old_num}->{inst.new_num}"
                 ) from exc
+        else:
+            new_state = source  # stored states are immutable: share it
         self._states[inst.new_num] = new_state
         if inst.new_num > self._latest_num:
             self._latest_num = inst.new_num

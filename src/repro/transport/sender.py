@@ -183,11 +183,16 @@ class TransportSender(Generic[S]):
 
     def process_acknowledgment_through(self, ack_num: int, now: float) -> None:
         """Peer has state ``ack_num``: discard older sent states."""
-        if any(s.num == ack_num for s in self._sent_states):
-            self._sent_states = [
-                s for s in self._sent_states if s.num >= ack_num
-            ]
-        self._rationalize_states()
+        sent = self._sent_states
+        if sent[0].num == ack_num:
+            return  # a re-ack: nothing new is known to the receiver
+        for i, entry in enumerate(sent):
+            if entry.num == ack_num:
+                # Numbers only grow along the list, so the acked entry
+                # splits it: everything before it is older.
+                self._sent_states = sent[i:]
+                self._rationalize_states()
+                return
 
     def _rationalize_states(self) -> None:
         """Prune history the receiver is known to share (``subtract``)."""
@@ -386,8 +391,17 @@ class TransportSender(Generic[S]):
         self._mindelay_clock = None
 
     def _add_sent_state(self, now: float, new_num: int) -> None:
+        # Snapshots change only by an idempotent ``subtract``, so an
+        # unchanged state shares the newest snapshot instead of a copy.
+        current = self._current_state
+        back = self._sent_states[-1].state
+        fp = current.fingerprint()
+        if fp is not None and fp == back.fingerprint():
+            snapshot = back
+        else:
+            snapshot = current.copy()
         self._sent_states.append(
-            SentState(num=new_num, state=self._current_state.copy(), timestamp=now)
+            SentState(num=new_num, state=snapshot, timestamp=now)
         )
         if len(self._sent_states) > _MAX_SENT_STATES:
             # Cull the middle: keep the acknowledged anchor and fresh tail.

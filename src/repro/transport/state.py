@@ -21,7 +21,17 @@ S = TypeVar("S", bound="StateObject")
 
 
 class StateObject(ABC):
-    """A synchronizable state object."""
+    """A synchronizable state object.
+
+    Besides the round-trip law, the transport relies on two rules, because
+    it shares equal states instead of copying them:
+
+    * ``subtract`` is idempotent: one snapshot may back several sent
+      states, so it may be pruned by the same prefix more than once.
+    * Nothing mutates ``Transport.remote_state`` or a stored snapshot. A
+      state equal to one already stored (equal fingerprints) may be that
+      same object, so a mutation would change every state sharing it.
+    """
 
     @abstractmethod
     def copy(self: S) -> S:
@@ -49,8 +59,8 @@ class StateObject(ABC):
         """Discard history already known to the receiver.
 
         Called by the sender once a state has been acknowledged, so
-        history-accumulating objects (user input) stay bounded. Default:
-        nothing to prune.
+        history-accumulating objects (user input) stay bounded. Must be
+        idempotent. Default: nothing to prune.
         """
 
     def fingerprint(self) -> int | None:

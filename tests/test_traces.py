@@ -7,6 +7,7 @@ from repro.simnet import LinkConfig
 from repro.simnet.eventloop import EventLoop
 from repro.traces import generate_all_personas, generate_persona
 from repro.traces.model import Trace, TraceStep
+from repro.traces import replay as replay_module
 from repro.traces.replay import _ServerScript, replay_mosh, replay_ssh
 from repro.apps.base import Write
 
@@ -183,3 +184,38 @@ class TestReplayHarness:
         resolved = session.server.resolve_write_log()
         assert resolved, "write log should capture host writes"
         assert all(delay >= 0 for _, _, delay in resolved)
+
+
+class _RescanMeter(replay_module._MoshMeter):
+    """Reference attribution: rescan the whole send log at every frame
+    whose state is not yet dated."""
+
+    def _frame_arrived(self, now):
+        log = self._session.server.transport.sender.send_log
+        num = self._session.client.transport.remote_state_num
+        if num not in self._state_birth:
+            for when, state_num, _ in log:
+                self._state_birth.setdefault(state_num, when)
+            self._log_scanned = len(log)
+        super()._frame_arrived(now)
+
+
+class TestMoshMeterLogCursor:
+    """The meter scans only the send-log entries appended since its last
+    scan, and the whole log once the ring is full; the latencies are
+    those of a full rescan at every frame."""
+
+    @pytest.mark.parametrize("log_max", [None, 16])
+    def test_cursor_matches_full_rescan(self, monkeypatch, log_max):
+        if log_max is not None:
+            monkeypatch.setattr("repro.transport.sender.SEND_LOG_MAX", log_max)
+        trace = generate_persona("shell-heavy", seed=1, budget=120)
+        link = LinkConfig(delay_ms=120.0, jitter_ms=40.0, loss=0.05)
+        fast, session = replay_mosh(trace, link, link)
+        log = session.server.transport.sender.send_log
+        assert (len(log) == log_max) if log_max else (len(log) < log.maxlen)
+        monkeypatch.setattr(replay_module, "_MoshMeter", _RescanMeter)
+        slow, _ = replay_mosh(trace, link, link)
+        assert fast.latencies_ms == slow.latencies_ms
+        assert fast.unresolved == slow.unresolved
+        assert len(fast.latencies_ms) > 50
