@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import base64
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.errors import CryptoError
 
@@ -78,24 +78,25 @@ class Base64Key:
 OCB_NONCE_PREFIX = bytes(4)
 
 
-@dataclass(frozen=True)
-class Nonce:
-    """Direction bit plus 63-bit sequence number.
+class Nonce(namedtuple("Nonce", ("direction", "seq"))):
+    """Direction bit plus 63-bit sequence number, as an immutable tuple.
 
     The wire form is the low 8 bytes (big-endian); the OCB nonce form pads
-    with four leading zero bytes to 12 bytes. Both encodings are cached on
-    first use — the sealing path asks for each once per datagram, and a
-    nonce's fields are frozen so the encodings can never go stale.
+    with four leading zero bytes to 12 bytes. The constructor validates
+    both fields. :meth:`from_wire` skips that check, because every 8-byte
+    value splits into a valid direction bit and sequence number; so may a
+    sender that draws ``seq`` from its own counter, whose direction it
+    validated once (``tuple.__new__(Nonce, (direction, seq))``).
     """
 
-    direction: int
-    seq: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.direction not in (DIRECTION_TO_SERVER, DIRECTION_TO_CLIENT):
-            raise CryptoError(f"bad direction {self.direction}")
-        if not 0 <= self.seq <= _SEQ_MASK:
-            raise CryptoError(f"sequence number {self.seq} out of range")
+    def __new__(cls, direction: int, seq: int) -> "Nonce":
+        if direction not in (DIRECTION_TO_SERVER, DIRECTION_TO_CLIENT):
+            raise CryptoError(f"bad direction {direction}")
+        if not 0 <= seq <= _SEQ_MASK:
+            raise CryptoError(f"sequence number {seq} out of range")
+        return tuple.__new__(cls, (direction, seq))
 
     @property
     def value(self) -> int:
@@ -104,30 +105,16 @@ class Nonce:
 
     def wire(self) -> bytes:
         """8-byte form transmitted in the clear at the packet head."""
-        # Frozen dataclasses still have a plain __dict__; cached encodings
-        # live there, invisible to the generated __eq__/__hash__.
-        wire = self.__dict__.get("_wire")
-        if wire is None:
-            wire = self.__dict__["_wire"] = self.value.to_bytes(8, "big")
-        return wire
+        return ((self.direction << 63) | self.seq).to_bytes(8, "big")
 
     def ocb(self) -> bytes:
         """12-byte OCB nonce."""
-        ocb = self.__dict__.get("_ocb")
-        if ocb is None:
-            ocb = self.__dict__["_ocb"] = OCB_NONCE_PREFIX + self.wire()
-        return ocb
+        return OCB_NONCE_PREFIX + self.wire()
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Nonce":
+        """Parse the 8-byte wire form."""
         if len(data) != 8:
             raise CryptoError(f"nonce wire form must be 8 bytes, got {len(data)}")
         value = int.from_bytes(data, "big")
-        # Every 8-byte value splits into a valid direction bit and sequence
-        # number, so this per-datagram path skips the validating
-        # constructor and fills the frozen instance's fields directly.
-        nonce = object.__new__(cls)
-        nonce.__dict__.update(
-            direction=value >> 63, seq=value & _SEQ_MASK, _wire=bytes(data)
-        )
-        return nonce
+        return tuple.__new__(cls, (value >> 63, value & _SEQ_MASK))

@@ -44,8 +44,8 @@ datagram that never wakes its session is still in the totals at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
+from typing import NamedTuple
 
 from repro.crypto.keys import OCB_NONCE_PREFIX, Base64Key, Nonce
 from repro.crypto.ocb import TAG_LEN, OCBCipher
@@ -74,8 +74,7 @@ MAX_PAYLOAD_LEN = 64 * 1024
 REPLAY_WINDOW = 1024
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A (nonce, payload) pair, the unit the datagram layer encrypts."""
 
     nonce: Nonce

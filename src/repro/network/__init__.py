@@ -16,7 +16,7 @@ bookkeeping (:mod:`repro.network.interface`), and the RTT estimator
 """
 
 from repro.network.interface import DatagramEndpoint
-from repro.network.packet import MTU_DEFAULT, Packet
+from repro.network.packet import MTU_DEFAULT
 from repro.network.rtt import RttEstimator
 
-__all__ = ["DatagramEndpoint", "MTU_DEFAULT", "Packet", "RttEstimator"]
+__all__ = ["DatagramEndpoint", "MTU_DEFAULT", "RttEstimator"]

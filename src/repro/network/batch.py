@@ -102,7 +102,7 @@ class WireBatcher:
         self._pending = []
         n = len(pending)
         sealed = seal_many(
-            [(e[0].session, Message(nonce=e[1], text=e[2])) for e in pending]
+            [(e[0].session, Message(e[1], e[2])) for e in pending]
         )
         obs_on = _obs._enabled
         sends: list[tuple] = []

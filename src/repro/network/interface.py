@@ -23,10 +23,10 @@ from typing import Any, Callable
 from repro.crypto.keys import DIRECTION_TO_CLIENT, DIRECTION_TO_SERVER, Nonce
 from repro.crypto.ocb import TAG_LEN
 from repro.crypto.session import Message, NullSession, Session
-from repro.errors import CryptoError, NetworkError, PacketError, ReplayError
+from repro.errors import CryptoError, NetworkError, ReplayError
 from repro.network.packet import (
+    PACKET_HEADER,
     TIMESTAMP_NONE,
-    Packet,
     encode_conn_id,
     peek_conn_id,
     timestamp16,
@@ -39,16 +39,21 @@ from repro.obs.registry import Counter, MetricsRegistry
 
 
 def _peek_fragment(payload: bytes):
-    """Lazy proxy for :meth:`repro.transport.fragment.Fragment.peek`.
+    """Lazy proxy for :func:`repro.transport.fragment.peek_fragment`.
 
     The transport package imports this module, so the reverse import has
     to wait until both packages have finished initializing.
     """
     global _peek_fragment
-    from repro.transport.fragment import Fragment
+    from repro.transport.fragment import peek_fragment
 
-    _peek_fragment = Fragment.peek
-    return Fragment.peek(payload)
+    _peek_fragment = peek_fragment
+    return peek_fragment(payload)
+
+
+_pack_header = PACKET_HEADER.pack
+_unpack_header = PACKET_HEADER.unpack_from
+_HEADER_LEN = PACKET_HEADER.size
 
 #: Conservative round-trip estimate used until the first RTT sample lands
 #: (matches RFC 6298's initial RTO of one second).
@@ -216,58 +221,6 @@ class DatagramEndpoint(ABC):
         """
         if self._remote_addr is None:
             raise NetworkError("no remote address known yet")
-        packet = self._new_packet(payload, now)
-        batcher = self.batcher
-        if batcher is not None:
-            # Deferred-seal path: nonce/seq/timestamps are fixed here (so
-            # ordering and wire bytes match the inline path exactly); the
-            # seal and the transmit happen at the tick's batch flush. The
-            # sealed length is knowable now, so counters move immediately.
-            header = self._conn_header
-            text = packet.to_plaintext()
-            wire_len = (
-                (len(header) if header is not None else 0)
-                + 8 + len(text) + TAG_LEN
-            )
-            self.datagrams_sent += 1
-            self.bytes_sent += wire_len
-            self._datagrams_out.value += 1
-            batcher.enqueue((
-                self, packet.nonce, text, header, self._remote_addr, now,
-                meta, packet.seq, packet.timestamp, packet.timestamp_reply,
-                wire_len,
-            ))
-            if self.causal is not None:
-                # Seal cost is unknowable until the batch flush; charge 0
-                # (clients are never batched, so this is a daemon-side
-                # safety net, not the common tracer path).
-                self.causal.on_send(now, packet.seq, dlen, 0.0)
-            return
-        raw = self._session.encrypt(
-            Message(nonce=packet.nonce, text=packet.to_plaintext())
-        )
-        if self._conn_header is not None:
-            raw = self._conn_header + raw
-        self.datagrams_sent += 1
-        self.bytes_sent += len(raw)
-        self._datagrams_out.value += 1
-        if self.flight is not None and _obs._enabled:
-            self.flight.note_send(
-                now,
-                self._dir_out,
-                packet.seq,
-                len(raw),
-                packet.timestamp,
-                packet.timestamp_reply,
-                meta,
-            )
-        if self.causal is not None:
-            self.causal.on_send(
-                now, packet.seq, dlen, self._session.stats.last_seal_us
-            )
-        self._transmit(raw, now)
-
-    def _new_packet(self, payload: bytes, now: float) -> Packet:
         reply = TIMESTAMP_NONE
         if (
             self._saved_timestamp is not None
@@ -279,14 +232,52 @@ class DatagramEndpoint(ABC):
             reply = (self._saved_timestamp + int(hold)) & 0xFFFF
             self._saved_timestamp = None
             self._saved_timestamp_received_at = None
-        nonce = Nonce(direction=self._direction, seq=self._next_seq)
-        self._next_seq += 1
-        return Packet(
-            nonce=nonce,
-            timestamp=timestamp16(now),
-            timestamp_reply=reply,
-            payload=payload,
-        )
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        # The direction was validated with the endpoint and the sequence
+        # number counts up from 0, so the nonce skips its checks.
+        nonce = tuple.__new__(Nonce, (self._direction, seq))
+        timestamp = timestamp16(now)
+        text = _pack_header(timestamp, reply) + payload
+        batcher = self.batcher
+        if batcher is not None:
+            # Deferred-seal path: nonce/seq/timestamps are fixed here (so
+            # ordering and wire bytes match the inline path exactly); the
+            # seal and the transmit happen at the tick's batch flush. The
+            # sealed length is knowable now, so counters move immediately.
+            header = self._conn_header
+            wire_len = (
+                (len(header) if header is not None else 0)
+                + 8 + len(text) + TAG_LEN
+            )
+            self.datagrams_sent += 1
+            self.bytes_sent += wire_len
+            self._datagrams_out.value += 1
+            batcher.enqueue((
+                self, nonce, text, header, self._remote_addr, now,
+                meta, seq, timestamp, reply, wire_len,
+            ))
+            if self.causal is not None:
+                # Seal cost is unknowable until the batch flush; charge 0
+                # (clients are never batched, so this is a daemon-side
+                # safety net, not the common tracer path).
+                self.causal.on_send(now, seq, dlen, 0.0)
+            return
+        raw = self._session.encrypt(Message(nonce, text))
+        if self._conn_header is not None:
+            raw = self._conn_header + raw
+        self.datagrams_sent += 1
+        self.bytes_sent += len(raw)
+        self._datagrams_out.value += 1
+        if self.flight is not None and _obs._enabled:
+            self.flight.note_send(
+                now, self._dir_out, seq, len(raw), timestamp, reply, meta
+            )
+        if self.causal is not None:
+            self.causal.on_send(
+                now, seq, dlen, self._session.stats.last_seal_us
+            )
+        self._transmit(raw, now)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -348,33 +339,36 @@ class DatagramEndpoint(ABC):
                     seq=peek_seq(raw), wire_len=len(raw),
                 )
             return False  # forged or corrupted; never trust it
+        nonce = message.nonce
+        seq = nonce.seq
         expected_direction = (
             DIRECTION_TO_SERVER if self._is_server else DIRECTION_TO_CLIENT
         )
-        if message.nonce.direction != expected_direction:
+        if nonce.direction != expected_direction:
             if flight is not None:
                 flight.note_drop(
                     now, self._dir_in, "reflect",
-                    seq=message.nonce.seq, wire_len=len(raw),
+                    seq=seq, wire_len=len(raw),
                 )
             return False  # reflected packet
-        try:
-            packet = Packet.from_plaintext(message.nonce, message.text)
-        except PacketError:
+        text = message.text
+        if len(text) < _HEADER_LEN:
             if flight is not None:
                 flight.note_drop(
                     now, self._dir_in, "bad_packet",
-                    seq=message.nonce.seq, wire_len=len(raw),
+                    seq=seq, wire_len=len(raw),
                 )
             return False
+        timestamp, timestamp_reply = _unpack_header(text)
+        payload = text[_HEADER_LEN:]
 
         # An authentic sequence number behind the newest one seen means
         # the network delivered this datagram out of order (an exact
         # duplicate would have tripped the replay window above).
-        reordered = packet.seq < self._expected_receiver_seq
-        if packet.seq >= self._expected_receiver_seq:
-            self._expected_receiver_seq = packet.seq + 1
-            self._saved_timestamp = packet.timestamp
+        reordered = seq < self._expected_receiver_seq
+        if not reordered:
+            self._expected_receiver_seq = seq + 1
+            self._saved_timestamp = timestamp
             self._saved_timestamp_received_at = now
             self._last_heard = now
             if self._is_server and addr is not None:
@@ -383,8 +377,8 @@ class DatagramEndpoint(ABC):
         # Out-of-order packets are still delivered: every datagram is an
         # idempotent diff, so the transport layer handles them safely.
         rtt_sample: float | None = None
-        if packet.timestamp_reply != TIMESTAMP_NONE:
-            sample = timestamp_diff(timestamp16(now), packet.timestamp_reply)
+        if timestamp_reply != TIMESTAMP_NONE:
+            sample = timestamp_diff(timestamp16(now), timestamp_reply)
             # Ignore absurd samples caused by 16-bit wrap on idle links.
             if sample < 60000:
                 self._rtt.observe(float(sample))
@@ -395,25 +389,25 @@ class DatagramEndpoint(ABC):
             flight.note_recv(
                 now,
                 self._dir_in,
-                packet.seq,
+                seq,
                 len(raw),
-                packet.timestamp,
-                packet.timestamp_reply,
-                frag=_peek_fragment(packet.payload),
+                timestamp,
+                timestamp_reply,
+                frag=_peek_fragment(payload),
                 reordered=reordered,
                 rtt=rtt_sample,
                 srtt=self._rtt.srtt if self._rtt.have_sample else None,
                 rto=self._rtt.rto(),
             )
-        self._received_payloads.append(packet.payload)
+        self._received_payloads.append(payload)
         causal = self.causal
         if causal is not None:
             rx = (
                 now,
-                packet.seq,
-                packet.timestamp,
-                packet.timestamp_reply
-                if packet.timestamp_reply != TIMESTAMP_NONE
+                seq,
+                timestamp,
+                timestamp_reply
+                if timestamp_reply != TIMESTAMP_NONE
                 else None,
                 rtt_sample,
                 self._session.stats.last_unseal_us,

@@ -37,9 +37,7 @@ whose key will refuse it, which is exactly as harmful as dropping it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
-from repro.crypto.keys import Nonce
 from repro.errors import PacketError
 
 #: Default maximum datagram payload, matching Mosh's conservative SEND_MTU.
@@ -55,7 +53,10 @@ MAX_CONN_ID = (1 << 63) - 1
 
 _MAX_VARINT_BYTES = 9
 
-_HEADER = struct.Struct("!HH")
+#: The codec of the sealed packet header: timestamp, then timestamp reply.
+#: Endpoints pack it ahead of the transport payload and unpack it from an
+#: unsealed body, so no per-datagram record object is built either way.
+PACKET_HEADER = struct.Struct("!HH")
 
 
 def encode_conn_id(conn_id: int) -> bytes:
@@ -112,41 +113,3 @@ def timestamp16(now_ms: float) -> int:
 def timestamp_diff(later: int, earlier: int) -> int:
     """Elapsed milliseconds between two 16-bit timestamps (mod 2^16)."""
     return (later - earlier) & 0xFFFF
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One SSP datagram: sequence/direction plus timestamps plus payload."""
-
-    nonce: Nonce
-    timestamp: int
-    timestamp_reply: int
-    payload: bytes
-
-    @property
-    def seq(self) -> int:
-        return self.nonce.seq
-
-    @property
-    def direction(self) -> int:
-        return self.nonce.direction
-
-    def to_plaintext(self) -> bytes:
-        """Serialize the sealed portion (everything but the nonce)."""
-        header = _HEADER.pack(self.timestamp, self.timestamp_reply)
-        # Heartbeats are empty; skip the concat temporary for them.
-        return header + self.payload if self.payload else header
-
-    @classmethod
-    def from_plaintext(cls, nonce: Nonce, data: bytes) -> "Packet":
-        """Parse an unsealed body (bytes or memoryview, sliced only once)."""
-        if len(data) < _HEADER.size:
-            raise PacketError(f"packet body too short: {len(data)} bytes")
-        timestamp, timestamp_reply = _HEADER.unpack_from(data)
-        payload = data[_HEADER.size :]
-        return cls(
-            nonce=nonce,
-            timestamp=timestamp,
-            timestamp_reply=timestamp_reply,
-            payload=payload if isinstance(payload, bytes) else bytes(payload),
-        )

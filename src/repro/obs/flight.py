@@ -14,8 +14,8 @@ Event kinds (the ``ev`` field):
 * ``send`` — a sealed datagram left this endpoint. Carries the cleartext
   sequence number, wire length, the 16-bit timestamp / timestamp-reply
   echoes, and (when the transport sender supplied them) the carried
-  :class:`~repro.transport.instruction.Instruction` old/new/ack/throwaway
-  numbers plus fragment id/index/final.
+  instruction's old/new/ack/throwaway numbers plus fragment
+  id/index/final.
 * ``recv`` — an authentic datagram was unsealed and accepted. Carries the
   fragment header (peeked without decompression), a ``reorder`` flag when
   the sequence number arrived behind a newer one, and the RTT sample /

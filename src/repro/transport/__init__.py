@@ -9,8 +9,8 @@ from the RTT estimate, with Mosh's collection interval, delayed ACKs, and
 heartbeats.
 """
 
-from repro.transport.fragment import Fragment, FragmentAssembly, Fragmenter
-from repro.transport.instruction import Instruction
+from repro.transport.fragment import FragmentAssembly, Fragmenter
+from repro.transport.instruction import decode_instruction, encode_instruction
 from repro.transport.receiver import TransportReceiver
 from repro.transport.sender import TransportSender
 from repro.transport.state import StateObject
@@ -18,13 +18,13 @@ from repro.transport.timing import SenderTiming
 from repro.transport.transport import Transport
 
 __all__ = [
-    "Fragment",
     "FragmentAssembly",
     "Fragmenter",
-    "Instruction",
     "SenderTiming",
     "StateObject",
     "Transport",
     "TransportReceiver",
     "TransportSender",
+    "decode_instruction",
+    "encode_instruction",
 ]

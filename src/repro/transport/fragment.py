@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 from repro.errors import FragmentError
 
@@ -28,52 +27,21 @@ _HEADER = struct.Struct("!QH")
 _FINAL_FLAG = 0x8000
 _FRAG_MASK = 0x7FFF
 
-
-@dataclass(frozen=True)
-class Fragment:
-    instruction_id: int
-    fragment_num: int
-    final: bool
-    payload: bytes
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.fragment_num <= _FRAG_MASK:
-            raise FragmentError(f"fragment number {self.fragment_num} too big")
-        if not 0 <= self.instruction_id < 1 << 64:
-            raise FragmentError(f"instruction id {self.instruction_id} out of range")
-
-    def encode(self) -> bytes:
-        word = self.fragment_num | (_FINAL_FLAG if self.final else 0)
-        return _HEADER.pack(self.instruction_id, word) + self.payload
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Fragment":
-        if len(data) < _HEADER.size:
-            raise FragmentError(f"fragment too short: {len(data)} bytes")
-        instruction_id, word = _HEADER.unpack_from(data)
-        return cls(
-            instruction_id=instruction_id,
-            fragment_num=word & _FRAG_MASK,
-            final=bool(word & _FINAL_FLAG),
-            payload=data[_HEADER.size :],
-        )
-
-    @classmethod
-    def peek(cls, data: bytes) -> tuple[int, int, bool] | None:
-        """Parse just the header: (instruction_id, fragment_num, final).
-
-        The flight recorder tags every received datagram with the
-        fragment it carried; this costs one struct unpack and never
-        touches the compressed payload.
-        """
-        if len(data) < _HEADER.size:
-            return None
-        instruction_id, word = _HEADER.unpack_from(data)
-        return instruction_id, word & _FRAG_MASK, bool(word & _FINAL_FLAG)
-
-
 #: Bytes of each datagram consumed by the fragment header.
 OVERHEAD = _HEADER.size
+
+
+def peek_fragment(data: bytes) -> tuple[int, int, bool] | None:
+    """Parse just the header: (instruction_id, fragment_num, final).
+
+    The flight recorder tags every received datagram with the fragment it
+    carried; this costs one struct unpack and never touches the
+    compressed payload. Returns None for data too short to be a fragment.
+    """
+    if len(data) < OVERHEAD:
+        return None
+    instruction_id, word = _HEADER.unpack_from(data)
+    return instruction_id, word & _FRAG_MASK, bool(word & _FINAL_FLAG)
 
 
 class Fragmenter:
@@ -82,10 +50,15 @@ class Fragmenter:
     def __init__(self) -> None:
         self._next_id = 0
         self._last_encoded: bytes | None = None
-        self._last_fragments: list[Fragment] | None = None
+        self._last_fragments: tuple[int, list[bytes]] | None = None
 
-    def make_fragments(self, encoded: bytes, mtu: int) -> list[Fragment]:
-        """Compress and split ``encoded`` into fragments of <= ``mtu``."""
+    def make_fragments(self, encoded: bytes, mtu: int) -> tuple[int, list[bytes]]:
+        """Compress and split ``encoded`` into wire fragments of <= ``mtu``.
+
+        Returns ``(instruction_id, datagrams)``: each datagram is a whole
+        fragment, header included, and only the last carries the final
+        flag.
+        """
         chunk = mtu - OVERHEAD
         if chunk <= 0:
             raise FragmentError(f"MTU {mtu} cannot fit the fragment header")
@@ -94,72 +67,73 @@ class Fragmenter:
             # the assembler can merge fragments across the two sendings.
             return self._last_fragments
         compressed = zlib.compress(encoded, 6)
+        # The fragment number is 15 bits: check the last one, once.
+        last = max(0, len(compressed) - 1) // chunk
+        if last > _FRAG_MASK:
+            raise FragmentError(f"fragment number {_FRAG_MASK + 1} too big")
         instruction_id = self._next_id
         self._next_id += 1
-        fragments: list[Fragment] = []
-        offset = 0
-        num = 0
-        while True:
-            payload = compressed[offset : offset + chunk]
-            offset += chunk
-            final = offset >= len(compressed)
-            fragments.append(
-                Fragment(
-                    instruction_id=instruction_id,
-                    fragment_num=num,
-                    final=final,
-                    payload=payload,
-                )
-            )
-            num += 1
-            if final:
-                break
+        pack = _HEADER.pack
+        datagrams = [
+            pack(instruction_id, num | (_FINAL_FLAG if num == last else 0))
+            + compressed[num * chunk : (num + 1) * chunk]
+            for num in range(last + 1)
+        ]
         self._last_encoded = encoded
-        self._last_fragments = fragments
-        return fragments
+        self._last_fragments = (instruction_id, datagrams)
+        return self._last_fragments
 
 
 class FragmentAssembly:
     """Rebuilds instructions from fragments of the newest instruction id."""
 
     def __init__(self) -> None:
-        self._current_id: int | None = None
-        self._pieces: dict[int, Fragment] = {}
+        self._current_id = -1
+        self._pieces: dict[int, bytes] = {}
         self._total: int | None = None
-        self._completed_id: int | None = None
+        #: Id of the newest instruction assembled (-1 before the first).
+        self.completed_id = -1
 
-    def add_fragment(self, fragment: Fragment) -> bytes | None:
-        """Add one fragment; returns the encoded instruction when complete.
+    def add_fragment(self, data: bytes) -> bytes | None:
+        """Add one wire fragment; returns the encoded instruction when
+        complete.
 
-        Fragments of an already-completed instruction id are ignored, so
-        duplicate delivery (a link that duplicates, or a retransmission
-        arriving after the original assembled) can never yield a second
+        Raises :class:`FragmentError` for data too short to hold the
+        header and for a corrupt compressed stream. Fragments of an
+        already-completed instruction id are ignored, so duplicate
+        delivery (a link that duplicates, or a retransmission arriving
+        after the original assembled) can never yield a second
         reassembly of the same instruction.
         """
-        if (
-            self._completed_id is not None
-            and fragment.instruction_id <= self._completed_id
-        ):
+        if len(data) < OVERHEAD:
+            raise FragmentError(f"fragment too short: {len(data)} bytes")
+        instruction_id, word = _HEADER.unpack_from(data)
+        if instruction_id <= self.completed_id:
             return None  # already assembled (or older still); duplicate
-        if self._current_id is None or fragment.instruction_id > self._current_id:
-            self._current_id = fragment.instruction_id
+        if instruction_id > self._current_id:
+            self._current_id = instruction_id
             self._pieces = {}
             self._total = None
-        elif fragment.instruction_id < self._current_id:
+            if word == _FINAL_FLAG:
+                # Fragment 0 and final: the whole instruction, no pieces.
+                return self._complete(data[OVERHEAD:])
+        elif instruction_id < self._current_id:
             return None  # stale instruction; a newer one is in progress
-        self._pieces[fragment.fragment_num] = fragment
-        if fragment.final:
-            self._total = fragment.fragment_num + 1
+        num = word & _FRAG_MASK
+        self._pieces[num] = data[OVERHEAD:]
+        if word & _FINAL_FLAG:
+            self._total = num + 1
         if self._total is None or len(self._pieces) < self._total:
             return None
         if set(self._pieces) != set(range(self._total)):
             return None  # duplicate fragments counted; wait for the rest
-        compressed = b"".join(
-            self._pieces[i].payload for i in range(self._total)
-        )
+        compressed = b"".join(self._pieces[i] for i in range(self._total))
         self._pieces = {}
         self._total = None
-        self._completed_id = self._current_id
+        return self._complete(compressed)
+
+    def _complete(self, compressed: bytes) -> bytes:
+        self.completed_id = self._current_id
         try:
             return zlib.decompress(compressed)
         except zlib.error as exc:

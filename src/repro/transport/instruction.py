@@ -19,7 +19,6 @@ an equivalent fixed-layout encoding (documented substitution — the field
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from repro.errors import TransportError
 
@@ -28,49 +27,35 @@ PROTOCOL_VERSION = 2
 _HEADER = struct.Struct("!BQQQQ")
 
 
-@dataclass(frozen=True)
-class Instruction:
-    old_num: int
-    new_num: int
-    ack_num: int
-    throwaway_num: int
-    diff: bytes
-    protocol_version: int = PROTOCOL_VERSION
+def encode_instruction(
+    old_num: int, new_num: int, ack_num: int, throwaway_num: int, diff: bytes
+) -> bytes:
+    """The wire form of one instruction.
 
-    def __post_init__(self) -> None:
-        for name in ("old_num", "new_num", "ack_num", "throwaway_num"):
-            value = getattr(self, name)
-            if not 0 <= value < 1 << 64:
-                raise TransportError(f"{name}={value} out of range")
-
-    @property
-    def is_heartbeat(self) -> bool:
-        """True when this instruction carries no state change."""
-        return self.old_num == self.new_num and not self.diff
-
-    def encode(self) -> bytes:
-        return (
-            _HEADER.pack(
-                self.protocol_version,
-                self.old_num,
-                self.new_num,
-                self.ack_num,
-                self.throwaway_num,
-            )
-            + self.diff
+    Each state number must fit its unsigned 64-bit field; one that does
+    not raises :class:`TransportError`.
+    """
+    try:
+        header = _HEADER.pack(
+            PROTOCOL_VERSION, old_num, new_num, ack_num, throwaway_num
         )
+    except struct.error:
+        raise TransportError(
+            "instruction numbers out of range: "
+            f"{old_num}, {new_num}, {ack_num}, {throwaway_num}"
+        ) from None
+    return header + diff
 
-    @classmethod
-    def decode(cls, data: bytes) -> "Instruction":
-        if len(data) < _HEADER.size:
-            raise TransportError(f"instruction too short: {len(data)} bytes")
-        version, old, new, ack, throwaway = _HEADER.unpack_from(data)
-        if version != PROTOCOL_VERSION:
-            raise TransportError(f"protocol version mismatch: {version}")
-        return cls(
-            old_num=old,
-            new_num=new,
-            ack_num=ack,
-            throwaway_num=throwaway,
-            diff=data[_HEADER.size :],
-        )
+
+def decode_instruction(data: bytes) -> tuple[int, int, int, int, bytes]:
+    """Parse ``(old_num, new_num, ack_num, throwaway_num, diff)``.
+
+    Raises :class:`TransportError` for data shorter than the header and
+    for a protocol version other than :data:`PROTOCOL_VERSION`.
+    """
+    if len(data) < _HEADER.size:
+        raise TransportError(f"instruction too short: {len(data)} bytes")
+    version, old, new, ack, throwaway = _HEADER.unpack_from(data)
+    if version != PROTOCOL_VERSION:
+        raise TransportError(f"protocol version mismatch: {version}")
+    return old, new, ack, throwaway, data[_HEADER.size :]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Generic, TypeVar
 
 from repro.errors import StateError
-from repro.transport.instruction import Instruction
 from repro.transport.state import StateObject
 
 S = TypeVar("S", bound=StateObject)
@@ -31,6 +30,8 @@ class TransportReceiver(Generic[S]):
         self.instructions_applied = 0
         self.duplicates_ignored = 0
         self.unusable_ignored = 0
+        #: Instructions whose diff would not apply to its source state.
+        self.malformed_ignored = 0
 
     @property
     def latest_num(self) -> int:
@@ -44,31 +45,38 @@ class TransportReceiver(Generic[S]):
         """State numbers currently held (diff bases the sender may use)."""
         return sorted(self._states)
 
-    def process_instruction(self, inst: Instruction) -> bool:
-        """Apply one instruction; returns True if a new state was created."""
-        if inst.new_num in self._states:
+    def process_instruction(self, old_num: int, new_num: int, diff: bytes) -> bool:
+        """Apply one instruction's diff from state ``old_num`` to
+        ``new_num``; returns True if a new state was created.
+
+        A diff that does not apply raises :class:`StateError` and counts
+        in :attr:`malformed_ignored`; nothing is stored, because the diff
+        was applied to a copy.
+        """
+        if new_num in self._states:
             self.duplicates_ignored += 1
             return False
-        source = self._states.get(inst.old_num)
+        source = self._states.get(old_num)
         if source is None:
             # We lack the diff base — either it was thrown away (stale
             # instruction) or lost (the sender's assumption will time out
             # and it will re-diff from an acknowledged state).
             self.unusable_ignored += 1
             return False
-        if inst.diff:
+        if diff:
             new_state = source.copy()
             try:
-                new_state.apply_diff(inst.diff)
+                new_state.apply_diff(diff)
             except Exception as exc:
+                self.malformed_ignored += 1
                 raise StateError(
-                    f"could not apply diff {inst.old_num}->{inst.new_num}"
+                    f"could not apply diff {old_num}->{new_num}"
                 ) from exc
         else:
             new_state = source  # stored states are immutable: share it
-        self._states[inst.new_num] = new_state
-        if inst.new_num > self._latest_num:
-            self._latest_num = inst.new_num
+        self._states[new_num] = new_state
+        if new_num > self._latest_num:
+            self._latest_num = new_num
         self.instructions_applied += 1
         return True
 

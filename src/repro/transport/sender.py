@@ -28,7 +28,7 @@ from repro.network.interface import DatagramEndpoint
 from repro.obs import registry as _obs
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.transport.fragment import Fragmenter
-from repro.transport.instruction import Instruction
+from repro.transport.instruction import encode_instruction
 from repro.transport.state import StateObject
 from repro.transport.timing import SenderTiming
 
@@ -413,18 +413,17 @@ class TransportSender(Generic[S]):
     def _send_in_fragments(
         self, diff: bytes, old_num: int, new_num: int, now: float
     ) -> None:
-        inst = Instruction(
-            old_num=old_num,
-            new_num=new_num,
-            ack_num=self._ack_num,
-            throwaway_num=self._sent_states[0].num,
-            diff=diff,
+        ack_num = self._ack_num
+        throwaway_num = self._sent_states[0].num
+        endpoint = self._endpoint
+        frag_id, datagrams = self._fragmenter.make_fragments(
+            encode_instruction(old_num, new_num, ack_num, throwaway_num, diff),
+            endpoint.mtu,
         )
-        fragments = self._fragmenter.make_fragments(
-            inst.encode(), self._endpoint.mtu
-        )
-        record_flight = self._endpoint.flight is not None and _obs._enabled
-        for fragment in fragments:
+        record_flight = endpoint.flight is not None and _obs._enabled
+        dlen = len(diff)
+        final_idx = len(datagrams) - 1
+        for idx, datagram in enumerate(datagrams):
             meta = None
             if record_flight:
                 # Flight-recorder context: what this datagram carried.
@@ -434,18 +433,18 @@ class TransportSender(Generic[S]):
                 meta = {
                     "old": old_num,
                     "new": new_num,
-                    "ack": inst.ack_num,
-                    "tw": inst.throwaway_num,
-                    "frag_id": fragment.instruction_id,
-                    "frag_idx": fragment.fragment_num,
-                    "final": fragment.final,
-                    "dlen": len(diff),
+                    "ack": ack_num,
+                    "tw": throwaway_num,
+                    "frag_id": frag_id,
+                    "frag_idx": idx,
+                    "final": idx == final_idx,
+                    "dlen": dlen,
                 }
-            self._endpoint.send(fragment.encode(), now, meta, len(diff))
+            endpoint.send(datagram, now, meta, dlen)
             self.datagrams_sent += 1
         self.instructions_sent += 1
         if self._last_instruction_at is not None:
             self.frame_interval.record(now - self._last_instruction_at)
         self._last_instruction_at = now
         if self.record_send_log:
-            self.send_log.append((now, new_num, len(diff)))
+            self.send_log.append((now, new_num, dlen))

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Callable, Generic, TypeVar
 
-from repro.errors import FragmentError, TransportError
+from repro.errors import FragmentError, StateError, TransportError
 from repro.network.interface import DatagramEndpoint
-from repro.transport.fragment import Fragment, FragmentAssembly
-from repro.transport.instruction import Instruction
+from repro.transport.fragment import OVERHEAD, FragmentAssembly
+from repro.transport.instruction import decode_instruction
 from repro.transport.receiver import TransportReceiver
 from repro.transport.sender import TransportSender
 from repro.transport.state import StateObject
@@ -87,43 +87,45 @@ class Transport(Generic[MyState, RemoteState]):
 
     def _receive(self, now: float) -> None:
         payloads, rx_infos = self._endpoint.pop_received_rx()
+        sender = self.sender
+        receiver = self.receiver
         for i, payload in enumerate(payloads):
-            try:
-                fragment = Fragment.decode(payload)
-            except FragmentError:
-                continue
+            if len(payload) < OVERHEAD:
+                continue  # too short to be a fragment
             # Any decodable fragment proves the peer is alive and actively
             # retrying — even a retransmission of an instruction that
             # already assembled (which the assembly ignores below).
-            self.sender.remote_heard(now)
+            sender.remote_heard(now)
             try:
-                encoded = self._assembly.add_fragment(fragment)
-            except FragmentError:
-                continue
-            if encoded is None:
-                continue
-            try:
-                inst = Instruction.decode(encoded)
-            except TransportError:
+                encoded = self._assembly.add_fragment(payload)
+                if encoded is None:
+                    continue
+                old_num, new_num, ack_num, throwaway_num, diff = (
+                    decode_instruction(encoded)
+                )
+            except (FragmentError, TransportError):
                 continue
             if self._endpoint.flight is not None:
                 self._endpoint.flight.note_instruction(
                     now,
                     self._endpoint.dir_in,
-                    inst.old_num,
-                    inst.new_num,
-                    inst.ack_num,
-                    inst.throwaway_num,
-                    len(inst.diff),
-                    frag_id=fragment.instruction_id,
+                    old_num,
+                    new_num,
+                    ack_num,
+                    throwaway_num,
+                    len(diff),
+                    frag_id=self._assembly.completed_id,
                 )
-            self.sender.process_acknowledgment_through(inst.ack_num, now)
-            created = self.receiver.process_instruction(inst)
-            self.receiver.process_throwaway_until(inst.throwaway_num)
+            sender.process_acknowledgment_through(ack_num, now)
+            try:
+                created = receiver.process_instruction(old_num, new_num, diff)
+            except StateError:
+                continue  # an authentic peer's diff that does not apply
+            receiver.process_throwaway_until(throwaway_num)
             if created:
-                self.sender.set_ack_num(self.receiver.latest_num)
-                if inst.diff:
-                    self.sender.set_data_ack(now)
+                sender.set_ack_num(receiver.latest_num)
+                if diff:
+                    sender.set_data_ack(now)
                 if rx_infos:
                     # This datagram's fragment completed the instruction:
                     # it is the one that settles whatever the new state

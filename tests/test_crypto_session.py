@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.crypto.keys import (
     DIRECTION_TO_CLIENT,
     DIRECTION_TO_SERVER,
+    OCB_NONCE_PREFIX,
     Base64Key,
     Nonce,
 )
@@ -85,6 +86,29 @@ class TestNonce:
         nonce = Nonce(direction, seq)
         assert Nonce.from_wire(nonce.wire()) == nonce
 
+    @given(st.binary(max_size=16))
+    def test_from_wire_property(self, data):
+        if len(data) != 8:
+            with pytest.raises(CryptoError):
+                Nonce.from_wire(data)
+        else:
+            nonce = Nonce.from_wire(data)
+            assert Nonce(nonce.direction, nonce.seq) == nonce
+            assert nonce.wire() == data
+
+    @given(st.integers(-2, 3), st.integers(-(1 << 64), 1 << 64))
+    def test_constructor_checks_property(self, direction, seq):
+        if direction in (0, 1) and 0 <= seq < 1 << 63:
+            assert tuple(Nonce(direction, seq)) == (direction, seq)
+        else:
+            with pytest.raises(CryptoError):
+                Nonce(direction, seq)
+
+    def test_is_immutable(self):
+        nonce = Nonce(DIRECTION_TO_SERVER, 1)
+        with pytest.raises(AttributeError):
+            nonce.seq = 2
+
 
 class TestSession:
     def test_roundtrip(self):
@@ -140,13 +164,17 @@ class TestSession:
 
 
 class TestNonceEncodingCache:
-    def test_wire_is_cached(self):
-        nonce = Nonce(DIRECTION_TO_SERVER, 42)
-        assert nonce.wire() is nonce.wire()
+    """The tuple-backed nonce caches nothing: its encodings are values."""
 
-    def test_ocb_is_cached(self):
+    def test_wire_is_big_endian_direction_and_seq(self):
+        assert Nonce(DIRECTION_TO_SERVER, 42).wire() == (42).to_bytes(8, "big")
+        assert Nonce(DIRECTION_TO_CLIENT, 42).wire() == (
+            (1 << 63) | 42
+        ).to_bytes(8, "big")
+
+    def test_ocb_is_prefix_plus_wire(self):
         nonce = Nonce(DIRECTION_TO_CLIENT, 42)
-        assert nonce.ocb() is nonce.ocb()
+        assert nonce.ocb() == OCB_NONCE_PREFIX + nonce.wire()
 
     def test_from_wire_preserves_bytes(self):
         wire = Nonce(DIRECTION_TO_CLIENT, 9001).wire()

@@ -414,6 +414,45 @@ class TestManySessionsOnePort:
             assert not any(e["ev"] == "drop" for e in server_events)
             assert not any(e["ev"] == "drop" for e in client_events)
 
+    def test_authentic_garbage_diff_spares_every_session(self):
+        """An authenticated peer whose instruction carries a diff its
+        server cannot apply loses that instruction, nothing else: the
+        daemon's loop keeps running and the other session still echoes."""
+        import struct
+        import zlib
+
+        from repro.session.inprocess import InProcessDaemon
+        from repro.simnet import LinkConfig
+        from repro.transport.instruction import encode_instruction
+
+        daemon = InProcessDaemon(
+            LinkConfig(delay_ms=10),
+            LinkConfig(delay_ms=10),
+            sessions=2,
+            width=40,
+            height=8,
+            seed=6,
+        )
+        daemon.connect()
+        bad_cid, good_cid = daemon.conn_ids
+        receiver = daemon.record(bad_cid).core.transport.receiver
+        base = receiver.latest_num
+        encoded = encode_instruction(base, base + 100, 0, 0, b"\xffjunk")
+        # One final fragment under an instruction id no real sender has
+        # reached, so the server's assembly takes it as the newest.
+        datagram = struct.pack("!QH", 1 << 40, 0x8000) + zlib.compress(encoded)
+        endpoint = daemon.client(bad_cid).transport.endpoint
+        endpoint.send(datagram, daemon.loop.now())
+        daemon.run_for(500)
+        assert receiver.malformed_ignored == 1
+        assert receiver.latest_num == base
+
+        daemon.client(good_cid).type_bytes(b"#still here#")
+        daemon.run_for(2000)
+        screen = daemon.record(good_cid).core.terminal.fb.screen_text()
+        assert "#still here#" in screen
+        assert "#still here#" in daemon.client(good_cid).display().screen_text()
+
 
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"),

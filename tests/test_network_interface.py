@@ -1,9 +1,12 @@
 """Datagram endpoint bookkeeping (direction filter, seq, timestamps)."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.crypto.keys import Base64Key, Nonce
-from repro.crypto.session import NullSession, Session
+from repro.crypto.session import Message, NullSession, Session
 from repro.network.interface import DatagramEndpoint
-from repro.network.packet import Packet, peek_conn_id, timestamp16
+from repro.network.packet import PACKET_HEADER, peek_conn_id, timestamp16
 from repro.obs.flight import FlightRecorder
 
 
@@ -18,8 +21,16 @@ class RecordingEndpoint(DatagramEndpoint):
 
 
 def unseal(endpoint, raw):
+    """``(nonce, timestamp, timestamp_reply, payload)`` of a sent datagram."""
     message = NullSession().decrypt(raw)
-    return Packet.from_plaintext(message.nonce, message.text)
+    timestamp, reply = PACKET_HEADER.unpack_from(message.text)
+    return message.nonce, timestamp, reply, message.text[PACKET_HEADER.size :]
+
+
+def sealed(seq=0, direction=0, payload=b"p", ts=100, tsr=0xFFFF):
+    """A plaintext-sealed datagram carrying ``payload``."""
+    text = PACKET_HEADER.pack(ts, tsr) + payload
+    return NullSession().encrypt(Message(Nonce(direction, seq), text))
 
 
 class TestSending:
@@ -28,30 +39,25 @@ class TestSending:
         ep.send(b"a", now=0.0)
         ep.send(b"b", now=1.0)
         packets = [unseal(ep, raw) for raw in ep.wire]
-        assert [p.seq for p in packets] == [0, 1]
+        assert [nonce.seq for nonce, *_ in packets] == [0, 1]
+        assert [payload for *_, payload in packets] == [b"a", b"b"]
 
     def test_direction_bit(self):
         client = RecordingEndpoint(is_server=False)
         server = RecordingEndpoint(is_server=True)
         client.send(b"x", now=0.0)
         server.send(b"x", now=0.0)
-        assert unseal(client, client.wire[0]).direction == 0
-        assert unseal(server, server.wire[0]).direction == 1
+        assert unseal(client, client.wire[0])[0].direction == 0
+        assert unseal(server, server.wire[0])[0].direction == 1
 
     def test_timestamp_attached(self):
         ep = RecordingEndpoint()
         ep.send(b"x", now=12345.0)
-        assert unseal(ep, ep.wire[0]).timestamp == timestamp16(12345.0)
+        assert unseal(ep, ep.wire[0])[1] == timestamp16(12345.0)
 
 
 class TestReceiving:
-    def _datagram(self, seq=0, direction=0, payload=b"p", ts=100, tsr=0xFFFF):
-        packet = Packet(Nonce(direction, seq), ts, tsr, payload)
-        from repro.crypto.session import Message
-
-        return NullSession().encrypt(
-            Message(nonce=packet.nonce, text=packet.to_plaintext())
-        )
+    _datagram = staticmethod(sealed)
 
     def test_delivers_payload(self):
         server = RecordingEndpoint(is_server=True)
@@ -65,6 +71,24 @@ class TestReceiving:
             self._datagram(direction=1), "addr", now=0.0
         )
         assert server.pop_received() == []
+
+    @given(st.binary(max_size=12))
+    def test_body_property(self, body):
+        """Any authentic body: a short one is a bad_packet drop, a longer
+        one delivers what follows the 4-byte header."""
+        server = RecordingEndpoint(is_server=True)
+        server.flight = FlightRecorder("server")
+        raw = NullSession().encrypt(Message(Nonce(0, 3), body))
+        accepted = server.handle_unsealed(
+            NullSession().decrypt(raw), raw, "addr", 0.0
+        )
+        assert accepted == (len(body) >= PACKET_HEADER.size)
+        if accepted:
+            assert server.pop_received() == [body[PACKET_HEADER.size :]]
+        else:
+            assert server.pop_received() == []
+            drop = server.flight.events()[-1]
+            assert (drop["ev"], drop["reason"]) == ("drop", "bad_packet")
 
     def test_garbage_dropped(self):
         server = RecordingEndpoint(is_server=True)
@@ -104,24 +128,15 @@ class TestRttSampling:
     def test_timestamp_reply_produces_sample(self):
         client = RecordingEndpoint(is_server=False)
         # Peer echoes our timestamp from 80 ms ago.
-        packet = Packet(Nonce(1, 0), 500, timestamp16(1000.0 - 80.0), b"")
-        from repro.crypto.session import Message
-
-        raw = NullSession().encrypt(
-            Message(nonce=packet.nonce, text=packet.to_plaintext())
-        )
+        raw = sealed(direction=1, payload=b"", ts=500,
+                     tsr=timestamp16(1000.0 - 80.0))
         client._handle_datagram(raw, "a", now=1000.0)
         assert client.has_rtt_sample
         assert client.srtt == 80.0
 
     def test_no_reply_no_sample(self):
         client = RecordingEndpoint(is_server=False)
-        packet = Packet(Nonce(1, 0), 500, 0xFFFF, b"")
-        from repro.crypto.session import Message
-
-        raw = NullSession().encrypt(
-            Message(nonce=packet.nonce, text=packet.to_plaintext())
-        )
+        raw = sealed(direction=1, payload=b"", ts=500, tsr=0xFFFF)
         client._handle_datagram(raw, "a", now=1000.0)
         assert not client.has_rtt_sample
 

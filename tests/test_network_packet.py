@@ -1,16 +1,19 @@
-"""Packet format and 16-bit timestamp arithmetic."""
+"""Packet header codec, mux framing and 16-bit timestamp arithmetic."""
+
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.keys import Nonce
+from repro.crypto.session import Message, NullSession
 from repro.errors import PacketError
 from repro.network.packet import (
     CONN_WIRE_MAGIC,
     MAX_CONN_ID,
+    PACKET_HEADER,
     TIMESTAMP_NONE,
-    Packet,
     encode_conn_id,
     peek_conn_id,
     timestamp16,
@@ -36,40 +39,52 @@ class TestTimestamp16:
 
 
 class TestPacket:
-    def _packet(self, payload=b"data") -> Packet:
-        return Packet(
-            nonce=Nonce(0, 42),
-            timestamp=1234,
-            timestamp_reply=987,
-            payload=payload,
-        )
+    """The sealed packet header codec, :data:`PACKET_HEADER`.
+
+    Endpoints pack and unpack it themselves; a body too short for it is
+    an endpoint-level ``bad_packet`` drop (see test_network_interface).
+    """
 
     def test_roundtrip(self):
-        packet = self._packet()
-        again = Packet.from_plaintext(packet.nonce, packet.to_plaintext())
-        assert again == packet
+        text = PACKET_HEADER.pack(1234, 987) + b"data"
+        assert PACKET_HEADER.unpack_from(text) == (1234, 987)
+        assert text[PACKET_HEADER.size :] == b"data"
+        assert PACKET_HEADER.pack(0x1234, 0xABCD) == b"\x12\x34\xab\xcd"
 
     def test_empty_payload_roundtrip(self):
-        packet = self._packet(b"")
-        again = Packet.from_plaintext(packet.nonce, packet.to_plaintext())
-        assert again.payload == b""
+        text = PACKET_HEADER.pack(1234, 987)
+        assert len(text) == PACKET_HEADER.size == 4
+        assert text[PACKET_HEADER.size :] == b""
 
     def test_seq_and_direction_from_nonce(self):
-        packet = self._packet()
-        assert packet.seq == 42
-        assert packet.direction == 0
+        """Sequence number and direction travel in the cleartext nonce,
+        ahead of the sealed header."""
+        text = PACKET_HEADER.pack(1234, 987) + b"data"
+        raw = NullSession().encrypt(Message(Nonce(0, 42), text))
+        nonce = Nonce.from_wire(raw[:8])
+        assert (nonce.seq, nonce.direction) == (42, 0)
+        assert NullSession().decrypt(raw).text == text
 
     def test_short_body_raises(self):
-        with pytest.raises(PacketError):
-            Packet.from_plaintext(Nonce(0, 1), b"\x00")
+        with pytest.raises(struct.error):
+            PACKET_HEADER.unpack_from(b"\x00")
 
     def test_none_timestamp_constant(self):
         assert TIMESTAMP_NONE == 0xFFFF
 
     @given(st.binary(max_size=600), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
     def test_roundtrip_property(self, payload, ts, tsr):
-        packet = Packet(Nonce(1, 7), ts, tsr, payload)
-        assert Packet.from_plaintext(packet.nonce, packet.to_plaintext()) == packet
+        text = PACKET_HEADER.pack(ts, tsr) + payload
+        assert PACKET_HEADER.unpack_from(text) == (ts, tsr)
+        assert text[PACKET_HEADER.size :] == payload
+
+    @given(st.integers(), st.integers())
+    def test_out_of_range_timestamps_rejected(self, ts, tsr):
+        if 0 <= ts <= 0xFFFF and 0 <= tsr <= 0xFFFF:
+            assert len(PACKET_HEADER.pack(ts, tsr)) == 4
+        else:
+            with pytest.raises(struct.error):
+                PACKET_HEADER.pack(ts, tsr)
 
 
 class TestConnIdHeader:

@@ -12,7 +12,6 @@ from repro.input.events import UserBytes
 from repro.input.userstream import UserStream
 from repro.session import InProcessSession
 from repro.simnet import LinkConfig
-from repro.transport.instruction import Instruction
 from repro.transport.receiver import TransportReceiver
 
 
@@ -29,28 +28,20 @@ class TestIdempotency:
         for i in range(4):
             nxt = states[-1].copy()
             nxt.push_event(UserBytes(bytes([65 + i])))
-            instructions.append(
-                Instruction(
-                    old_num=i,
-                    new_num=i + 1,
-                    ack_num=0,
-                    throwaway_num=0,
-                    diff=nxt.diff_from(states[-1]),
-                )
-            )
+            instructions.append((i, i + 1, nxt.diff_from(states[-1])))
             states.append(nxt)
 
         reference = TransportReceiver(base)
         for inst in instructions:
-            reference.process_instruction(inst)
+            reference.process_instruction(*inst)
 
         chaotic = TransportReceiver(base)
         # in-order base pass ensures diff bases exist, then chaos
         for inst in instructions:
-            chaotic.process_instruction(inst)
+            chaotic.process_instruction(*inst)
         for idx in order:
             for _ in range(repeats):
-                chaotic.process_instruction(instructions[idx])
+                chaotic.process_instruction(*instructions[idx])
         assert chaotic.latest_state == reference.latest_state
         assert chaotic.latest_num == reference.latest_num
 

@@ -1,12 +1,15 @@
 """Transport sender/receiver over a scriptable in-memory endpoint."""
 
+from collections import namedtuple
 
+import pytest
+
+from repro.errors import StateError
 from repro.input.events import UserBytes
 from repro.input.userstream import UserStream
 from repro.network.interface import DatagramEndpoint
 from repro.crypto.session import NullSession
-from repro.transport.fragment import Fragment
-from repro.transport.instruction import Instruction
+from repro.transport.instruction import decode_instruction
 from repro.transport.receiver import TransportReceiver
 from repro.transport.sender import TransportSender
 from repro.transport.timing import SenderTiming
@@ -37,6 +40,9 @@ class LoopbackEndpoint(DatagramEndpoint):
         return 100.0
 
 
+Sent = namedtuple("Sent", "old_num new_num ack_num throwaway_num diff")
+
+
 def sent_instructions(endpoint):
     from repro.transport.fragment import FragmentAssembly
 
@@ -45,9 +51,9 @@ def sent_instructions(endpoint):
     for raw in endpoint.sent:
         message = NullSession().decrypt(raw)
         payload = message.text[4:]  # skip the 2+2 byte timestamps
-        encoded = assembly.add_fragment(Fragment.decode(payload))
+        encoded = assembly.add_fragment(payload)
         if encoded:
-            out.append(Instruction.decode(encoded))
+            out.append(Sent(*decode_instruction(encoded)))
     return out
 
 
@@ -146,49 +152,58 @@ class TestAcks:
 
 
 class TestReceiver:
-    def _inst(self, old, new, diff=b"", ack=0, throwaway=0):
-        return Instruction(old, new, ack, throwaway, diff)
-
     def test_apply_creates_state(self):
         recv = TransportReceiver(UserStream())
         diff = UserBytes(b"a").encode()
-        assert recv.process_instruction(self._inst(0, 1, diff))
+        assert recv.process_instruction(0, 1, diff)
         assert recv.latest_num == 1
         assert recv.latest_state.total_count == 1
 
     def test_duplicate_ignored(self):
         recv = TransportReceiver(UserStream())
-        inst = self._inst(0, 1, UserBytes(b"a").encode())
-        assert recv.process_instruction(inst)
-        assert not recv.process_instruction(inst)
+        inst = (0, 1, UserBytes(b"a").encode())
+        assert recv.process_instruction(*inst)
+        assert not recv.process_instruction(*inst)
         assert recv.duplicates_ignored == 1
         assert recv.latest_state.total_count == 1
 
     def test_missing_base_ignored(self):
         recv = TransportReceiver(UserStream())
-        assert not recv.process_instruction(self._inst(5, 6, b""))
+        assert not recv.process_instruction(5, 6, b"")
         assert recv.unusable_ignored == 1
 
     def test_out_of_order_applies_when_base_arrives(self):
         recv = TransportReceiver(UserStream())
-        first = self._inst(0, 1, UserBytes(b"a").encode())
-        second = self._inst(1, 2, UserBytes(b"b").encode())
-        assert not recv.process_instruction(second)  # base missing
-        assert recv.process_instruction(first)
-        assert recv.process_instruction(second)
+        first = (0, 1, UserBytes(b"a").encode())
+        second = (1, 2, UserBytes(b"b").encode())
+        assert not recv.process_instruction(*second)  # base missing
+        assert recv.process_instruction(*first)
+        assert recv.process_instruction(*second)
         assert recv.latest_state.total_count == 2
 
     def test_throwaway_prunes_but_keeps_latest(self):
         recv = TransportReceiver(UserStream())
-        recv.process_instruction(self._inst(0, 1, UserBytes(b"a").encode()))
-        recv.process_instruction(self._inst(1, 2, UserBytes(b"b").encode()))
+        recv.process_instruction(0, 1, UserBytes(b"a").encode())
+        recv.process_instruction(1, 2, UserBytes(b"b").encode())
         recv.process_throwaway_until(2)
         assert recv.known_nums() == [2]
 
+    def test_malformed_diff_raises_and_stores_nothing(self):
+        recv = TransportReceiver(UserStream())
+        recv.process_instruction(0, 1, UserBytes(b"a").encode())
+        with pytest.raises(StateError):
+            recv.process_instruction(1, 2, b"\xff")
+        assert recv.malformed_ignored == 1
+        assert recv.known_nums() == [0, 1]
+        assert recv.latest_state.total_count == 1
+        # The next good instruction from the same base still applies.
+        assert recv.process_instruction(1, 2, UserBytes(b"b").encode())
+        assert recv.latest_state.total_count == 2
+
     def test_empty_diff_clones_state(self):
         recv = TransportReceiver(UserStream())
-        recv.process_instruction(self._inst(0, 1, UserBytes(b"a").encode()))
-        assert recv.process_instruction(self._inst(1, 2, b""))
+        recv.process_instruction(0, 1, UserBytes(b"a").encode())
+        assert recv.process_instruction(1, 2, b"")
         assert recv.latest_state.total_count == 1
         assert recv.latest_num == 2
 

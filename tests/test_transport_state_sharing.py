@@ -18,7 +18,6 @@ from repro.session.inprocess import InProcessDaemon, InProcessSession
 from repro.simnet.host import SimNetwork
 from repro.simnet.link import LinkConfig
 from repro.terminal.complete import Complete
-from repro.transport.instruction import Instruction
 from repro.transport.receiver import TransportReceiver
 from repro.transport.sender import SentState, TransportSender
 from tests.test_transport_sender_receiver import LoopbackEndpoint
@@ -82,16 +81,12 @@ class TestSenderSnapshots:
         assert sender._sent_states[-1].state is acked.state
 
 
-def _inst(old, new, diff=b""):
-    return Instruction(old, new, 0, 0, diff)
-
-
 class TestReceiverStates:
     @pytest.mark.parametrize("make", [UserStream, Complete])
     def test_empty_diff_stores_the_source_object(self, make):
         recv = TransportReceiver(make())
         source = recv.latest_state
-        assert recv.process_instruction(_inst(0, 1))
+        assert recv.process_instruction(0, 1, b"")
         assert recv.latest_num == 1
         assert recv.latest_state is source
 
@@ -102,7 +97,7 @@ class TestReceiverStates:
         source = recv.latest_state
         rows = list(source.fb.rows)
         cells = [list(row.cells) for row in rows]
-        assert recv.process_instruction(_inst(0, 1, target.diff_from(Complete(20, 4))))
+        assert recv.process_instruction(0, 1, target.diff_from(Complete(20, 4)))
         assert recv.latest_state is not source
         assert recv.latest_state.fb.screen_text() == target.fb.screen_text()
         assert source.fb.rows == rows
@@ -111,10 +106,10 @@ class TestReceiverStates:
 
     def test_event_diff_leaves_the_source_events_untouched(self):
         recv = TransportReceiver(UserStream())
-        recv.process_instruction(_inst(0, 1, UserBytes(b"a").encode()))
+        recv.process_instruction(0, 1, UserBytes(b"a").encode())
         source = recv.latest_state
         events = list(source.events_since(0))
-        recv.process_instruction(_inst(1, 2, UserBytes(b"b").encode()))
+        recv.process_instruction(1, 2, UserBytes(b"b").encode())
         assert source.events_since(0) == events
         assert source.total_count == 1
         assert recv.latest_state.total_count == 2

@@ -21,7 +21,7 @@ from repro.errors import AuthenticationError, CryptoError, ReplayError
 from repro.network import sysbatch
 from repro.network.batch import RxBatcher, SyscallCounter, WireBatcher
 from repro.network.interface import DatagramEndpoint
-from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
+from repro.network.packet import PACKET_HEADER, TIMESTAMP_NONE, encode_conn_id
 from repro.obs.flight import FlightRecorder
 from repro.runtime.reactor import RealReactor
 from repro.simnet.eventloop import EventLoop
@@ -35,10 +35,8 @@ def _keyed_pair():
 
 
 def _plaintext(payload=b"p", seq=0):
-    packet = Packet(
-        Nonce(DIRECTION_TO_SERVER, seq), 100, TIMESTAMP_NONE, payload
-    )
-    return packet.nonce, packet.to_plaintext()
+    text = PACKET_HEADER.pack(100, TIMESTAMP_NONE) + payload
+    return Nonce(DIRECTION_TO_SERVER, seq), text
 
 
 class RecordingEndpoint(DatagramEndpoint):

@@ -261,15 +261,17 @@ def _unroutable_checks(daemon) -> list[str]:
     no session both die pre-auth as ``daemon.no_route``."""
     from repro.crypto.keys import DIRECTION_TO_SERVER, Nonce
     from repro.crypto.session import Message, Session
-    from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
+    from repro.network.packet import PACKET_HEADER, TIMESTAMP_NONE, encode_conn_id
 
     registry = daemon.reactor.registry
     names = ("daemon.no_route", "daemon.bad_packets", "crypto.auth_failures")
     before = [registry.counter(name).value for name in names]
     cid = daemon.conn_ids[0]
-    packet = Packet(Nonce(DIRECTION_TO_SERVER, 1 << 20), 0, TIMESTAMP_NONE, b"")
     unframed = Session(daemon.record(cid).key).encrypt(
-        Message(nonce=packet.nonce, text=packet.to_plaintext())
+        Message(
+            nonce=Nonce(DIRECTION_TO_SERVER, 1 << 20),
+            text=PACKET_HEADER.pack(0, TIMESTAMP_NONE),
+        )
     )
     unknown = encode_conn_id(max(daemon.conn_ids) + 1) + bytes(64)
     for raw in (unframed, unknown):
