@@ -92,8 +92,8 @@ def bench_obs_hist_record(iters: int) -> float:
 def bench_obs_flight_note(iters: int) -> float:
     """µs to record one send event into a (wrapping) flight-recorder ring."""
     recorder = FlightRecorder("bench", capacity=4096)
-    meta = {"old": 3, "new": 4, "ack": 2, "tw": 1,
-            "frag_id": 7, "frag_idx": 0, "final": True, "dlen": 120}
+    # (old, new, ack, tw, frag_id, frag_idx, final, dlen)
+    meta = (3, 4, 2, 1, 7, 0, True, 120)
     state = [0]
 
     def op() -> None:

@@ -109,10 +109,8 @@ class WireBatcher:
         for e, raw in zip(pending, sealed):
             endpoint = e[0]
             if obs_on and endpoint.flight is not None:
-                meta = dict(e[6]) if e[6] else {}
-                meta["bsz"] = n
                 endpoint.flight.note_send(
-                    e[5], endpoint.dir_out, e[7], e[10], e[8], e[9], meta
+                    e[5], endpoint.dir_out, e[7], e[10], e[8], e[9], e[6], n
                 )
             sends.append((e[3], raw, e[4], endpoint, e[5]))
         if self._transmit_many is not None:

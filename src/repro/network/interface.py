@@ -55,6 +55,9 @@ _pack_header = PACKET_HEADER.pack
 _unpack_header = PACKET_HEADER.unpack_from
 _HEADER_LEN = PACKET_HEADER.size
 
+#: ``pop_received_rx`` result when nothing arrived (shared, never mutated).
+_NOTHING_RECEIVED: tuple = ((), ())
+
 #: Conservative round-trip estimate used until the first RTT sample lands
 #: (matches RFC 6298's initial RTO of one second).
 DEFAULT_SRTT_MS = 1000.0
@@ -208,16 +211,18 @@ class DatagramEndpoint(ABC):
         self,
         payload: bytes,
         now: float,
-        meta: dict | None = None,
+        meta: tuple | None = None,
         dlen: int = 0,
     ) -> None:
         """Seal and transmit one transport payload.
 
         ``meta`` is opaque flight-recorder context from the transport
-        sender (instruction numbers, fragment id/idx/final, diff length);
-        it is logged alongside the datagram's wire-level fields. ``dlen``
-        is the length of the state diff the payload carries, which the
-        causal tracer reads whether or not a flight recorder is attached.
+        sender (the ``meta`` tuple of
+        :meth:`~repro.obs.flight.FlightRecorder.note_send`: instruction
+        numbers, fragment id/idx/final, diff length); it is logged
+        alongside the datagram's wire-level fields. ``dlen`` is the
+        length of the state diff the payload carries, which the causal
+        tracer reads whether or not a flight recorder is attached.
         """
         if self._remote_addr is None:
             raise NetworkError("no remote address known yet")
@@ -393,11 +398,11 @@ class DatagramEndpoint(ABC):
                 len(raw),
                 timestamp,
                 timestamp_reply,
-                frag=_peek_fragment(payload),
-                reordered=reordered,
-                rtt=rtt_sample,
-                srtt=self._rtt.srtt if self._rtt.have_sample else None,
-                rto=self._rtt.rto(),
+                _peek_fragment(payload),
+                reordered,
+                rtt_sample,
+                self._rtt.srtt if self._rtt.have_sample else None,
+                self._rtt.rto(),
             )
         self._received_payloads.append(payload)
         causal = self.causal
@@ -449,9 +454,12 @@ class DatagramEndpoint(ABC):
         The rx list is empty unless a causal tracer is attached (it is
         captured per accepted payload, so when present the two lists have
         equal length and ``rx[i]`` describes the datagram that carried
-        ``payloads[i]``).
+        ``payloads[i]``). When nothing arrived, both are one shared empty
+        tuple, so an idle tick allocates nothing.
         """
         payloads = self._received_payloads
+        if not payloads:
+            return _NOTHING_RECEIVED
         rx = self._received_rx
         self._received_payloads = []
         self._received_rx = []

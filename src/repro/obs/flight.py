@@ -3,11 +3,13 @@
 The paper's entire evaluation rests on knowing the fate of every datagram
 — when it was sent, whether the link dropped it, and when the covering
 ack came back. A :class:`FlightRecorder` gives each endpoint that record:
-one structured event per datagram at every lifecycle point, kept in a
-bounded ring and exportable as JSONL for offline analysis. The model is
-QUIC's qlog endpoint logging — each endpoint records only what it can see
-locally, and :mod:`repro.analysis.flight` correlates a client recording
-with a server recording into one causal timeline.
+one structured event per datagram at every lifecycle point, kept as a
+run of scalars in a bounded flat ring (:mod:`repro.obs.ring`, overwrites
+counted in ``dropped_events``) and exportable as JSONL for offline
+analysis. The model is QUIC's qlog endpoint logging — each endpoint
+records only what it can see locally, and :mod:`repro.analysis.flight`
+correlates a client recording with a server recording into one causal
+timeline.
 
 Event kinds (the ``ev`` field):
 
@@ -42,11 +44,11 @@ Serialized recordings start with a header line (``schema``, ``role``,
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Any
 
 from repro.errors import ObservabilityError
 from repro.obs import registry as _registry
+from repro.obs.ring import FlatRing
 
 #: Schema tag stamped into every recording; bump on breaking changes.
 FLIGHT_SCHEMA = "repro.obs.flight/1"
@@ -73,6 +75,12 @@ DROP_REASONS = (
 )
 
 _EVENT_KINDS = ("send", "recv", "drop", "inst")
+
+#: ``frag`` slots of a received datagram too short to be a fragment.
+_NO_FRAG = (None, None, None)
+
+#: ``meta`` slots of a send noted without instruction context.
+_NO_META = (None,) * 8
 
 #: First byte of a muxed datagram (mirrors packet.CONN_WIRE_MAGIC; the
 #: packet module is imported lazily below to keep this module import-light).
@@ -109,8 +117,17 @@ def peek_seq(raw: bytes | memoryview) -> int | None:
     return value & ((1 << 63) - 1)
 
 
-class FlightRecorder:
-    """Bounded ring of per-datagram lifecycle events for one endpoint."""
+class FlightRecorder(FlatRing):
+    """Bounded ring of per-datagram lifecycle events for one endpoint.
+
+    Each event is one 16-slot run of the flat ring (see
+    :mod:`repro.obs.ring`): its kind, time and direction, then the
+    kind's fields in export order, padded with None to the width of the
+    widest event (``send``). The dict form of an event is built only by
+    :meth:`events` and :meth:`recording`.
+    """
+
+    WIDTH = 16
 
     def __init__(
         self,
@@ -118,22 +135,15 @@ class FlightRecorder:
         capacity: int = DEFAULT_CAPACITY,
         clock_domain: str = "sim",
     ) -> None:
-        if capacity < 1:
-            raise ObservabilityError("flight recorder capacity must be >= 1")
+        super().__init__(capacity)
         self.role = role
         self.clock_domain = clock_domain
-        self._capacity = capacity
-        self._events: deque[tuple] = deque(maxlen=capacity)
-        #: Events overwritten after the ring filled (visibility into loss
-        #: of visibility — a recording that wrapped says so).
-        self.dropped_events = 0
 
     # -- recording ------------------------------------------------------
     #
-    # The note_* methods run once per datagram on the session hot path,
-    # so the ring stores flat tuples and the dict form of each event is
-    # only materialized on read/export. Keeping the capacity check
-    # inline (rather than a helper) saves a call per event.
+    # The note_* methods run once per datagram on the session hot path:
+    # each copies its scalars into the ring and keeps no object it was
+    # handed, so nothing allocated here outlives the call.
 
     def note_send(
         self,
@@ -143,22 +153,31 @@ class FlightRecorder:
         wire_len: int,
         ts: int,
         tsr: int | None,
-        meta: dict | None = None,
+        meta: tuple | None = None,
+        bsz: int | None = None,
     ) -> None:
         """One sealed datagram left this endpoint.
 
         ``meta`` is the transport sender's description of what the
-        datagram carried: instruction old/new/ack/throwaway numbers,
-        fragment id/idx/final, and the instruction diff length. The
-        batched wire path adds ``bsz`` — the size of the flush batch
-        this datagram left in (1 when sent inline). It is kept by
-        reference; callers must pass a fresh dict.
+        datagram carried, as the tuple ``(old, new, ack, tw, frag_id,
+        frag_idx, final, dlen)``: the instruction's numbers, the
+        fragment, and the instruction diff length. ``bsz`` is the size of
+        the flush batch the datagram left in; only the batched wire path
+        (:meth:`repro.network.batch.WireBatcher.flush`) passes it, and an
+        inline send records no ``bsz`` at all.
         """
         if not _registry._enabled:
             return
-        if len(self._events) == self._capacity:
-            self.dropped_events += 1
-        self._events.append(("send", now, direction, seq, wire_len, ts, tsr, meta))
+        old, new, ack, tw, frag_id, frag_idx, final, dlen = (
+            _NO_META if meta is None else meta
+        )
+        record = ("send", now, direction, seq, wire_len, ts, tsr, old, new,
+                  ack, tw, frag_id, frag_idx, final, dlen, bsz)
+        ring = self._ring
+        if len(ring) < self._limit:
+            ring += record
+        else:
+            self._overwrite(record)
 
     def note_recv(
         self,
@@ -177,12 +196,14 @@ class FlightRecorder:
         """One authentic datagram was unsealed and accepted."""
         if not _registry._enabled:
             return
-        if len(self._events) == self._capacity:
-            self.dropped_events += 1
-        self._events.append(
-            ("recv", now, direction, seq, wire_len, ts, tsr,
-             frag, reordered, rtt, srtt, rto)
-        )
+        frag_id, frag_idx, final = _NO_FRAG if frag is None else frag
+        record = ("recv", now, direction, seq, wire_len, ts, tsr, frag_id,
+                  frag_idx, final, reordered, rtt, srtt, rto, None, None)
+        ring = self._ring
+        if len(ring) < self._limit:
+            ring += record
+        else:
+            self._overwrite(record)
 
     def note_drop(
         self,
@@ -197,9 +218,13 @@ class FlightRecorder:
             return
         if reason not in DROP_REASONS:
             raise ObservabilityError(f"unknown drop reason {reason!r}")
-        if len(self._events) == self._capacity:
-            self.dropped_events += 1
-        self._events.append(("drop", now, direction, reason, seq, wire_len))
+        record = ("drop", now, direction, reason, seq, wire_len, None, None,
+                  None, None, None, None, None, None, None, None)
+        ring = self._ring
+        if len(ring) < self._limit:
+            ring += record
+        else:
+            self._overwrite(record)
 
     def note_instruction(
         self,
@@ -215,39 +240,39 @@ class FlightRecorder:
         """A complete instruction was reassembled and applied."""
         if not _registry._enabled:
             return
-        if len(self._events) == self._capacity:
-            self.dropped_events += 1
-        self._events.append(
-            ("inst", now, direction, old, new, ack, throwaway, diff_len, frag_id)
-        )
+        record = ("inst", now, direction, old, new, ack, throwaway, diff_len,
+                  frag_id, None, None, None, None, None, None, None)
+        ring = self._ring
+        if len(ring) < self._limit:
+            ring += record
+        else:
+            self._overwrite(record)
 
     # -- reading --------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def capacity(self) -> int:
-        """Ring capacity (events retained before overwrite)."""
-        return self._capacity
-
     @staticmethod
-    def _materialize(record: tuple) -> dict:
-        kind = record[0]
+    def _materialize(record: list) -> dict:
+        kind, t, direction = record[0], record[1], record[2]
         if kind == "send":
-            _, t, direction, seq, wire_len, ts, tsr, meta = record
+            (seq, wire_len, ts, tsr, old, new, ack, tw, frag_id, frag_idx,
+             final, dlen, bsz) = record[3:]
             event = {"t": t, "ev": "send", "dir": direction, "seq": seq,
                      "len": wire_len, "ts": ts, "tsr": tsr}
-            if meta:
-                event.update(meta)
+            if old is not None:
+                event.update(old=old, new=new, ack=ack, tw=tw, frag_id=frag_id,
+                             frag_idx=frag_idx, final=final, dlen=dlen)
+            if bsz is not None:
+                event["bsz"] = bsz
             return event
         if kind == "recv":
-            (_, t, direction, seq, wire_len, ts, tsr,
-             frag, reordered, rtt, srtt, rto) = record
+            (seq, wire_len, ts, tsr, frag_id, frag_idx, final, reordered,
+             rtt, srtt, rto) = record[3:14]
             event = {"t": t, "ev": "recv", "dir": direction, "seq": seq,
                      "len": wire_len, "ts": ts, "tsr": tsr}
-            if frag is not None:
-                event["frag_id"], event["frag_idx"], event["final"] = frag
+            if frag_id is not None:
+                event["frag_id"] = frag_id
+                event["frag_idx"] = frag_idx
+                event["final"] = final
             if reordered:
                 event["reorder"] = True
             if rtt is not None:
@@ -258,14 +283,14 @@ class FlightRecorder:
                 event["rto"] = round(rto, 3)
             return event
         if kind == "drop":
-            _, t, direction, reason, seq, wire_len = record
+            reason, seq, wire_len = record[3:6]
             event = {"t": t, "ev": "drop", "dir": direction, "reason": reason}
             if seq is not None:
                 event["seq"] = seq
             if wire_len is not None:
                 event["len"] = wire_len
             return event
-        _, t, direction, old, new, ack, throwaway, diff_len, frag_id = record
+        old, new, ack, throwaway, diff_len, frag_id = record[3:9]
         event = {"t": t, "ev": "inst", "dir": direction, "old": old,
                  "new": new, "ack": ack, "tw": throwaway, "dlen": diff_len}
         if frag_id is not None:
@@ -273,15 +298,11 @@ class FlightRecorder:
         return event
 
     def events(self, ev: str | None = None) -> list[dict]:
-        """Recorded events as dicts, optionally filtered by kind."""
+        """Recorded events as dicts, oldest first, optionally by kind."""
         materialize = self._materialize
         if ev is None:
-            return [materialize(r) for r in self._events]
-        return [materialize(r) for r in self._events if r[0] == ev]
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped_events = 0
+            return [materialize(r) for r in self._records()]
+        return [materialize(r) for r in self._records() if r[0] == ev]
 
     def header(self) -> dict:
         """The recording's header document (first JSONL line on export)."""

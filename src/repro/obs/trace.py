@@ -1,15 +1,18 @@
 """Span tracing against the reactor clock.
 
 A :class:`SpanTracer` records completed spans (``with tracer.span("seal")``)
-and instant events into a bounded ring buffer. Timestamps come from
-whatever clock callable the tracer was built with — a reactor's ``now`` —
-so a simulated session and a wall-clock session produce directly
-comparable traces (both in milliseconds since their reactor's epoch).
+and instant events into a bounded flat ring (:mod:`repro.obs.ring`); once
+it is full, each new event overwrites the oldest and counts one in
+``dropped_events``. Timestamps come from whatever clock callable the
+tracer was built with — a reactor's ``now`` — so a simulated session and
+a wall-clock session produce directly comparable traces (both in
+milliseconds since their reactor's epoch).
 
 Two exporters cover the common consumers:
 
 * :meth:`export_chrome` writes the Chrome ``trace_event`` JSON format
-  (load it at ``chrome://tracing`` or https://ui.perfetto.dev);
+  (load it at ``chrome://tracing`` or https://ui.perfetto.dev), with
+  ``dropped_events`` under ``otherData``;
 * :meth:`export_jsonl` writes one JSON object per line for ad-hoc
   scripting (``jq``-friendly).
 
@@ -20,10 +23,10 @@ span under the disabled flag costs two truth tests and nothing else.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Callable
 
 from repro.obs import registry as _registry
+from repro.obs.ring import FlatRing
 
 #: Default ring-buffer bound: generous for a session (hours of paced
 #: frames) while keeping a runaway producer's memory flat.
@@ -51,23 +54,33 @@ class _Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
-        tracer._events.append(
+        tracer._put(
             ("X", self.name, self.cat, self._t0,
              tracer._clock() - self._t0, self.args)
         )
 
 
-class SpanTracer:
-    """Bounded ring of spans and instants, timed by one clock callable."""
+class SpanTracer(FlatRing):
+    """Bounded ring of spans and instants, timed by one clock callable.
+
+    Each event is one 6-slot run of the flat ring (see
+    :mod:`repro.obs.ring`): phase, name, category, start (ms), duration
+    (ms) and the args mapping. ``record_span`` stores the shared empty
+    args mapping, so it keeps nothing alive per span; ``span``,
+    ``span_at`` and ``instant`` keep the ``**args`` dict their caller
+    passed, which is the event's payload. Overwrites after the ring fills
+    are counted in ``dropped_events``.
+    """
+
+    WIDTH = 6
 
     def __init__(
         self,
         clock: Callable[[], float],
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
+        super().__init__(capacity)
         self._clock = clock
-        #: (phase, name, cat, start_ms, duration_ms, args) tuples.
-        self._events: deque[tuple] = deque(maxlen=capacity)
 
     # -- recording ------------------------------------------------------
 
@@ -87,9 +100,12 @@ class SpanTracer:
         """
         if not _registry._enabled:
             return
-        self._events.append(
-            ("X", name, cat, t0, self._clock() - t0, _NO_ARGS)
-        )
+        record = ("X", name, cat, t0, self._clock() - t0, _NO_ARGS)
+        ring = self._ring
+        if len(ring) < self._limit:
+            ring += record
+        else:
+            self._overwrite(record)
 
     def span_at(
         self,
@@ -108,23 +124,20 @@ class SpanTracer:
         """
         if not _registry._enabled:
             return
-        self._events.append(("X", name, cat, t0, dur_ms, args))
+        self._put(("X", name, cat, t0, dur_ms, args))
 
     def instant(self, name: str, cat: str = "runtime", **args) -> None:
         """Record a zero-duration event at the current clock reading."""
         if not _registry._enabled:
             return
-        self._events.append(("i", name, cat, self._clock(), 0.0, args))
+        self._put(("i", name, cat, self._clock(), 0.0, args))
 
     # -- reading --------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     def events(self, cat: str | None = None) -> list[dict]:
         """Recorded events as dicts, optionally filtered by category."""
         out = []
-        for ph, name, ecat, ts, dur, args in self._events:
+        for ph, name, ecat, ts, dur, args in self._records():
             if cat is not None and ecat != cat:
                 continue
             out.append(
@@ -139,16 +152,12 @@ class SpanTracer:
             )
         return out
 
-    def clear(self) -> None:
-        """Drop every recorded event."""
-        self._events.clear()
-
     # -- exporters ------------------------------------------------------
 
     def trace_events(self) -> list[dict]:
         """Chrome ``trace_event`` dicts (timestamps in microseconds)."""
         out = []
-        for ph, name, cat, ts, dur, args in self._events:
+        for ph, name, cat, ts, dur, args in self._records():
             event = {
                 "name": name,
                 "cat": cat,
@@ -166,11 +175,20 @@ class SpanTracer:
         return out
 
     def export_chrome(self, path: str) -> int:
-        """Write a Chrome-loadable trace JSON; returns the event count."""
+        """Write a Chrome-loadable trace JSON; returns the event count.
+
+        ``otherData`` carries ``dropped_events``, so a trace whose ring
+        wrapped says how many older events it lost.
+        """
         events = self.trace_events()
         with open(path, "w") as f:
             json.dump(
-                {"traceEvents": events, "displayTimeUnit": "ms"}, f
+                {
+                    "traceEvents": events,
+                    "displayTimeUnit": "ms",
+                    "otherData": {"dropped_events": self.dropped_events},
+                },
+                f,
             )
         return len(events)
 

@@ -430,16 +430,8 @@ class TransportSender(Generic[S]):
                 # The receive side can only peek the fragment header (the
                 # instruction body is compressed), so the send side logs
                 # the instruction numbers for the offline merge.
-                meta = {
-                    "old": old_num,
-                    "new": new_num,
-                    "ack": ack_num,
-                    "tw": throwaway_num,
-                    "frag_id": frag_id,
-                    "frag_idx": idx,
-                    "final": idx == final_idx,
-                    "dlen": dlen,
-                }
+                meta = (old_num, new_num, ack_num, throwaway_num, frag_id,
+                        idx, idx == final_idx, dlen)
             endpoint.send(datagram, now, meta, dlen)
             self.datagrams_sent += 1
         self.instructions_sent += 1

@@ -87,6 +87,8 @@ class Transport(Generic[MyState, RemoteState]):
 
     def _receive(self, now: float) -> None:
         payloads, rx_infos = self._endpoint.pop_received_rx()
+        if not payloads:
+            return
         sender = self.sender
         receiver = self.receiver
         for i, payload in enumerate(payloads):
@@ -114,7 +116,7 @@ class Transport(Generic[MyState, RemoteState]):
                     ack_num,
                     throwaway_num,
                     len(diff),
-                    frag_id=self._assembly.completed_id,
+                    self._assembly.completed_id,
                 )
             sender.process_acknowledgment_through(ack_num, now)
             try:

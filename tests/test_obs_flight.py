@@ -23,7 +23,7 @@ class TestRecording:
     def test_send_event_fields(self):
         rec = _recorder()
         rec.note_send(12.5, DIR_C2S, 3, 180, 500, 123,
-                      {"new": 7, "ack": 2, "dlen": 40})
+                      (6, 7, 2, 0, 11, 0, True, 40))
         (event,) = rec.events()
         assert event["ev"] == "send"
         assert event["dir"] == DIR_C2S
@@ -89,7 +89,7 @@ class TestRecording:
 class TestSchema:
     def test_jsonl_round_trip(self, tmp_path):
         rec = _recorder()
-        rec.note_send(1.0, DIR_C2S, 0, 10, 7, None, {"new": 1, "dlen": 3})
+        rec.note_send(1.0, DIR_C2S, 0, 10, 7, None, (0, 1, 0, 0, 0, 0, True, 3))
         rec.note_recv(2.0, DIR_S2C, 0, 12, 9, 7, frag=(0, 0, True))
         rec.note_drop(3.0, DIR_C2S, "auth", seq=1, wire_len=44)
         path = tmp_path / "flight.jsonl"

@@ -52,11 +52,32 @@ class TestRecording:
         assert len(tracer) == 10
         assert tracer.events()[0]["name"] == "e15"  # oldest were evicted
 
+    def test_ring_wrap_counts_overwrites_in_order(self):
+        clock = FakeClock()
+        tracer = SpanTracer(clock, capacity=4)
+        for i in range(11):
+            clock.t = float(i)
+            if i % 2:
+                tracer.record_span(f"s{i}", float(i) - 0.5)
+            else:
+                tracer.instant(f"i{i}", index=i)
+        assert len(tracer) == 4
+        assert tracer.dropped_events == 7
+        events = tracer.events()
+        assert [e["name"] for e in events] == ["s7", "i8", "s9", "i10"]
+        assert [e["ts_ms"] for e in events] == [6.5, 8.0, 8.5, 10.0]
+        assert events[1]["args"] == {"index": 8} and events[2]["args"] == {}
+        assert [e["name"] for e in tracer.trace_events()] == ["s7", "i8", "s9", "i10"]
+
     def test_clear(self):
-        tracer = SpanTracer(FakeClock())
-        tracer.instant("x")
+        tracer = SpanTracer(FakeClock(), capacity=2)
+        for _ in range(3):
+            tracer.instant("x")
+        assert tracer.dropped_events == 1
         tracer.clear()
-        assert len(tracer) == 0
+        assert len(tracer) == 0 and tracer.dropped_events == 0
+        tracer.instant("y")
+        assert [e["name"] for e in tracer.events()] == ["y"]
 
     def test_disabled_flag_skips_spans_and_instants(self):
         tracer = SpanTracer(FakeClock())
@@ -96,6 +117,7 @@ class TestExporters:
         assert tracer.export_chrome(str(path)) == 2
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
+        assert doc["otherData"] == {"dropped_events": 0}
         span, instant = doc["traceEvents"]
         # Chrome trace_event timestamps are microseconds.
         assert span["ph"] == "X"
@@ -104,6 +126,16 @@ class TestExporters:
         assert instant["ph"] == "i"
         assert instant["s"] == "g"
         assert instant["ts"] == 1250.0
+
+    def test_chrome_export_reports_overwrites(self, tmp_path):
+        clock = FakeClock()
+        tracer = SpanTracer(clock, capacity=1)
+        self.fill(tracer, clock)
+        path = tmp_path / "trace.json"
+        assert tracer.export_chrome(str(path)) == 1
+        doc = json.loads(path.read_text())
+        assert doc["otherData"] == {"dropped_events": 1}
+        assert [e["name"] for e in doc["traceEvents"]] == ["keystroke"]
 
     def test_jsonl_export(self, tmp_path):
         clock = FakeClock()

@@ -21,6 +21,10 @@ over a lossy link, then:
 * stands up a session daemon with 8 concurrent clients muxed on one
   simulated port and validates the per-session (labelled) metrics
   snapshot (``--daemon-metrics``), and
+* runs a 4-session daemon on 64-event flight rings so every session
+  recording wraps, exports each as JSONL (``--flight-wrap`` prefix) and
+  reads it back: each must hold exactly 64 events in time order and
+  count the events it overwrote, and
 * drives a live 4-session daemon with per-keystroke causal tracing on:
   every client's stage partition must sum to its end-to-end echo
   latency, the fleet-pooled stage histograms must account for every
@@ -251,6 +255,59 @@ def daemon_stage(args) -> list[str]:
         f"  daemon: 8 sessions on one port, "
         f"{int(counters.get('daemon.datagrams_routed', 0))} datagrams routed "
         f"-> {args.daemon_metrics}"
+    )
+    return failures
+
+
+def flight_wrap_stage(args) -> list[str]:
+    """Four sessions on 64-event rings: every recording wraps.
+
+    Each session recording is exported as JSONL (``--flight-wrap``
+    names the file prefix) and read back through ``load_flight_log``,
+    which validates every event. A wrapped recording must hold exactly
+    its capacity, say how many events it overwrote, and still read
+    oldest first.
+    """
+    from repro.session.inprocess import InProcessDaemon
+
+    capacity = 64
+    failures: list[str] = []
+    daemon = InProcessDaemon(
+        LinkConfig(delay_ms=25.0, jitter_ms=5.0),
+        LinkConfig(delay_ms=25.0, jitter_ms=5.0),
+        sessions=4,
+        width=40,
+        height=8,
+        seed=4,
+        flight_capacity=capacity,
+    )
+    daemon.connect()
+    for cid in daemon.conn_ids:
+        for ch in f"echo wrap-{cid}; date; uptime\r".encode():
+            daemon.client(cid).type_bytes(bytes([ch]))
+            daemon.run_for(110.0)
+    daemon.run_for(4000.0)
+
+    recorders = []
+    for cid in daemon.conn_ids:
+        recorders += [daemon.server_flights[cid], daemon.client_flights[cid]]
+    dropped = 0
+    for recorder in recorders:
+        path = f"{args.flight_wrap}-{recorder.role}.jsonl"
+        recorder.export_jsonl(path)
+        header, events = load_flight_log(path)
+        name = f"flight wrap {recorder.role}"
+        if len(events) != capacity:
+            failures.append(f"{name}: {len(events)} events, not {capacity}")
+        if not header["dropped_events"] > 0:
+            failures.append(f"{name}: the ring never wrapped")
+        times = [event["t"] for event in events]
+        if any(b < a for a, b in zip(times, times[1:])):
+            failures.append(f"{name}: event times go backwards")
+        dropped += header["dropped_events"]
+    print(
+        f"  flight wrap: {len(recorders)} recordings of {capacity} events "
+        f"each, {dropped} overwritten -> {args.flight_wrap}-*.jsonl"
     )
     return failures
 
@@ -658,6 +715,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--causal-json", default="causal.json", metavar="PATH"
     )
+    parser.add_argument(
+        "--flight-wrap", default="flight-wrap", metavar="PREFIX"
+    )
     args = parser.parse_args(argv)
 
     session = run_session()
@@ -675,6 +735,7 @@ def main(argv: list[str] | None = None) -> int:
     failures = check(session, doc)
     failures.extend(flight_stage(session, args))
     failures.extend(daemon_stage(args))
+    failures.extend(flight_wrap_stage(args))
     failures.extend(causal_stage(args))
     failures.extend(telemetry_stage(args))
     ks = doc["histograms"]["keystroke.echo_ms"]
