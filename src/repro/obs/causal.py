@@ -296,16 +296,18 @@ class CausalTracer:
         exemplars = self._exemplars
         if len(exemplars) >= EXEMPLAR_MAX and echo_ms <= exemplars[0][0]:
             return  # faster than every retained tail chain
-        chain = {
-            "index": index,
-            "echo_ms": round(echo_ms, 3),
-            "t_typed": round(t_typed, 3),
-            "send_seq": record[4] if record is not None else None,
-            "settle_seq": rx[1] if rx is not None else None,
-            "stages": {name: round(stages[name], 3) for name in STAGES},
-        }
+        # Raw values only: most retained chains are displaced unread, so
+        # the rounded chain document is built by :meth:`exemplars`.
         self._tiebreak += 1
-        entry = (echo_ms, self._tiebreak, chain)
+        entry = (
+            echo_ms,
+            self._tiebreak,
+            index,
+            t_typed,
+            record[4] if record is not None else None,
+            rx[1] if rx is not None else None,
+            stages,
+        )
         if len(exemplars) >= EXEMPLAR_MAX:
             heapq.heapreplace(exemplars, entry)
         else:
@@ -316,8 +318,17 @@ class CausalTracer:
     def exemplars(self) -> list[dict]:
         """Retained tail chains, slowest first."""
         return [
-            entry[2]
-            for entry in sorted(self._exemplars, key=lambda e: -e[0])
+            {
+                "index": index,
+                "echo_ms": round(echo_ms, 3),
+                "t_typed": round(t_typed, 3),
+                "send_seq": send_seq,
+                "settle_seq": settle_seq,
+                "stages": {name: round(stages[name], 3) for name in STAGES},
+            }
+            for echo_ms, _, index, t_typed, send_seq, settle_seq, stages in sorted(
+                self._exemplars, key=lambda e: -e[0]
+            )
         ]
 
     def export_spans(self, tracer) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.terminal.cell import canonical_cell
+from repro.terminal.cell import canonical_cell, underlined
 from repro.terminal.framebuffer import Framebuffer
 
 SRTT_TRIGGER_LOW = 20.0
@@ -388,7 +388,7 @@ class PredictionEngine:
                 continue
             renditions = shown.cell_at(pred.row, pred.col).renditions
             if underline and pred.replacement:
-                renditions = renditions.with_attr(underlined=True)
+                renditions = underlined(renditions)
             shown.set_cell(
                 pred.row,
                 pred.col,

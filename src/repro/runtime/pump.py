@@ -4,7 +4,11 @@ Mosh's select() loop body is "tick the transport, then sleep until its
 next deadline". :class:`TransportPump` expresses that as a self-rescheduling
 reactor timer, and kicks immediately whenever the endpoint reports an
 authentic datagram — so both the simulated and the real paths are
-timer-driven through identical code.
+timer-driven through identical code. Arrivals and deadlines tick; a
+local change (host write, keystroke, echo ack, resize) only *pokes*:
+it cannot make a frame due before the collection interval ends, so it
+stamps that interval's clock and moves the armed timer, and the
+deadline's own tick sends.
 
 The pump is also where one endpoint joins the reactor's observability
 substrate, once, at construction: it hands the endpoint, its crypto
@@ -49,10 +53,12 @@ DORMANT_AFTER_MS = 10_000.0
 class TransportPump:
     """Self-scheduling pump binding one :class:`Transport` to a reactor.
 
-    Every event runs exactly one sender tick: kicks nested inside a
-    running kick coalesce into it. The pump holds at most one live
-    timer, armed exactly at the sender's next deadline and kept while
-    that deadline does not move; parked and suspended pumps hold none.
+    Every arrival and every deadline runs exactly one sender tick:
+    kicks nested inside a running kick coalesce into it. A local change
+    pokes instead, and ticks only when the sender cannot tell its
+    deadline without one. The pump holds at most one live timer, armed
+    exactly at the sender's next deadline and kept while that deadline
+    does not move; parked and suspended pumps hold none.
     """
 
     def __init__(
@@ -70,7 +76,7 @@ class TransportPump:
         #: the coarse heartbeat, and no tick runs before it is due. A
         #: parked pump wakes synchronously on datagram arrival
         #: (``on_datagram`` chains into :meth:`kick`) or on any local
-        #: activity (host writes and keystrokes kick directly).
+        #: activity (host writes and keystrokes poke directly).
         self.parked = False
         self._parked_since: float | None = None
         #: Park-transition hook: called with the new parked state; the
@@ -150,11 +156,13 @@ class TransportPump:
     def kick(self) -> None:
         """Tick the transport now and re-arm at its next deadline.
 
-        A kick that arrives while this pump is already inside ``kick``
-        returns at once. Such nested kicks come from the receive phase
-        (user events applied, the app's echo written to the terminal),
-        and the running kick's sender tick and re-arm come after that
-        phase, so they already see the nested caller's change.
+        Datagram arrivals and timer fires kick: they drain received
+        datagrams, and only a tick sends. A kick that arrives while this
+        pump is already inside ``kick`` returns at once. Such nested
+        kicks come from the receive phase (user events applied, the
+        app's echo written to the terminal), and the running kick's
+        sender tick and re-arm come after that phase, so they already
+        see the nested caller's change.
         """
         if self._kicking:
             return
@@ -190,19 +198,52 @@ class TransportPump:
                 self._set_parked(True)
                 return
             self._set_parked(idle and wait >= PARK_MIN_WAIT_MS)
-            if wait > 0.0:
-                when = now + min(wait, MAX_TICK_DELAY_MS)
-            else:
-                when = now + MIN_TICK_DELAY_MS
-            timer = self._timer
-            if timer is not None and timer.active:
-                if self._when == when:
-                    return  # the armed timer already fires at this deadline
-                timer.cancel()
-            self._when = when
-            self._timer = reactor.call_at(when, self.kick)
+            self._arm(now, wait)
         finally:
             self._kicking = False
+
+    def poke(self) -> None:
+        """Note a local change: re-arm at the sender's deadline, no tick.
+
+        A change made outside a tick cannot send before the collection
+        interval ends, so the pump only keeps its armed timer (a change
+        is already pending: the deadline does not move) or has the
+        sender stamp the interval and re-arms exactly as :meth:`kick`
+        would. Anything else kicks: no live timer (suspended, parked
+        deep or dormant), no peer address, a state equal to the newest
+        sent one, or something due now. Like a nested kick, a poke
+        inside a running kick returns at once.
+        """
+        if self._kicking:
+            return
+        timer = self._timer
+        if timer is None or not timer.active:
+            self.kick()
+            return
+        sender = self._transport.sender
+        if sender.frame_pending:
+            return
+        now = self._reactor.now()
+        wait = sender.note_change(now)
+        if wait is None:
+            self.kick()
+            return
+        self._set_parked(False)
+        self._arm(now, wait)
+
+    def _arm(self, now: float, wait: float) -> None:
+        """Keep or move the one live timer to ``now + wait``."""
+        if wait > 0.0:
+            when = now + min(wait, MAX_TICK_DELAY_MS)
+        else:
+            when = now + MIN_TICK_DELAY_MS
+        timer = self._timer
+        if timer is not None and timer.active:
+            if self._when == when:
+                return  # the armed timer already fires at this deadline
+            timer.cancel()
+        self._when = when
+        self._timer = self._reactor.call_at(when, self.kick)
 
     def _disarm(self) -> None:
         if self._timer is not None:

@@ -83,7 +83,11 @@ class ServerCore:
         return self._pump
 
     def kick(self) -> None:
-        """Tick the transport now (new local state, app attach, etc.)."""
+        """Tick the transport now (app attach, harness settling, etc.).
+
+        Local changes made through this core only poke the pump; this
+        runs the full tick.
+        """
         self._pump.kick()
 
     def handle_user_events(self, now: float) -> None:
@@ -127,7 +131,7 @@ class ServerCore:
             record = self.echo_wait.record
             for arrived in retired:
                 record(now - arrived)
-            self._pump.kick()
+            self._pump.poke()
         self._arm_echo_ack()
 
     # ------------------------------------------------------------------
@@ -144,7 +148,7 @@ class ServerCore:
         replies = self.terminal.drain_terminal_replies()
         if self.record_write_log:
             self.write_log.append([now, len(data), None])
-        self._pump.kick()
+        self._pump.poke()
         return replies
 
     def resolve_write_log(self) -> list[tuple[float, int, float]]:
@@ -315,7 +319,7 @@ class ClientCore:
                     self._srtt(),
                 )
             )
-        self._pump.kick()
+        self._pump.poke()
         self._note_display(now)
         return flags
 
@@ -323,4 +327,4 @@ class ClientCore:
         """Report a window-size change to the server; predictions reset."""
         self.transport.local_state.push_event(Resize(cols=cols, rows=rows))
         self.predictor.reset()
-        self._pump.kick()
+        self._pump.poke()

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.terminal.renditions import COLOR_DEFAULT, DEFAULT_RENDITIONS, Renditions
 
@@ -42,7 +43,7 @@ PENS = 64
 #: Canonical cells kept per pen: printable ASCII, the blank, and room for
 #: a text's other characters.
 PEN_CELLS = 256
-#: SGR transitions memoised per pen (see ``Emulator._sgr``).
+#: SGR transitions memoised per pen (see :func:`pen_transition`).
 PEN_TRANSITIONS = 32
 
 
@@ -146,6 +147,36 @@ def canonical_pen(pen: Renditions) -> Renditions:
         old.transitions.clear()
     # A demoted pen is never promoted again: its value gets a fresh object.
     return _promote(replace(pen) if "cells" in pen.__dict__ else pen)
+
+
+def pen_transition(
+    pen: Renditions,
+    params: tuple[int | None, ...],
+    make: Callable[[Renditions, tuple[int | None, ...]], Renditions],
+) -> Renditions:
+    """The canonical pen SGR ``params`` turn ``pen`` into.
+
+    Memoised on the canonical pen's ``transitions``, so a repeated
+    transition is one dict hit; ``make(pen, params)`` builds it on a miss.
+    """
+    pen = canonical_pen(pen)
+    memo = pen.transitions
+    nxt = memo.get(params)
+    if nxt is None or not nxt.canonical:
+        nxt = canonical_pen(make(pen, params))
+        if len(memo) >= PEN_TRANSITIONS:
+            del memo[next(iter(memo))]
+        memo[params] = nxt
+    return nxt
+
+
+def _underline(pen: Renditions, params: tuple[int | None, ...]) -> Renditions:
+    return pen.with_attr(underlined=True)
+
+
+def underlined(pen: Renditions) -> Renditions:
+    """The canonical pen equal to ``pen`` with underline on (SGR 4)."""
+    return pen_transition(pen, (4,), _underline)
 
 
 _promote(DEFAULT_RENDITIONS)

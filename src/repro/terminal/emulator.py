@@ -27,10 +27,10 @@ import re
 
 from repro.terminal import charsets
 from repro.terminal.cell import (
-    PEN_TRANSITIONS,
     canonical_cell,
     canonical_pen,
     erase_cell,
+    pen_transition,
 )
 from repro.terminal.framebuffer import Framebuffer
 from repro.terminal.parser import (
@@ -617,16 +617,7 @@ class Emulator:
         The transition is memoised on the current pen, so a repeated SGR
         is one dict hit.
         """
-        fb = self.fb
-        pen = canonical_pen(fb.pen)
-        memo = pen.transitions
-        nxt = memo.get(params)
-        if nxt is None or not nxt.canonical:
-            nxt = canonical_pen(self._sgr_pen(pen, params))
-            if len(memo) >= PEN_TRANSITIONS:
-                del memo[next(iter(memo))]
-            memo[params] = nxt
-        fb.pen = nxt
+        self.fb.pen = pen_transition(self.fb.pen, params, self._sgr_pen)
 
     def _sgr_pen(
         self, pen: Renditions, params: tuple[int | None, ...]

@@ -102,6 +102,11 @@ class TransportSender(Generic[S]):
         #: only upcoming deadline is the heartbeat (no pending diff, no
         #: unacked data).
         self.last_wait_idle = False
+        #: True when the latest deadline evaluation found a change not
+        #: yet sent. That deadline then depends only on the collection
+        #: clock, the last send, the send interval and the ack deadline,
+        #: none of which a further local change moves.
+        self.frame_pending = False
 
         # Memoized diffs keyed by (source, target) fingerprints: the
         # retransmission-by-diff and heartbeat paths recompute identical
@@ -244,10 +249,12 @@ class TransportSender(Generic[S]):
         if not self._same_state(current, back.state):
             if self._mindelay_clock is None:
                 self._mindelay_clock = now
+            self.frame_pending = True
             return max(
                 self._mindelay_clock + timing.send_mindelay_ms,
                 back.timestamp + self._send_interval(),
             )
+        self.frame_pending = False
         if self._last_heard + timing.active_retry_timeout_ms <= now:
             return None  # the peer went quiet: stop retrying
         assumed = self._sent_states[self._assumed_idx]
@@ -284,6 +291,30 @@ class TransportSender(Generic[S]):
             return None
         self._update_assumed_receiver_state(now)
         return self._wait_until(self._next_send_time(now), now)
+
+    def note_change(self, now: float) -> float | None:
+        """Start the collection interval for a local change, without a tick.
+
+        For the first change since the last send this is all a tick
+        would do: stamp the collection clock and work out the deadline.
+        Returns the wait until that deadline, as :meth:`tick` would, or
+        None when only a tick can tell: no peer address yet, a clock
+        already running, a state equal to the newest sent one, or
+        something due now (the tick then stamps the same clock).
+        """
+        if self._mindelay_clock is not None or self._endpoint.remote_addr is None:
+            return None
+        back = self._sent_states[-1]
+        if self._same_state(self._current_state, back.state):
+            return None
+        self._mindelay_clock = now
+        self.frame_pending = True
+        nst = max(
+            now + self.timing.send_mindelay_ms,
+            back.timestamp + self._send_interval(),
+        )
+        wait = self._wait_until(nst, now)
+        return wait if wait > 0.0 else None
 
     def _wait_until(self, nst: float | None, now: float) -> float:
         """The wait before the earlier of ``nst`` and the ack deadline."""

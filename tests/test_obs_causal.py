@@ -9,13 +9,17 @@ wait read off the terminal's echo ack, and the clock domain every
 recorder derives from its reactor.
 """
 
+import hashlib
 import io
+import itertools
+import json
 import os
 import sys
 
 import pytest
 
 from repro.analysis.flight import analyze
+from repro.crypto import session as crypto_session
 from repro.crypto.keys import Base64Key
 from repro.errors import ObservabilityError
 from repro.input.events import UserBytes
@@ -181,6 +185,25 @@ class TestExemplars:
         # The retained tail really is the slowest slice of the run.
         all_settled = session.client.keystrokes.histogram
         assert min(echoes) >= all_settled.min
+
+    def test_exemplars_and_spans_are_pinned(self, monkeypatch):
+        """Every retained chain and every exported waterfall span of a
+        seeded session, hashed as canonical JSON. Every seal and unseal
+        is timed at exactly 1 us, so the crypto stages are fixed too."""
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            crypto_session, "perf_counter", lambda: next(ticks) * 1e-6
+        )
+        session = typing_session(keystrokes=EXEMPLAR_MAX + 14)
+        tracer = session.client.causal
+        spans = SpanTracer(lambda: 0.0)
+        assert tracer.export_spans(spans) == 80
+        digest = hashlib.sha256()
+        digest.update(json.dumps(tracer.exemplars()).encode())
+        digest.update(json.dumps(spans.trace_events()).encode())
+        assert digest.hexdigest() == (
+            "2c68c8ade1b7abe20d13771833fba7b028b666be49820311553989edeceaa42a"
+        )
 
     def test_export_spans_builds_waterfalls(self):
         session = typing_session(keystrokes=6)

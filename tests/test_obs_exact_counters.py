@@ -12,7 +12,9 @@ the counter values and instrument names must stay exactly the same. The
 exceptions are ``reactor.ticks``, ``reactor.timers_cancelled``,
 ``reactor.timers_fired``, ``pump.parks`` and ``pump.wakes``, re-recorded
 when nested pump kicks stopped arming stray timers (each orphaned timer
-fired one extra tick).
+fired one extra tick), and ``reactor.ticks`` again when local changes
+(host writes, keystrokes, echo acks) stopped ticking the transport and
+only poke the pump.
 Re-record with ``PYTHONPATH=src python tests/test_obs_exact_counters.py``.
 """
 

@@ -1,5 +1,6 @@
 """The speculative-echo engine: epochs, confidence, validation, repair."""
 
+from dataclasses import replace
 
 from repro.prediction.engine import (
     FLAG_TRIGGER_HIGH,
@@ -201,6 +202,22 @@ class TestRendering:
         typed(engine, server.fb, b"u", srtt=FLAG_TRIGGER_HIGH + 20)
         shown = engine.apply(server.fb)
         assert shown.cell_at(0, 0).renditions.underlined
+
+    def test_underlined_pen_is_the_canonical_sgr_4_pen(self):
+        """A flagged prediction draws in the pen the host's own SGR 4 would
+        select from the cell's pen: equal in value, and the same object."""
+        engine = PredictionEngine()
+        server = Emulator(40, 8)
+        server.write(b"\x1b[1;32mab\x1b[H")
+        bold_green = server.fb.pen
+        engine._confirmed_epoch = engine._prediction_epoch
+        typed(engine, server.fb, b"u", srtt=FLAG_TRIGGER_HIGH + 20)
+        host = Emulator(40, 8)
+        host.write(b"\x1b[1;32m\x1b[4m")
+        for _ in range(2):  # the second display hits the memo
+            pen = engine.apply(server.fb).cell_at(0, 0).renditions
+            assert pen == replace(bold_green, underlined=True)
+            assert pen is host.fb.pen
 
     def test_no_underline_below_flag_trigger(self):
         engine = PredictionEngine()
