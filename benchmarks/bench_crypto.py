@@ -12,7 +12,9 @@ The ``ocb_*`` and ``session_*`` scenarios measure the cipher sessions
 actually use (:data:`~repro.crypto.session.SessionCipher`: OpenSSL's OCB3
 when ``cryptography`` imports, else the reference cipher).
 ``aes_block`` and the ``ref_ocb_*`` scenarios always measure the
-from-scratch reference cipher.
+from-scratch reference cipher: ``aes_block`` is one 16-byte block through
+the bytes wrapper over the AES kernel, and each ``ref_ocb_*`` call runs a
+whole datagram's blocks through that kernel in one pass.
 
 Run via the CLI runner::
 

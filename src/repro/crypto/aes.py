@@ -1,40 +1,30 @@
 """AES-128 block cipher, implemented from scratch (FIPS 197).
 
-This is a table-based implementation: the S-box is derived from the
-definition (multiplicative inverse in GF(2^8) followed by the affine map),
-and the round function uses lookup tables so a block encryption is a
-handful of table lookups and XORs per round. It is the block cipher under
-the reference OCB mode (:mod:`repro.crypto.ocb`), which sessions fall back
-to when OpenSSL's OCB3 (through the ``cryptography`` package) is not
+The S-box is derived from the definition (multiplicative inverse in
+GF(2^8) followed by the affine map). It is the block cipher under the
+reference OCB mode (:mod:`repro.crypto.ocb`), which sessions fall back to
+when OpenSSL's OCB3 (through the ``cryptography`` package) is not
 importable, and which the test suite uses as the differential oracle for
 the OpenSSL backend.
 
-Two kernels share the same key schedule:
+One kernel, :func:`_crypt`, does all the work. A block is one 128-bit
+int with the first wire byte in the most significant position, and a
+round is one XOR chain of 16 lookups into per-byte-position tables whose
+entries are full 128-bit contributions (SubBytes, ShiftRows and
+MixColumns folded together), so the round function never splits the
+state into words. ``encrypt_block``/``decrypt_block`` are bytes wrappers
+over it; OCB calls the ``*_blocks_int`` forms with every block of a
+datagram at once.
 
-* the classic four-table 32-bit-word form behind ``encrypt_block`` /
-  ``decrypt_block`` (bytes in, bytes out, one block at a time);
-* an integer-domain batch kernel (``encrypt_blocks_int`` /
-  ``decrypt_blocks_int``) that treats each block as one 128-bit int and
-  runs the whole round function through per-byte tables whose entries are
-  full 128-bit column contributions, so a round is a single XOR chain.
-  The batch form never converts between bytes and ints inside the loop;
-  its unrolled source is exec-compiled once per process and specialized
-  to each key by rebinding the round keys and tables as default-argument
-  locals (see ``_kernel_codes`` / ``_bind_int_kernels``); the OCB
-  datagram path (:mod:`repro.crypto.ocb`) runs every datagram's blocks
-  through it in one call.
-
-The 128-bit tables are derived lazily on first use (~0.5 MB per
-direction, a few milliseconds) and are shared by every key: round keys
-enter the kernel as eleven 128-bit constants, not as table contents.
-
-Only the forward cipher and its inverse on 16-byte blocks are exposed;
-modes of operation live in :mod:`repro.crypto.ocb`.
+The tables are key-independent and built lazily on the first
+:class:`AES128` (~0.5 MB per direction, a few milliseconds); round keys
+enter the kernel as eleven 128-bit constants. Only the forward cipher and
+its inverse on 16-byte blocks are exposed; modes of operation live in
+:mod:`repro.crypto.ocb`.
 """
 
 from __future__ import annotations
 
-from types import FunctionType
 from typing import Iterable
 
 from repro.errors import CryptoError
@@ -104,179 +94,147 @@ def _build_sbox() -> tuple[list[int], list[int]]:
 
 SBOX, INV_SBOX = _build_sbox()
 
-
-def _build_enc_tables() -> tuple[list[int], list[int], list[int], list[int]]:
-    """T-tables combining SubBytes, ShiftRows, and MixColumns."""
-    t0 = [0] * 256
-    t1 = [0] * 256
-    t2 = [0] * 256
-    t3 = [0] * 256
-    for value in range(256):
-        s = SBOX[value]
-        s2 = _gf_mul(s, 2)
-        s3 = _gf_mul(s, 3)
-        word = (s2 << 24) | (s << 16) | (s << 8) | s3
-        t0[value] = word
-        t1[value] = ((word >> 8) | (word << 24)) & 0xFFFFFFFF
-        t2[value] = ((word >> 16) | (word << 16)) & 0xFFFFFFFF
-        t3[value] = ((word >> 24) | (word << 8)) & 0xFFFFFFFF
-    return t0, t1, t2, t3
-
-
-def _build_dec_tables() -> tuple[list[int], list[int], list[int], list[int]]:
-    """Inverse T-tables (InvSubBytes + InvShiftRows + InvMixColumns)."""
-    d0 = [0] * 256
-    d1 = [0] * 256
-    d2 = [0] * 256
-    d3 = [0] * 256
-    for value in range(256):
-        s = INV_SBOX[value]
-        se = _gf_mul(s, 0x0E)
-        s9 = _gf_mul(s, 0x09)
-        sd = _gf_mul(s, 0x0D)
-        sb = _gf_mul(s, 0x0B)
-        word = (se << 24) | (s9 << 16) | (sd << 8) | sb
-        d0[value] = word
-        d1[value] = ((word >> 8) | (word << 24)) & 0xFFFFFFFF
-        d2[value] = ((word >> 16) | (word << 16)) & 0xFFFFFFFF
-        d3[value] = ((word >> 24) | (word << 8)) & 0xFFFFFFFF
-    return d0, d1, d2, d3
-
-
-_T0, _T1, _T2, _T3 = _build_enc_tables()
-_D0, _D1, _D2, _D3 = _build_dec_tables()
-
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-
-# --------------------------------------------------------------------------
-# Integer-domain batch kernel tables.
-#
-# A block is one 128-bit int with byte 0 (the first wire byte) in the most
-# significant position, i.e. the concatenation of the four big-endian state
-# words.  For input byte position i = 4*a + b (word a, byte b), the round
-# function routes its T-table contribution to output word j:
-#
-#   encryption: j = (a - b) mod 4      (ShiftRows rotates row b left by b)
-#   decryption: j = (a + b) mod 4      (InvShiftRows rotates right)
-#
-# so a 256-entry table per byte position holds T_b[v] pre-shifted into the
-# output word's bit range, entries being full 128-bit ints: one XOR chain
-# of 16 lookups produces the whole next state, with no per-word packing.
-# The final round has no MixColumns and uses plain S-box tables with the
-# output byte placed at word j, byte b.
-#
-# The 32 tables total ~0.5 MB per direction, small enough to stay
-# cache-resident under a real interleaved workload (fusing byte pairs into
-# 16-bit-indexed tables halves the lookups but needs ~25 MB per direction
-# and loses to cache misses the moment inputs actually vary).  They are
-# key-independent — round keys are XORed in as eleven packed 128-bit
-# constants — shared by every AES128 instance, and built lazily on first
-# use in a few milliseconds.
-# --------------------------------------------------------------------------
-
-_INT_TABLES: dict[str, tuple[list[list[int]], list[list[int]]]] = {}
+#: First row of the (Inv)MixColumns circulant matrix: output row r takes
+#: ``coefs[(b - r) % 4]`` times the byte in row b.
+_MIX = (2, 3, 1, 1)
+_INV_MIX = (14, 11, 13, 9)
 
 
-def _build_int_tables(direction: str) -> tuple[list[list[int]], list[list[int]]]:
-    if direction == "enc":
-        word_tables = (_T0, _T1, _T2, _T3)
-        sbox = SBOX
-        sign = -1
-    else:
-        word_tables = (_D0, _D1, _D2, _D3)
-        sbox = INV_SBOX
-        sign = 1
-    contrib: list[list[int]] = []
+def _build_tables(
+    sbox: list[int], coefs: tuple[int, ...], sign: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """(round, final) tables for one direction.
+
+    Input byte i = 4*a + b (column a, row b) lands in output column
+    j = (a + sign*b) mod 4: ShiftRows rotates row b left by b (``sign``
+    -1), InvShiftRows right (``sign`` +1). ``round[i][v]`` is the mixed
+    column of ``sbox[v]`` placed at column j; ``final[i][v]`` is plain
+    ``sbox[v]`` at column j, row b, for the last round, which has no
+    MixColumns.
+    """
+    words: list[list[int]] = [[], [], [], []]
+    for s in sbox:
+        products = [_gf_mul(s, c) for c in coefs]
+        for b in range(4):
+            words[b].append(
+                (products[b] << 24)
+                | (products[(b - 1) % 4] << 16)
+                | (products[(b - 2) % 4] << 8)
+                | products[(b - 3) % 4]
+            )
+    rounds: list[list[int]] = []
     final: list[list[int]] = []
     for i in range(BLOCK_SIZE):
         a, b = divmod(i, 4)
-        word_shift = 96 - 32 * ((a + sign * b) % 4)
-        table = word_tables[b]
-        contrib.append([table[v] << word_shift for v in range(256)])
-        byte_shift = word_shift + (24 - 8 * b)
-        final.append([sbox[v] << byte_shift for v in range(256)])
-    return contrib, final
+        shift = 96 - 32 * ((a + sign * b) % 4)
+        rounds.append([w << shift for w in words[b]])
+        final.append([s << (shift + 24 - 8 * b) for s in sbox])
+    return rounds, final
 
 
-def _int_tables(direction: str) -> tuple[list[list[int]], list[list[int]]]:
-    tables = _INT_TABLES.get(direction)
+_TABLES: dict[bool, tuple[list[list[int]], list[list[int]]]] = {}
+
+
+def _tables(encrypting: bool) -> tuple[list[list[int]], list[list[int]]]:
+    """The (round, final) tables of one direction, built on first use."""
+    tables = _TABLES.get(encrypting)
     if tables is None:
-        tables = _INT_TABLES[direction] = _build_int_tables(direction)
+        if encrypting:
+            tables = _build_tables(SBOX, _MIX, -1)
+        else:
+            tables = _build_tables(INV_SBOX, _INV_MIX, 1)
+        _TABLES[encrypting] = tables
     return tables
 
 
-def _lookup_chain(prefix: str, tail: str) -> str:
-    """Source for one round's 16-lookup XOR chain over state ``x``."""
-    terms = [f"{prefix}0[x >> 120]"]
-    terms += [f"{prefix}{i}[(x >> {120 - 8 * i}) & 255]" for i in range(1, 15)]
-    terms.append(f"{prefix}15[x & 255]")
-    return " ^ ".join(terms) + f" ^ {tail}"
+def _crypt(blocks: Iterable[int], tables, round_keys) -> list[int]:
+    """Run each 128-bit block through every round of one direction.
 
-
-_KERNEL_CODES: tuple | None = None
-
-#: Shared (empty) globals for kernel instances; every name they touch is a
-#: parameter default, so they never fall back to a global lookup.
-_KERNEL_GLOBALS: dict = {}
-
-
-def _kernel_codes() -> tuple:
-    """Code objects for the (many, one) kernels, compiled once per process.
-
-    The generated functions fully unroll the round loop and take the 32
-    contribution tables *and* the eleven packed round keys as trailing
-    default arguments, so every name in the hot chain is a fast local. A
-    datagram workload calls the kernel once or twice per packet with only
-    a few blocks, so the fixed per-call cost matters as much as the
-    per-block cost; the single-block entry point skips list construction
-    entirely. Because the key material rides in ``__defaults__`` rather
-    than in the bytecode, specializing to a key is a ~1 µs
-    :class:`types.FunctionType` rebind (see :func:`_bind_int_kernels`)
-    instead of a per-key multi-millisecond compile — short-lived sessions
-    with fresh keys never pay a compilation tax.
+    ``tables`` is a :func:`_tables` pair and ``round_keys`` the eleven
+    128-bit round keys of that direction, in the order they are applied.
     """
-    global _KERNEL_CODES
-    if _KERNEL_CODES is None:
-        params = ", ".join(
-            [f"u{i}=0" for i in range(BLOCK_SIZE)]
-            + [f"f{i}=0" for i in range(BLOCK_SIZE)]
-            + [f"k{r}=0" for r in range(_ROUNDS + 1)]
-        )
-        rounds = "\n".join(
-            f"        x = {_lookup_chain('u', f'k{r}')}"
-            for r in range(1, _ROUNDS)
-        )
-        rounds_one = rounds.replace("        ", "    ")
-        src = f"""
-def _many(blocks, {params}):
+    rounds, final = tables
+    (t0, t1, t2, t3, t4, t5, t6, t7,
+     t8, t9, t10, t11, t12, t13, t14, t15) = rounds
+    (f0, f1, f2, f3, f4, f5, f6, f7,
+     f8, f9, f10, f11, f12, f13, f14, f15) = final
+    first, *middle, last = round_keys
     out = []
     append = out.append
     for x in blocks:
-        x ^= k0
-{rounds}
-        append({_lookup_chain("f", f"k{_ROUNDS}")})
+        x ^= first
+        for k in middle:
+            x = (
+                t0[x >> 120] ^ t1[(x >> 112) & 255]
+                ^ t2[(x >> 104) & 255] ^ t3[(x >> 96) & 255]
+                ^ t4[(x >> 88) & 255] ^ t5[(x >> 80) & 255]
+                ^ t6[(x >> 72) & 255] ^ t7[(x >> 64) & 255]
+                ^ t8[(x >> 56) & 255] ^ t9[(x >> 48) & 255]
+                ^ t10[(x >> 40) & 255] ^ t11[(x >> 32) & 255]
+                ^ t12[(x >> 24) & 255] ^ t13[(x >> 16) & 255]
+                ^ t14[(x >> 8) & 255] ^ t15[x & 255] ^ k
+            )
+        append(
+            f0[x >> 120] ^ f1[(x >> 112) & 255]
+            ^ f2[(x >> 104) & 255] ^ f3[(x >> 96) & 255]
+            ^ f4[(x >> 88) & 255] ^ f5[(x >> 80) & 255]
+            ^ f6[(x >> 72) & 255] ^ f7[(x >> 64) & 255]
+            ^ f8[(x >> 56) & 255] ^ f9[(x >> 48) & 255]
+            ^ f10[(x >> 40) & 255] ^ f11[(x >> 32) & 255]
+            ^ f12[(x >> 24) & 255] ^ f13[(x >> 16) & 255]
+            ^ f14[(x >> 8) & 255] ^ f15[x & 255] ^ last
+        )
     return out
 
-def _one(x, {params}):
-    x ^= k0
-{rounds_one}
-    return {_lookup_chain("f", f"k{_ROUNDS}")}
-"""
-        namespace: dict = {}
-        exec(src, namespace)  # noqa: S102 — source is generated above, no inputs
-        _KERNEL_CODES = (namespace["_many"].__code__, namespace["_one"].__code__)
-    return _KERNEL_CODES
+
+def _expand_key(key: bytes) -> list[int]:
+    """FIPS 197 key expansion, packed as eleven 128-bit round keys."""
+    words = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(4)]
+    for i in range(4, 4 * (_ROUNDS + 1)):
+        temp = words[i - 1]
+        if i % 4 == 0:
+            temp = ((temp << 8) | (temp >> 24)) & 0xFFFFFFFF  # RotWord
+            temp = (
+                (SBOX[(temp >> 24) & 0xFF] << 24)
+                | (SBOX[(temp >> 16) & 0xFF] << 16)
+                | (SBOX[(temp >> 8) & 0xFF] << 8)
+                | SBOX[temp & 0xFF]
+            )
+            temp ^= _RCON[i // 4 - 1] << 24
+        words.append(words[i - 4] ^ temp)
+    return [
+        (words[4 * r] << 96)
+        | (words[4 * r + 1] << 64)
+        | (words[4 * r + 2] << 32)
+        | words[4 * r + 3]
+        for r in range(_ROUNDS + 1)
+    ]
 
 
-def _bind_int_kernels(rk, round_tables, final_tables):
-    """Instantiate the shared kernel code for one key schedule."""
-    many_code, one_code = _kernel_codes()
-    defaults = (*round_tables, *final_tables, *rk)
-    return (
-        FunctionType(many_code, _KERNEL_GLOBALS, "_many", defaults),
-        FunctionType(one_code, _KERNEL_GLOBALS, "_one", defaults),
-    )
+#: Decryption round-table position that sends byte i = 4*j + b back to
+#: its own column j, undoing the InvShiftRows folded into the table.
+_UNSHIFT = [4 * ((i // 4 - i % 4) % 4) + i % 4 for i in range(BLOCK_SIZE)]
+
+
+def _inverse_round_keys(enc: list[int]) -> list[int]:
+    """Round keys for the equivalent inverse cipher (FIPS 197 §5.3.5).
+
+    Decryption consumes the encryption round keys in reverse order, with
+    InvMixColumns applied to the middle ones. The decryption round tables
+    apply InvMixColumns after InvSubBytes, so each key byte goes in
+    through the forward S-box.
+    """
+    rounds = _tables(False)[0]
+    dec = [enc[_ROUNDS]]
+    for k in reversed(enc[1:_ROUNDS]):
+        mixed = 0
+        for i, position in enumerate(_UNSHIFT):
+            mixed ^= rounds[position][SBOX[(k >> (120 - 8 * i)) & 255]]
+        dec.append(mixed)
+    dec.append(enc[0])
+    return dec
 
 
 class AES128:
@@ -288,232 +246,42 @@ class AES128:
     True
     """
 
+    __slots__ = ("_enc", "_dec")
+
     def __init__(self, key: bytes) -> None:
         if len(key) != KEY_SIZE:
             raise CryptoError(f"AES-128 key must be 16 bytes, got {len(key)}")
-        self._enc_round_keys = self._expand_key(key)
-        self._dec_round_keys = self._invert_key_schedule(self._enc_round_keys)
-        self._rk128_enc = self._pack_round_keys(self._enc_round_keys)
-        self._rk128_dec = self._pack_round_keys(self._dec_round_keys)
-        self._enc_kernels: tuple | None = None
-        self._dec_kernels: tuple | None = None
-
-    @staticmethod
-    def _pack_round_keys(words: list[int]) -> tuple[int, ...]:
-        """Eleven 128-bit round-key constants for the integer kernel."""
-        return tuple(
-            (words[4 * r] << 96)
-            | (words[4 * r + 1] << 64)
-            | (words[4 * r + 2] << 32)
-            | words[4 * r + 3]
-            for r in range(_ROUNDS + 1)
-        )
-
-    def _int_kernels(self, encrypting: bool) -> tuple:
-        """The (many, one) compiled kernels for this key, built lazily."""
-        kernels = self._enc_kernels if encrypting else self._dec_kernels
-        if kernels is None:
-            direction = "enc" if encrypting else "dec"
-            rk = self._rk128_enc if encrypting else self._rk128_dec
-            kernels = _bind_int_kernels(rk, *_int_tables(direction))
-            if encrypting:
-                self._enc_kernels = kernels
-            else:
-                self._dec_kernels = kernels
-        return kernels
+        round_keys = _expand_key(key)
+        self._enc = (_tables(True), round_keys)
+        self._dec = (_tables(False), _inverse_round_keys(round_keys))
 
     def encrypt_block_int(self, block: int) -> int:
         """Encrypt one block given (and returned) as a 128-bit integer."""
-        return self._int_kernels(True)[1](block)
+        return _crypt((block,), *self._enc)[0]
 
     def decrypt_block_int(self, block: int) -> int:
         """Decrypt one block given (and returned) as a 128-bit integer."""
-        return self._int_kernels(False)[1](block)
+        return _crypt((block,), *self._dec)[0]
 
     def encrypt_blocks_int(self, blocks: Iterable[int]) -> list[int]:
         """Encrypt an iterable of 128-bit integer blocks in one pass."""
-        return self._int_kernels(True)[0](blocks)
+        return _crypt(blocks, *self._enc)
 
     def decrypt_blocks_int(self, blocks: Iterable[int]) -> list[int]:
         """Decrypt an iterable of 128-bit integer blocks in one pass."""
-        return self._int_kernels(False)[0](blocks)
-
-    @staticmethod
-    def _expand_key(key: bytes) -> list[int]:
-        """FIPS 197 key expansion: 44 32-bit round-key words."""
-        words = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(4)]
-        for i in range(4, 4 * (_ROUNDS + 1)):
-            temp = words[i - 1]
-            if i % 4 == 0:
-                temp = ((temp << 8) | (temp >> 24)) & 0xFFFFFFFF  # RotWord
-                temp = (
-                    (SBOX[(temp >> 24) & 0xFF] << 24)
-                    | (SBOX[(temp >> 16) & 0xFF] << 16)
-                    | (SBOX[(temp >> 8) & 0xFF] << 8)
-                    | SBOX[temp & 0xFF]
-                )
-                temp ^= _RCON[i // 4 - 1] << 24
-            words.append(words[i - 4] ^ temp)
-        return words
-
-    @staticmethod
-    def _invert_key_schedule(enc: list[int]) -> list[int]:
-        """Round keys for the equivalent inverse cipher.
-
-        Decryption rounds consume the encryption round keys in reverse
-        order, with InvMixColumns applied to the middle rounds.
-        """
-        dec: list[int] = []
-        for round_index in range(_ROUNDS, -1, -1):
-            for col in range(4):
-                word = enc[4 * round_index + col]
-                if 0 < round_index < _ROUNDS:
-                    # InvMixColumns on the round-key word, done via the
-                    # decryption tables composed with the forward S-box.
-                    word = (
-                        _D0[SBOX[(word >> 24) & 0xFF]]
-                        ^ _D1[SBOX[(word >> 16) & 0xFF]]
-                        ^ _D2[SBOX[(word >> 8) & 0xFF]]
-                        ^ _D3[SBOX[word & 0xFF]]
-                    )
-                dec.append(word)
-        return dec
+        return _crypt(blocks, *self._dec)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise CryptoError(f"block must be 16 bytes, got {len(block)}")
-        rk = self._enc_round_keys
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-        k = 4
-        for _ in range(_ROUNDS - 1):
-            n0 = (
-                t0[(s0 >> 24) & 0xFF]
-                ^ t1[(s1 >> 16) & 0xFF]
-                ^ t2[(s2 >> 8) & 0xFF]
-                ^ t3[s3 & 0xFF]
-                ^ rk[k]
-            )
-            n1 = (
-                t0[(s1 >> 24) & 0xFF]
-                ^ t1[(s2 >> 16) & 0xFF]
-                ^ t2[(s3 >> 8) & 0xFF]
-                ^ t3[s0 & 0xFF]
-                ^ rk[k + 1]
-            )
-            n2 = (
-                t0[(s2 >> 24) & 0xFF]
-                ^ t1[(s3 >> 16) & 0xFF]
-                ^ t2[(s0 >> 8) & 0xFF]
-                ^ t3[s1 & 0xFF]
-                ^ rk[k + 2]
-            )
-            n3 = (
-                t0[(s3 >> 24) & 0xFF]
-                ^ t1[(s0 >> 16) & 0xFF]
-                ^ t2[(s1 >> 8) & 0xFF]
-                ^ t3[s2 & 0xFF]
-                ^ rk[k + 3]
-            )
-            s0, s1, s2, s3 = n0, n1, n2, n3
-            k += 4
-        # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        sb = SBOX
-        o0 = (
-            (sb[(s0 >> 24) & 0xFF] << 24)
-            | (sb[(s1 >> 16) & 0xFF] << 16)
-            | (sb[(s2 >> 8) & 0xFF] << 8)
-            | sb[s3 & 0xFF]
-        ) ^ rk[k]
-        o1 = (
-            (sb[(s1 >> 24) & 0xFF] << 24)
-            | (sb[(s2 >> 16) & 0xFF] << 16)
-            | (sb[(s3 >> 8) & 0xFF] << 8)
-            | sb[s0 & 0xFF]
-        ) ^ rk[k + 1]
-        o2 = (
-            (sb[(s2 >> 24) & 0xFF] << 24)
-            | (sb[(s3 >> 16) & 0xFF] << 16)
-            | (sb[(s0 >> 8) & 0xFF] << 8)
-            | sb[s1 & 0xFF]
-        ) ^ rk[k + 2]
-        o3 = (
-            (sb[(s3 >> 24) & 0xFF] << 24)
-            | (sb[(s0 >> 16) & 0xFF] << 16)
-            | (sb[(s1 >> 8) & 0xFF] << 8)
-            | sb[s2 & 0xFF]
-        ) ^ rk[k + 3]
-        return b"".join(w.to_bytes(4, "big") for w in (o0, o1, o2, o3))
+        return _bytes_op(block, self._enc)
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise CryptoError(f"block must be 16 bytes, got {len(block)}")
-        rk = self._dec_round_keys
-        d0, d1, d2, d3 = _D0, _D1, _D2, _D3
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-        k = 4
-        for _ in range(_ROUNDS - 1):
-            n0 = (
-                d0[(s0 >> 24) & 0xFF]
-                ^ d1[(s3 >> 16) & 0xFF]
-                ^ d2[(s2 >> 8) & 0xFF]
-                ^ d3[s1 & 0xFF]
-                ^ rk[k]
-            )
-            n1 = (
-                d0[(s1 >> 24) & 0xFF]
-                ^ d1[(s0 >> 16) & 0xFF]
-                ^ d2[(s3 >> 8) & 0xFF]
-                ^ d3[s2 & 0xFF]
-                ^ rk[k + 1]
-            )
-            n2 = (
-                d0[(s2 >> 24) & 0xFF]
-                ^ d1[(s1 >> 16) & 0xFF]
-                ^ d2[(s0 >> 8) & 0xFF]
-                ^ d3[s3 & 0xFF]
-                ^ rk[k + 2]
-            )
-            n3 = (
-                d0[(s3 >> 24) & 0xFF]
-                ^ d1[(s2 >> 16) & 0xFF]
-                ^ d2[(s1 >> 8) & 0xFF]
-                ^ d3[s0 & 0xFF]
-                ^ rk[k + 3]
-            )
-            s0, s1, s2, s3 = n0, n1, n2, n3
-            k += 4
-        isb = INV_SBOX
-        o0 = (
-            (isb[(s0 >> 24) & 0xFF] << 24)
-            | (isb[(s3 >> 16) & 0xFF] << 16)
-            | (isb[(s2 >> 8) & 0xFF] << 8)
-            | isb[s1 & 0xFF]
-        ) ^ rk[k]
-        o1 = (
-            (isb[(s1 >> 24) & 0xFF] << 24)
-            | (isb[(s0 >> 16) & 0xFF] << 16)
-            | (isb[(s3 >> 8) & 0xFF] << 8)
-            | isb[s2 & 0xFF]
-        ) ^ rk[k + 1]
-        o2 = (
-            (isb[(s2 >> 24) & 0xFF] << 24)
-            | (isb[(s1 >> 16) & 0xFF] << 16)
-            | (isb[(s0 >> 8) & 0xFF] << 8)
-            | isb[s3 & 0xFF]
-        ) ^ rk[k + 2]
-        o3 = (
-            (isb[(s3 >> 24) & 0xFF] << 24)
-            | (isb[(s2 >> 16) & 0xFF] << 16)
-            | (isb[(s1 >> 8) & 0xFF] << 8)
-            | isb[s0 & 0xFF]
-        ) ^ rk[k + 3]
-        return b"".join(w.to_bytes(4, "big") for w in (o0, o1, o2, o3))
+        return _bytes_op(block, self._dec)
+
+
+def _bytes_op(block: bytes, direction) -> bytes:
+    if len(block) != BLOCK_SIZE:
+        raise CryptoError(f"block must be 16 bytes, got {len(block)}")
+    x = _crypt((int.from_bytes(block, "big"),), *direction)[0]
+    return x.to_bytes(BLOCK_SIZE, "big")

@@ -15,13 +15,15 @@ differential oracle.
 Performance shape (when it is the fallback, it sits on the per-datagram
 hot path):
 
-* Offsets come from a per-key, lazily-grown prefix-XOR table:
-  ``Offset_i = Offset_nonce ^ cumulative[i]`` with ``cumulative[i] =
-  cumulative[i-1] ^ L[ntz(i)]``, so the per-block ``ntz``/XOR chain from
-  the RFC's definition is computed once per key, not once per datagram.
+* Each cipher derives its own key schedule: the AES round keys, the L
+  table, and a lazily grown prefix-XOR offset table, ``Offset_i =
+  Offset_nonce ^ cumulative[i]`` with ``cumulative[i] = cumulative[i-1] ^
+  L[ntz(i)]``, so the per-block ``ntz``/XOR chain from the RFC's
+  definition is computed once per cipher, not once per datagram. Nothing
+  outlives the cipher: a session's key material goes when it does.
 * All full blocks of a datagram are whitened and ciphered in one call to
-  the integer-domain kernel (``AES128.encrypt_blocks_int``). Output is
-  assembled as a list of 16-byte chunks and one ``b"".join``.
+  the AES kernel (``AES128.encrypt_blocks_int``). Output is assembled as
+  a list of 16-byte chunks and one ``b"".join``.
 * The empty associated-data case (every SSP datagram) skips the AD hash
   entirely, and the nonce-dependent Ktop block is served from a small
   keyed LRU so interleaved send/receive nonces both stay cached.
@@ -61,58 +63,6 @@ def _ntz(i: int) -> int:
     return (i & -i).bit_length() - 1
 
 
-class _Schedule:
-    """Everything derivable from the key alone, shared across instances.
-
-    AES round keys, the OCB L-constants and the grown offset prefix table
-    are pure functions of the key, and one session key seals every
-    datagram of a connection, so ciphers constructed for the same key
-    (per-direction endpoints, reconnects, tests) share one schedule
-    instead of recomputing it.
-    """
-
-    __slots__ = ("aes", "l_star", "l_dollar", "l_table", "cumulative")
-
-    def __init__(self, key: bytes) -> None:
-        self.aes = AES128(key)
-        self.l_star = int.from_bytes(self.aes.encrypt_block(bytes(BLOCK_SIZE)), "big")
-        self.l_dollar = _double(self.l_star)
-        # Precompute L[0..63]; ntz(i) for any realistic message length fits.
-        table = [_double(self.l_dollar)]
-        for _ in range(63):
-            table.append(_double(table[-1]))
-        self.l_table = tuple(table)
-        #: Prefix-XOR offset increments: cumulative[i] = L[ntz(1)] ^ ... ^
-        #: L[ntz(i)], so Offset_i = Offset_nonce ^ cumulative[i]. Grown on
-        #: demand to the largest message seen under this key.
-        self.cumulative: list[int] = [0]
-
-    def grow(self, blocks: int) -> list[int]:
-        """Return the cumulative table, extended to cover ``blocks``."""
-        cum = self.cumulative
-        if len(cum) <= blocks:
-            l_table = self.l_table
-            while len(cum) <= blocks:
-                cum.append(cum[-1] ^ l_table[_ntz(len(cum))])
-        return cum
-
-
-_SCHEDULE_CACHE: OrderedDict[bytes, _Schedule] = OrderedDict()
-_SCHEDULE_CACHE_MAX = 64
-
-
-def _key_schedule(key: bytes) -> _Schedule:
-    """The :class:`_Schedule` for ``key``, cached per key."""
-    sched = _SCHEDULE_CACHE.get(key)
-    if sched is not None:
-        _SCHEDULE_CACHE.move_to_end(key)
-        return sched
-    sched = _SCHEDULE_CACHE[key] = _Schedule(key)
-    if len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_MAX:
-        _SCHEDULE_CACHE.popitem(last=False)
-    return sched
-
-
 class OCBCipher:
     """AES-128-OCB with a 128-bit tag.
 
@@ -123,14 +73,30 @@ class OCBCipher:
     """
 
     def __init__(self, key: bytes) -> None:
-        self._schedule = _key_schedule(bytes(key))
-        self._aes = self._schedule.aes
-        self._l_star = self._schedule.l_star
-        self._l_dollar = self._schedule.l_dollar
-        self._l_table = self._schedule.l_table
+        self._aes = AES128(bytes(key))
+        self._l_star = self._aes.encrypt_block_int(0)
+        self._l_dollar = _double(self._l_star)
+        # L[0..63]; ntz(i) for any realistic message length fits.
+        table = [_double(self._l_dollar)]
+        for _ in range(63):
+            table.append(_double(table[-1]))
+        self._l_table = table
+        #: Prefix-XOR offset increments: cumulative[i] = L[ntz(1)] ^ ... ^
+        #: L[ntz(i)], so Offset_i = Offset_nonce ^ cumulative[i]. Grown on
+        #: demand to the largest message seen under this key.
+        self._cumulative = [0]
         self._ktop_cache: OrderedDict[bytes, int] = OrderedDict()
         self.ktop_hits = 0
         self.ktop_misses = 0
+
+    def _offsets(self, blocks: int) -> list[int]:
+        """The cumulative offset table, extended to cover ``blocks``."""
+        cum = self._cumulative
+        if len(cum) <= blocks:
+            l_table = self._l_table
+            while len(cum) <= blocks:
+                cum.append(cum[-1] ^ l_table[_ntz(len(cum))])
+        return cum
 
     def _initial_offset(self, nonce: bytes) -> int:
         """RFC 7253 §4.2 nonce-dependent initial offset."""
@@ -166,7 +132,7 @@ class OCBCipher:
         if not associated_data:
             return 0
         m = len(associated_data) // BLOCK_SIZE
-        cum = self._schedule.grow(m)
+        cum = self._offsets(m)
         xs = [
             int.from_bytes(associated_data[16 * i - 16 : 16 * i], "big") ^ cum[i]
             for i in range(1, m + 1)
@@ -187,7 +153,7 @@ class OCBCipher:
         offset0 = self._initial_offset(nonce)
         data = memoryview(plaintext)
         m, tail_len = divmod(len(data), BLOCK_SIZE)
-        cum = self._schedule.grow(m)
+        cum = self._offsets(m)
         offset = offset0 ^ cum[m]
         tail = bytes(data[m * BLOCK_SIZE :]) if tail_len else b""
         # One fused pass builds the whitened blocks, the offsets, and the
@@ -238,7 +204,7 @@ class OCBCipher:
         body = data[:n]
         offset0 = self._initial_offset(nonce)
         m, tail_len = divmod(n, BLOCK_SIZE)
-        cum = self._schedule.grow(m)
+        cum = self._offsets(m)
         from_bytes = int.from_bytes
         xs: list[int] = []
         offs: list[int] = []

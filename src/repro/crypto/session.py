@@ -26,14 +26,14 @@ integrity anomalies must be observable, as the Terrapin attack on SSH
 demonstrated. The window is far wider than any realistic reordering, so
 jittered links never trip it.
 
-:class:`NullSession` implements the same interface with no cryptography.
-It is an explicit opt-in (``--no-crypto`` in the trace-replay CLI,
-``encrypt=False`` on in-process sessions) kept for debugging and for
-isolating crypto cost in benchmarks; every harness defaults to real
-AES-128-OCB, as the paper's protocol requires, and real-UDP sessions
-always encrypt.
+:class:`NullSession` is a :class:`Session` whose cipher does no
+cryptography: the payload travels in the clear. It is an explicit opt-in
+(``--no-crypto`` in the trace-replay CLI, ``encrypt=False`` on in-process
+sessions) kept for debugging and for isolating crypto cost in
+benchmarks; every harness defaults to real AES-128-OCB, as the paper's
+protocol requires, and real-UDP sessions always encrypt.
 
-Both session types keep :class:`CryptoStats`: per-session counts
+Every session keeps :class:`CryptoStats`: per-session counts
 (datagrams/bytes sealed and unsealed, authentication failures, replay
 drops) plus always-on seal/unseal latency histograms in microseconds.
 When the transport pump wires a session to its reactor, the stats take
@@ -194,12 +194,16 @@ class Session:
 
     def __init__(self, key: Base64Key) -> None:
         self._key = key
-        self._cipher = SessionCipher(key.key)
+        self._cipher = self._new_cipher(key.key)
         self.stats = CryptoStats()
         # One replay window per direction bit: an endpoint normally
         # decrypts only its peer's direction, but reflected datagrams are
         # filtered *after* decryption and must not pollute the window.
         self._replay = (_ReplayWindow(), _ReplayWindow())
+
+    @staticmethod
+    def _new_cipher(key: bytes):
+        return SessionCipher(key)
 
     @property
     def key(self) -> Base64Key:
@@ -222,32 +226,65 @@ class Session:
     def decrypt(self, data) -> Message:
         """Unseal wire bytes (``bytes`` or a ``memoryview``); raises
         AuthenticationError on tampering and ReplayError on an authentic
-        but sequence-reusing datagram."""
+        but sequence-reusing datagram. The returned payload is a fresh
+        ``bytes``, detached from the caller's buffer."""
         if len(data) < _NONCE_WIRE_LEN + TAG_LEN:
             raise CryptoError(f"datagram too short to unseal: {len(data)} bytes")
         # The 12-byte OCB nonce is built straight from the wire header
         # rather than re-serializing a parsed Nonce.
         wire = bytes(data[:_NONCE_WIRE_LEN])
         t0 = perf_counter()
+        stats = self.stats
         try:
             text = self._cipher.decrypt(
                 OCB_NONCE_PREFIX + wire, data[_NONCE_WIRE_LEN:], None
             )
         except _TAG_ERRORS:
-            self.stats.note_auth_failure()
+            stats.note_auth_failure()
             raise AuthenticationError("OCB tag verification failed") from None
-        return _admit(self, wire, text, (perf_counter() - t0) * 1e6)
+        elapsed_us = (perf_counter() - t0) * 1e6
+        stats.last_unseal_us = elapsed_us
+        stats.unseal_us.record(elapsed_us)
+        nonce = Nonce.from_wire(wire)
+        if not self._replay[nonce.direction].note(nonce.seq):
+            stats.replay_drops += 1
+            stats._replay_drops.value += 1
+            raise ReplayError(
+                f"replayed sequence number {nonce.seq} "
+                f"(direction {nonce.direction})"
+            )
+        stats.datagrams_unsealed += 1
+        stats.bytes_unsealed += len(text)
+        stats._unsealed.value += 1
+        stats._bytes_unsealed.value += len(text)
+        return Message(nonce, text)
 
 
-class NullSession:
-    """Plaintext stand-in for :class:`Session` (explicit opt-in only).
+_ZERO_TAG = bytes(TAG_LEN)
 
-    Keeps the exact wire framing (8-byte nonce header) but stores the
-    payload unencrypted with a 16-byte zero "tag" so datagram sizes match
-    the encrypted case, preserving bandwidth behaviour in simulations.
-    The replay window is kept too, so integrity counters behave the same
-    in plaintext debugging runs (minus ``auth_failures``, which only real
-    authentication can raise).
+
+class _Plaintext:
+    """:class:`NullSession`'s cipher: the payload in the clear followed by
+    a 16-byte zero tag, which ``decrypt`` strips without checking."""
+
+    @staticmethod
+    def encrypt(nonce: bytes, data: bytes, associated_data: bytes | None) -> bytes:
+        return data + _ZERO_TAG
+
+    @staticmethod
+    def decrypt(nonce: bytes, data, associated_data: bytes | None) -> bytes:
+        return bytes(data[:-TAG_LEN])
+
+
+class NullSession(Session):
+    """A :class:`Session` that does not encrypt (explicit opt-in only).
+
+    Its cipher keeps the exact wire framing (8-byte nonce header) but
+    stores the payload unencrypted with a 16-byte zero "tag", so datagram
+    sizes match the encrypted case, preserving bandwidth behaviour in
+    simulations. Everything else is :class:`Session`'s: the payload bound,
+    the too-short check, the replay window and the counters (minus
+    ``auth_failures``, which only real authentication can raise).
 
     Simulation harnesses default to real encryption; reach for this only
     via their explicit plaintext switches (``--no-crypto`` /
@@ -256,57 +293,11 @@ class NullSession:
     """
 
     def __init__(self, key: Base64Key | None = None) -> None:
-        self._key = key or Base64Key(bytes(16))
-        self.stats = CryptoStats()
-        self._replay = (_ReplayWindow(), _ReplayWindow())
+        super().__init__(key or Base64Key(bytes(16)))
 
-    @property
-    def key(self) -> Base64Key:
-        return self._key
-
-    def encrypt(self, message: Message) -> bytes:
-        if len(message.text) > MAX_PAYLOAD_LEN:
-            raise CryptoError(
-                f"payload of {len(message.text)} bytes exceeds "
-                f"{MAX_PAYLOAD_LEN}-byte bound"
-            )
-        t0 = perf_counter()
-        wire = message.nonce.wire() + message.text + bytes(TAG_LEN)
-        self.stats.note_seal(len(message.text), (perf_counter() - t0) * 1e6)
-        return wire
-
-    def decrypt(self, data) -> Message:
-        if len(data) < _NONCE_WIRE_LEN + TAG_LEN:
-            raise CryptoError(f"datagram too short to unseal: {len(data)} bytes")
-        t0 = perf_counter()
-        # ``bytes()`` both normalizes a memoryview input (the zero-copy
-        # receive path hands views into reusable buffers) and detaches
-        # the retained Message payload from the caller's buffer.
-        wire = bytes(data[:_NONCE_WIRE_LEN])
-        text = bytes(data[_NONCE_WIRE_LEN:-TAG_LEN])
-        return _admit(self, wire, text, (perf_counter() - t0) * 1e6)
-
-
-def _admit(session, wire: bytes, text: bytes, elapsed_us: float) -> Message:
-    """Count one authentic unseal and return its :class:`Message`; raise a
-    counted :class:`ReplayError` if the replay window has already seen its
-    sequence number."""
-    stats = session.stats
-    stats.last_unseal_us = elapsed_us
-    stats.unseal_us.record(elapsed_us)
-    nonce = Nonce.from_wire(wire)
-    if not session._replay[nonce.direction].note(nonce.seq):
-        stats.replay_drops += 1
-        stats._replay_drops.value += 1
-        raise ReplayError(
-            f"replayed sequence number {nonce.seq} "
-            f"(direction {nonce.direction})"
-        )
-    stats.datagrams_unsealed += 1
-    stats.bytes_unsealed += len(text)
-    stats._unsealed.value += 1
-    stats._bytes_unsealed.value += len(text)
-    return Message(nonce, text)
+    @staticmethod
+    def _new_cipher(key: bytes):
+        return _Plaintext
 
 
 # ----------------------------------------------------------------------

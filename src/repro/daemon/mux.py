@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.crypto.session import NullSession, Session
+from repro.crypto.session import Session
 from repro.errors import NetworkError
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import peek_conn_id
@@ -46,7 +46,7 @@ class VirtualEndpoint(DatagramEndpoint):
     def __init__(
         self,
         mux: "SessionMux",
-        session: Session | NullSession,
+        session: Session,
         conn_id: int,
         mtu: int = 500,
     ) -> None:
@@ -119,7 +119,7 @@ class SessionMux:
 
     def open_endpoint(
         self,
-        session: Session | NullSession,
+        session: Session,
         conn_id: int | None = None,
         mtu: int = 500,
     ) -> VirtualEndpoint:

@@ -17,7 +17,7 @@ import socket
 from typing import Any
 
 from repro.clock import Clock, RealClock
-from repro.crypto.session import NullSession, Session
+from repro.crypto.session import Session
 from repro.daemon.mux import SessionMux, VirtualEndpoint
 from repro.errors import NetworkError
 from repro.network.batch import SyscallCounter
@@ -54,7 +54,7 @@ class UdpConnection(DatagramEndpoint):
 
     def __init__(
         self,
-        session: Session | NullSession,
+        session: Session,
         is_server: bool,
         bind_host: str = "0.0.0.0",
         port: int | None = None,
@@ -204,7 +204,7 @@ class MuxUdpConnection:
 
     def open_endpoint(
         self,
-        session: Session | NullSession,
+        session: Session,
         conn_id: int | None = None,
         mtu: int = 500,
     ) -> VirtualEndpoint:

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from repro.crypto.keys import DIRECTION_TO_CLIENT, DIRECTION_TO_SERVER, Nonce
 from repro.crypto.ocb import TAG_LEN
-from repro.crypto.session import Message, NullSession, Session
+from repro.crypto.session import Message, Session
 from repro.errors import CryptoError, NetworkError, ReplayError
 from repro.network.packet import (
     PACKET_HEADER,
@@ -68,7 +68,7 @@ class DatagramEndpoint(ABC):
 
     def __init__(
         self,
-        session: Session | NullSession,
+        session: Session,
         is_server: bool,
         mtu: int = 500,
     ) -> None:
@@ -470,7 +470,7 @@ class DatagramEndpoint(ABC):
     # ------------------------------------------------------------------
 
     @property
-    def session(self) -> Session | NullSession:
+    def session(self) -> Session:
         """The sealing session (its ``stats`` count the crypto totals)."""
         return self._session
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from random import Random
 
-from repro.crypto.session import NullSession, Session
+from repro.crypto.session import Session
 from repro.errors import SimulationError
 from repro.network.interface import DatagramEndpoint
 from repro.simnet.eventloop import EventLoop
@@ -104,7 +104,7 @@ class SimUdpEndpoint(DatagramEndpoint):
     def __init__(
         self,
         network: SimNetwork,
-        session: Session | NullSession,
+        session: Session,
         is_server: bool,
         local_addr: str,
         mtu: int = 500,

@@ -30,6 +30,13 @@ _FRAG_MASK = 0x7FFF
 #: Bytes of each datagram consumed by the fragment header.
 OVERHEAD = _HEADER.size
 
+#: Largest encoded instruction the assembler inflates: mosh's
+#: ``Compressor`` buffer, "the effective limit on terminal size". zlib
+#: inflates up to about a thousandfold, so without it one authentic
+#: 1.4 KB fragment could expand to over a megabyte, and the 32,768
+#: fragments of one instruction to tens of gigabytes.
+MAX_INSTRUCTION_LEN = 2048 * 2048
+
 
 def peek_fragment(data: bytes) -> tuple[int, int, bool] | None:
     """Parse just the header: (instruction_id, fragment_num, final).
@@ -99,7 +106,9 @@ class FragmentAssembly:
         complete.
 
         Raises :class:`FragmentError` for data too short to hold the
-        header and for a corrupt compressed stream. Fragments of an
+        header, and for a compressed stream that is corrupt, truncated,
+        followed by extra bytes, or inflates past
+        :data:`MAX_INSTRUCTION_LEN`. Fragments of an
         already-completed instruction id are ignored, so duplicate
         delivery (a link that duplicates, or a retransmission arriving
         after the original assembled) can never yield a second
@@ -134,7 +143,14 @@ class FragmentAssembly:
 
     def _complete(self, compressed: bytes) -> bytes:
         self.completed_id = self._current_id
+        inflater = zlib.decompressobj()
         try:
-            return zlib.decompress(compressed)
+            encoded = inflater.decompress(compressed, MAX_INSTRUCTION_LEN)
         except zlib.error as exc:
             raise FragmentError(f"corrupt instruction stream: {exc}") from exc
+        if not inflater.eof or inflater.unused_data:
+            raise FragmentError(
+                "instruction stream truncated, followed by extra bytes, or "
+                f"inflating past {MAX_INSTRUCTION_LEN} bytes"
+            )
+        return encoded

@@ -43,6 +43,9 @@ class Transport(Generic[MyState, RemoteState]):
             remote_initial_state
         )
         self._assembly = FragmentAssembly()
+        #: Instructions dropped because their fragments would not inflate
+        #: or their encoding would not decode.
+        self.undecodable_ignored = 0
         #: Called with (now) whenever a new remote state lands.
         self.on_remote_state: Callable[[float], None] | None = None
         #: Causal rx tuple of the datagram whose fragment completed the
@@ -106,6 +109,7 @@ class Transport(Generic[MyState, RemoteState]):
                     decode_instruction(encoded)
                 )
             except (FragmentError, TransportError):
+                self.undecodable_ignored += 1
                 continue
             if self._endpoint.flight is not None:
                 self._endpoint.flight.note_instruction(

@@ -1,9 +1,10 @@
-"""AES-128 against FIPS 197 / NIST SP 800-38A, plus kernel equivalence.
+"""AES-128 against FIPS 197 / NIST SP 800-38A, plus API identities.
 
-The module ships two kernels that must agree bit-for-bit: the classic
-bytes-API word kernel and the int-domain batch kernel (``*_block_int`` /
-``*_blocks_int``). The vectors anchor the bytes API; the property tests
-pin the int kernel to it.
+One kernel serves every entry point: the bytes wrappers
+(``encrypt_block`` / ``decrypt_block``) and the int forms
+(``*_block_int`` / ``*_blocks_int``). The vectors run through both; the
+property tests pin the bytes wrappers, single-block and batch int calls
+to one another on random keys and blocks.
 """
 
 import pytest
@@ -44,6 +45,9 @@ class TestFips197:
         cipher = AES128(key)
         assert cipher.encrypt_block(pt) == expected
         assert cipher.decrypt_block(expected) == pt
+        pt_int, ct_int = int.from_bytes(pt, "big"), int.from_bytes(expected, "big")
+        assert cipher.encrypt_blocks_int([pt_int]) == [ct_int]
+        assert cipher.decrypt_blocks_int([ct_int]) == [pt_int]
 
 
 class TestBlockInterface:
@@ -101,7 +105,7 @@ class TestNistEcb:
 
 
 class TestIntKernel:
-    """The int-domain kernel must equal the bytes API on every input."""
+    """The int forms must equal the bytes wrappers on every input."""
 
     @settings(max_examples=50, deadline=None)
     @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))

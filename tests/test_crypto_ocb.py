@@ -374,20 +374,3 @@ class TestKtopCache:
         before = cipher.ktop_misses
         cipher.encrypt(hot, b"still cached")
         assert cipher.ktop_misses == before
-
-
-class TestScheduleCache:
-    def test_same_key_shares_one_schedule(self):
-        a = OCBCipher(RFC_KEY)
-        b = OCBCipher(RFC_KEY)
-        assert a._aes is b._aes
-        assert a._l_table is b._l_table
-        # The shared schedule still produces correct, interoperable output.
-        nonce = bytes.fromhex("BBAA99887766554433221100")
-        sealed = a.encrypt(nonce, b"payload", b"ad")
-        assert b.decrypt(nonce, sealed, b"ad") == b"payload"
-
-    def test_different_keys_do_not_share(self):
-        a = OCBCipher(RFC_KEY)
-        b = OCBCipher(bytes(16))
-        assert a._aes is not b._aes

@@ -282,6 +282,28 @@ class TestNullSession:
         )
         assert len(null_wire) == len(real_wire)
 
+    def test_wire_is_header_payload_and_zero_tag(self):
+        wire = NullSession().encrypt(Message(Nonce(1, 9), b"clear"))
+        assert wire == Nonce(1, 9).wire() + b"clear" + bytes(16)
+
+    def test_is_a_session_with_the_same_checks(self):
+        """The length bound, the too-short check and the replay window are
+        :class:`Session`'s own: NullSession only swaps the cipher."""
+        assert issubclass(NullSession, Session)
+        assert "encrypt" not in vars(NullSession)
+        assert "decrypt" not in vars(NullSession)
+        session = NullSession()
+        with pytest.raises(CryptoError, match="bound"):
+            session.encrypt(Message(Nonce(0, 1), bytes(MAX_PAYLOAD_LEN + 1)))
+        with pytest.raises(CryptoError, match="too short"):
+            session.decrypt(bytes(23))
+        wire = session.encrypt(Message(Nonce(0, 1), b"x"))
+        assert session.decrypt(memoryview(wire)).text == b"x"
+        with pytest.raises(ReplayError):
+            session.decrypt(wire)
+        assert session.stats.replay_drops == 1
+        assert session.stats.auth_failures == 0
+
 
 class TestReplayWindowJumps:
     def test_huge_sequence_jump_is_cheap_and_window_still_works(self):
@@ -358,6 +380,51 @@ class TestBackends:
                 session.decrypt(bytes(forged))
             assert session.stats.auth_failures == 1
             assert session.decrypt(wire) == message
+
+    def test_fallback_when_cryptography_cannot_import(self):
+        """Every leg runs the import-time fallback: in a process where
+        ``cryptography`` cannot import, sessions seal through the
+        reference cipher, reject a forgery as a counted
+        AuthenticationError, and put the same bytes on the wire as this
+        process's backend."""
+        code = textwrap.dedent(
+            """
+            import sys
+
+            class BlockCryptography:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "cryptography":
+                        raise ImportError(f"{name} is blocked")
+
+            sys.meta_path.insert(0, BlockCryptography())
+
+            from repro.crypto.keys import Base64Key, Nonce
+            from repro.crypto.ocb import OCBCipher
+            from repro.crypto.session import Message, Session, SessionCipher
+            from repro.errors import AuthenticationError
+
+            assert SessionCipher is OCBCipher, SessionCipher
+            session = Session(Base64Key(bytes(range(16))))
+            wire = session.encrypt(Message(Nonce(1, 42), b"fallback"))
+            try:
+                session.decrypt(wire[:-1] + bytes([wire[-1] ^ 1]))
+            except AuthenticationError:
+                pass
+            else:
+                raise SystemExit("forged datagram accepted")
+            assert session.stats.auth_failures == 1
+            assert session.decrypt(wire).text == b"fallback"
+            print(wire.hex())
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        ours = Session(Base64Key(bytes(range(16)))).encrypt(
+            Message(Nonce(1, 42), b"fallback")
+        )
+        assert out.stdout.strip() == ours.hex()
 
     def test_daemon_does_not_import_numpy(self):
         """The benchmark's peak-RSS figure assumes numpy stays out of the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FragmentError
 from repro.transport.fragment import (
+    MAX_INSTRUCTION_LEN,
     OVERHEAD,
     FragmentAssembly,
     Fragmenter,
@@ -261,3 +262,86 @@ class TestPeek:
 
     def test_peek_short_data(self):
         assert peek_fragment(b"\x00" * 9) is None
+
+
+class TestInflationBound:
+    """An instruction inflates to at most ``MAX_INSTRUCTION_LEN`` bytes,
+    mosh's compressor buffer, however small its compressed stream."""
+
+    @staticmethod
+    def _assemble(encoded):
+        assembly = FragmentAssembly()
+        out = None
+        for f in Fragmenter().make_fragments(encoded, 1400)[1]:
+            out = assembly.add_fragment(f)
+        return out
+
+    def test_bound_itself_inflates(self):
+        assert len(self._assemble(bytes(MAX_INSTRUCTION_LEN))) == MAX_INSTRUCTION_LEN
+
+    def test_one_byte_over_is_rejected(self):
+        with pytest.raises(FragmentError, match="inflating past"):
+            self._assemble(bytes(MAX_INSTRUCTION_LEN + 1))
+
+    def test_a_few_kilobytes_may_not_inflate_to_megabytes(self):
+        bomb = zlib.compress(bytes(16 << 20), 9)
+        assert len(bomb) < 20_000
+        with pytest.raises(FragmentError):
+            FragmentAssembly().add_fragment(fragment(0, 0, True, bomb))
+
+    def test_truncated_stream_is_rejected(self):
+        stream = zlib.compress(b"state diff " * 40)
+        with pytest.raises(FragmentError, match="truncated"):
+            FragmentAssembly().add_fragment(fragment(0, 0, True, stream[:-3]))
+
+    def test_extra_bytes_after_the_stream_are_rejected(self):
+        stream = zlib.compress(b"state diff")
+        with pytest.raises(FragmentError, match="extra bytes"):
+            FragmentAssembly().add_fragment(fragment(0, 0, True, stream + b"x"))
+
+    def test_next_instruction_assembles_after_a_rejected_one(self):
+        assembly = FragmentAssembly()
+        with pytest.raises(FragmentError):
+            assembly.add_fragment(
+                fragment(4, 0, True, zlib.compress(bytes(MAX_INSTRUCTION_LEN + 1)))
+            )
+        assert assembly.completed_id == 4
+        assert assembly.add_fragment(fragment(5, 0, True, zlib.compress(b"ok"))) == b"ok"
+
+    def test_authentic_inflating_instruction_is_dropped_and_counted(self):
+        """A peer holding the key sends an instruction that inflates past
+        the bound: the server drops and counts it, and the client's next
+        keystrokes still reach the screen."""
+        from repro.session import InProcessSession
+        from repro.simnet import LinkConfig
+        from repro.transport.instruction import encode_instruction
+
+        session = InProcessSession(
+            LinkConfig(delay_ms=20), LinkConfig(delay_ms=20), seed=3
+        )
+        session.server.on_input = session.server.host_write  # echo
+        session.connect()
+        server = session.server.transport
+        applied = server.receiver.instructions_applied
+        base = server.receiver.latest_num
+        # A well-formed instruction whose diff alone fills the bound: it
+        # would decode if inflated, so only the bound can stop it.
+        encoded = encode_instruction(base, base + 1, 0, 0, bytes(MAX_INSTRUCTION_LEN))
+        # Through the client's own fragmenter, so the bomb takes the next
+        # instruction id and the client's later instructions follow it.
+        _, bomb = session.client.transport.sender._fragmenter.make_fragments(
+            encoded, 1400
+        )
+        assert sum(len(d) for d in bomb) < 6000
+        for datagram in bomb:
+            session.client_endpoint.send(datagram, session.loop.now())
+        session.run_for(500)
+        assert server.undecodable_ignored == 1
+        assert server.receiver.malformed_ignored == 0
+        assert server.receiver.instructions_applied == applied
+
+        session.client.type_bytes(b"#after#")
+        session.run_for(2000)
+        assert server.undecodable_ignored == 1
+        assert server.receiver.instructions_applied > applied
+        assert "#after#" in session.client.remote_terminal.fb.row_text(0)
