@@ -3,8 +3,10 @@
 SSP's sender loop runs the same short sequence on every paced frame:
 snapshot the current screen (``Complete.copy``), compare it against sent
 states (``Framebuffer.__eq__`` via fingerprints), and compute the wire
-diff (``Complete.diff_from`` → ``Display.new_frame``). These benchmarks
-time each piece in isolation plus two end-to-end scenarios through
+diff (``Complete.diff_from`` → ``Display.new_frame``). Host output reaches
+that loop through the server's emulator (``Complete.act``), and each diff
+through the client's (``Complete.apply_diff``). These benchmarks time each
+piece in isolation plus two end-to-end scenarios through
 :class:`~repro.session.InProcessSession`, and emit machine-readable
 numbers so performance PRs carry a recorded trajectory.
 
@@ -21,6 +23,8 @@ builds that disagree on it have changed the wire format.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import os
 import sys
 import time
 
@@ -130,6 +134,66 @@ def bench_flood_diff(iters: int) -> float:
     return _best_of(frame, max(1, iters // 8))
 
 
+def _flood_writes() -> list[bytes]:
+    """The host writes of perfbench's flood workload (seed 1, first 16 KB):
+    an SGR-coloured build log in 16-96 byte chunks."""
+    name = "_perfbench_workloads"
+    workloads = sys.modules.get(name)
+    if workloads is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.path.join(root, "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[name] = workloads  # its dataclasses look it up there
+        spec.loader.exec_module(workloads)
+    flood = workloads.Flood(1, scale=16 / workloads.FLOOD_KB)
+    return [chunk for _, chunk in flood.writes]
+
+
+def bench_sgr_emulate(iters: int) -> float:
+    """Server-side emulate: 16 coloured-log host writes (about 900 bytes)
+    through ``Complete.act`` per op."""
+    term = populated_terminal()
+    chunks = _flood_writes()
+    cursor = [0]
+
+    def op() -> None:
+        pos = cursor[0]
+        for chunk in chunks[pos : pos + 16]:
+            term.act(chunk)
+        cursor[0] = (pos + 16) % (len(chunks) - 16)
+
+    return _best_of(op, iters)
+
+
+def bench_flood_apply(iters: int) -> float:
+    """Client-side apply: one flood frame's diff (four coloured-log host
+    writes) through ``Complete.apply_diff`` per op. The client restarts
+    from the first frame's source after the last frame."""
+    server = populated_terminal()
+    start = server.copy()
+    prev = start
+    chunks = _flood_writes()
+    diffs = []
+    for pos in range(0, len(chunks) - 3, 4):
+        for chunk in chunks[pos : pos + 4]:
+            server.act(chunk)
+        snap = server.copy()
+        diffs.append(snap.diff_from(prev))
+        prev = snap
+    state = [start.copy(), 0]
+
+    def op() -> None:
+        client, i = state
+        if i == len(diffs):
+            client = state[0] = start.copy()
+            i = 0
+        client.apply_diff(diffs[i])
+        state[1] = i + 1
+
+    return _best_of(op, iters)
+
+
 # ----------------------------------------------------------------------
 # End-to-end scenarios (wall time of a whole simulated session)
 # ----------------------------------------------------------------------
@@ -227,6 +291,8 @@ SCENARIOS = {
     "diff_identical": bench_diff_identical,
     "typing_diff": bench_typing_diff,
     "flood_diff": bench_flood_diff,
+    "sgr_emulate": bench_sgr_emulate,
+    "flood_apply": bench_flood_apply,
     "e2e_typing": bench_e2e_typing,
     "e2e_flood": bench_e2e_flood,
 }

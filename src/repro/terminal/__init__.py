@@ -5,7 +5,8 @@ terminal screen states over the network". This package implements the
 ISO/IEC 6429 / ECMA-48 subset used by xterm-class emulators:
 
 * :mod:`repro.terminal.parser` — the escape-sequence state machine;
-* :mod:`repro.terminal.emulator` — applies parsed actions to a framebuffer;
+* :mod:`repro.terminal.emulator` — the parser's handler: drives a
+  framebuffer;
 * :mod:`repro.terminal.framebuffer` — the grid of styled cells plus cursor
   and mode state;
 * :mod:`repro.terminal.display` — computes the minimal ANSI byte string

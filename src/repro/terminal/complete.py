@@ -138,6 +138,7 @@ class Complete(StateObject):
         dup._emulator._g0 = self._emulator._g0
         dup._emulator._g1 = self._emulator._g1
         dup._emulator._shift = self._emulator._shift
+        dup._emulator._last_graphic = ""  # REP repeats only what the diff printed
         dup.echo_ack = self.echo_ack
         dup._input_log = deque()  # bookkeeping stays with the original
         dup._version = self._version

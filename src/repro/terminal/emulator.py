@@ -1,4 +1,4 @@
-"""The terminal emulator: parsed actions applied to a framebuffer.
+"""The terminal emulator: the parser's handler, driving a framebuffer.
 
 Implements the ECMA-48 / vt220 subset used by xterm, gnome-terminal,
 Terminal.app, and PuTTY (§3.1): cursor motion, character and line editing,
@@ -8,8 +8,13 @@ bidirectional — reports the host requests (cursor position, device
 attributes) accumulate in :attr:`Emulator.outbox` for the pty layer to
 write back.
 
+:meth:`Emulator.write` passes the parser the emulator itself as its
+:class:`~repro.terminal.parser.Handler`: the parser calls ``print_run``,
+``execute``, ``esc``, ``csi`` and ``osc`` straight from its matches.
+``csi`` tests SGR and CUP, the most common finals, before the rest.
+
 Text arrives from the parser as runs. A run of printable ASCII is written
-a row segment at a time (:meth:`Emulator._print_run`): one slice
+a row segment at a time (:meth:`Emulator.print_run`): one slice
 assignment of the pen's canonical narrow cells per row, with autowrap
 between segments. Everything a segment cannot express — non-ASCII, wide and
 combining characters, insert mode, autowrap off, and any character set
@@ -33,14 +38,7 @@ from repro.terminal.cell import (
     pen_transition,
 )
 from repro.terminal.framebuffer import Framebuffer
-from repro.terminal.parser import (
-    CsiDispatch,
-    EscDispatch,
-    Execute,
-    OscDispatch,
-    Parser,
-    Print,
-)
+from repro.terminal.parser import Parser
 from repro.terminal.renditions import (
     COLOR_DEFAULT,
     DEFAULT_RENDITIONS,
@@ -53,6 +51,16 @@ from repro.terminal.unicode_width import char_width, is_combining
 #: Splits text into alternating printable-ASCII and other pieces (the
 #: other pieces at the odd indices).
 _NOT_PRINTABLE_ASCII = re.compile(r"([^\x20-\x7e]+)")
+
+
+def _param(params: tuple[int | None, ...], index: int, default: int) -> int:
+    """CSI parameter ``index`` with ECMA-48 defaulting: a missing or empty
+    parameter, and 0, read as ``default``."""
+    if index < len(params):
+        value = params[index]
+        if value:
+            return value
+    return default
 
 
 class Emulator:
@@ -72,17 +80,7 @@ class Emulator:
 
     def write(self, data: bytes) -> None:
         """Interpret a chunk of host output."""
-        for action in self._parser.input(data):
-            if isinstance(action, Print):
-                self._print_run(action.text)
-            elif isinstance(action, Execute):
-                self._execute(action.byte)
-            elif isinstance(action, CsiDispatch):
-                self._csi(action)
-            elif isinstance(action, EscDispatch):
-                self._esc(action)
-            elif isinstance(action, OscDispatch):
-                self._osc(action)
+        self._parser.input(data, self)
 
     def drain_outbox(self) -> bytes:
         """Take pending replies to host queries (DSR/DA responses)."""
@@ -98,7 +96,7 @@ class Emulator:
     # Printing
     # ------------------------------------------------------------------
 
-    def _print_run(self, text: str) -> None:
+    def print_run(self, text: str) -> None:
         """Print ``text``, printable ASCII a row segment at a time.
 
         Segments need autowrap on, insert mode off and the ASCII
@@ -264,7 +262,8 @@ class Emulator:
     # C0 controls
     # ------------------------------------------------------------------
 
-    def _execute(self, byte: int) -> None:
+    def execute(self, byte: int) -> None:
+        """Execute the C0 control ``byte`` (BEL, BS, HT, LF, CR, SO, SI...)."""
         fb = self.fb
         if byte == 0x07:  # BEL
             fb.bell_count += 1
@@ -319,10 +318,10 @@ class Emulator:
     # ESC dispatch
     # ------------------------------------------------------------------
 
-    def _esc(self, action: EscDispatch) -> None:
+    def esc(self, intermediates: str, final: str) -> None:
+        """Dispatch an ESC sequence (DECSC, DECRC, RIS, IND, charsets...)."""
         fb = self.fb
-        inter, final = action.intermediates, action.final
-        if inter == "":
+        if intermediates == "":
             if final == "7":  # DECSC
                 fb.saved_cursor = (
                     fb.cursor_row,
@@ -356,7 +355,7 @@ class Emulator:
                 fb.application_keypad = True
             elif final == ">":  # DECKPNM
                 fb.application_keypad = False
-        elif inter == "#":
+        elif intermediates == "#":
             if final == "8":  # DECALN: fill screen with E
                 e_cell = canonical_cell("E", 1, DEFAULT_RENDITIONS)
                 for row in range(fb.height):
@@ -364,36 +363,46 @@ class Emulator:
                         fb.set_cell(row, col, e_cell)
                 fb.cursor_row = 0
                 fb.cursor_col = 0
-        elif inter == "(":
+        elif intermediates == "(":
             self._g0 = final
-        elif inter == ")":
+        elif intermediates == ")":
             self._g1 = final
 
     # ------------------------------------------------------------------
     # CSI dispatch
     # ------------------------------------------------------------------
 
-    def _csi(self, a: CsiDispatch) -> None:
+    def csi(
+        self, private: str, params: tuple[int | None, ...], intermediates: str, final: str
+    ) -> None:
+        """Dispatch a CSI sequence: cursor motion, editing, erasure, SGR,
+        scrolling region, modes and reports."""
         fb = self.fb
-        if a.private == "?":
-            if a.final == "h":
-                self._dec_mode(a, True)
-            elif a.final == "l":
-                self._dec_mode(a, False)
+        if private == "?":
+            if final == "h":
+                self._dec_mode(params, True)
+            elif final == "l":
+                self._dec_mode(params, False)
             return
-        if a.private:
-            if a.final == "c" and a.private == ">":
+        if private:
+            if final == "c" and private == ">":
                 # Secondary DA: "vt220, firmware 1.0"
                 self.outbox += b"\x1b[>1;10;0c"
             return
-        if a.intermediates == "!" and a.final == "p":
+        if intermediates == "!" and final == "p":
             fb.soft_reset()  # DECSTR
             return
-        if a.intermediates:
+        if intermediates:
             return
 
-        final = a.final
-        n = a.param(0, 1)
+        # The two most common finals: host colours, diff cursor moves.
+        if final == "m":  # SGR, memoised per canonical pen
+            fb.pen = pen_transition(fb.pen, params, self._sgr_pen)
+            return
+        if final == "H" or final == "f":  # CUP / HVP
+            self._cursor_position(_param(params, 0, 1) - 1, _param(params, 1, 1) - 1)
+            return
+        n = _param(params, 0, 1)
         if final == "@":  # ICH
             fb.insert_cells(fb.cursor_row, fb.cursor_col, n)
         elif final == "A":  # CUU
@@ -424,17 +433,15 @@ class Emulator:
             fb.cursor_row = max(fb.cursor_row - n, 0)
             fb.next_print_wraps = False
         elif final == "G" or final == "`":  # CHA / HPA
-            fb.cursor_col = min(max(a.param(0, 1) - 1, 0), fb.width - 1)
+            fb.cursor_col = min(n - 1, fb.width - 1)
             fb.next_print_wraps = False
-        elif final == "H" or final == "f":  # CUP / HVP
-            self._cursor_position(a.param(0, 1) - 1, a.param(1, 1) - 1)
         elif final == "I":  # CHT
             for _ in range(n):
                 self._horizontal_tab()
         elif final == "J":  # ED
-            self._erase_display(a.raw_param(0, 0))
+            self._erase_display(_param(params, 0, 0))
         elif final == "K":  # EL
-            self._erase_line(a.raw_param(0, 0))
+            self._erase_line(_param(params, 0, 0))
         elif final == "L":  # IL
             fb.insert_lines(fb.cursor_row, n)
             fb.cursor_col = 0
@@ -454,31 +461,28 @@ class Emulator:
                 self._back_tab()
         elif final == "b":  # REP: repeat the preceding graphic character
             if self._last_graphic:
-                self._print_run(
+                self.print_run(
                     self._last_graphic * min(n, fb.width * fb.height)
                 )
         elif final == "d":  # VPA
-            row = min(max(a.param(0, 1) - 1, 0), fb.height - 1)
-            fb.cursor_row = row
+            fb.cursor_row = min(n - 1, fb.height - 1)
             fb.next_print_wraps = False
         elif final == "g":  # TBC
-            if a.raw_param(0, 0) == 3:
+            if _param(params, 0, 0) == 3:
                 fb.tab_stops.clear()
             else:
                 fb.tab_stops.discard(fb.cursor_col)
         elif final == "h":  # SM
-            if 4 in a.params:
+            if 4 in params:
                 fb.insert_mode = True
         elif final == "l":  # RM
-            if 4 in a.params:
+            if 4 in params:
                 fb.insert_mode = False
-        elif final == "m":  # SGR
-            self._sgr(a.params)
         elif final == "n":  # DSR
-            self._device_status(a.raw_param(0, 0))
+            self._device_status(_param(params, 0, 0))
         elif final == "r":  # DECSTBM
-            top = a.param(0, 1) - 1
-            bottom = a.param(1, fb.height) - 1
+            top = n - 1
+            bottom = _param(params, 1, fb.height) - 1
             fb.set_scrolling_region(top, bottom)
             self._cursor_position(0, 0)
         elif final == "s":  # SCOSC
@@ -507,13 +511,17 @@ class Emulator:
 
     def _erase_display(self, mode: int) -> None:
         fb = self.fb
+        if mode == 3:  # xterm's "Erase Saved Lines": history only
+            if fb.scrollback is not None:
+                fb.scrollback = []
+            return
         if mode == 0:  # cursor to end
             fb.erase_cells(fb.cursor_row, fb.cursor_col, fb.width - fb.cursor_col)
             fb.erase_rows(fb.cursor_row + 1, fb.height - fb.cursor_row - 1)
         elif mode == 1:  # start to cursor
             fb.erase_rows(0, fb.cursor_row)
             fb.erase_cells(fb.cursor_row, 0, fb.cursor_col + 1)
-        elif mode in (2, 3):  # all (3 also clears scrollback, which we lack)
+        elif mode == 2:  # all
             fb.erase_rows(0, fb.height)
         fb.next_print_wraps = False
 
@@ -526,9 +534,9 @@ class Emulator:
         elif mode == 2:
             fb.erase_cells(fb.cursor_row, 0, fb.width)
 
-    def _dec_mode(self, a: CsiDispatch, enable: bool) -> None:
+    def _dec_mode(self, params: tuple[int | None, ...], enable: bool) -> None:
         fb = self.fb
-        for mode in a.params:
+        for mode in params:
             if mode == 1:
                 fb.application_cursor_keys = enable
             elif mode == 3:  # DECCOLM: clear screen and home
@@ -591,9 +599,9 @@ class Emulator:
             elif mode in (9, 1000, 1001, 1002, 1003, 1005, 1006, 1015):
                 modes = set(fb.mouse_modes)
                 if enable:
-                    modes.add(int(mode))
+                    modes.add(mode)
                 else:
-                    modes.discard(int(mode))
+                    modes.discard(mode)
                 fb.mouse_modes = frozenset(modes)
 
     def _device_status(self, request: int) -> None:
@@ -610,14 +618,6 @@ class Emulator:
     # ------------------------------------------------------------------
     # SGR
     # ------------------------------------------------------------------
-
-    def _sgr(self, params: tuple[int | None, ...]) -> None:
-        """Select the canonical pen ``params`` turn the current one into.
-
-        The transition is memoised on the current pen, so a repeated SGR
-        is one dict hit.
-        """
-        self.fb.pen = pen_transition(self.fb.pen, params, self._sgr_pen)
 
     def _sgr_pen(
         self, pen: Renditions, params: tuple[int | None, ...]
@@ -703,8 +703,9 @@ class Emulator:
     # OSC
     # ------------------------------------------------------------------
 
-    def _osc(self, action: OscDispatch) -> None:
-        number, _, text = action.text.partition(";")
+    def osc(self, text: str) -> None:
+        """Dispatch an OSC string (window and icon titles)."""
+        number, _, text = text.partition(";")
         if number in ("0", "2"):
             self.fb.window_title = text
         if number in ("0", "1"):

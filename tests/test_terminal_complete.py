@@ -54,6 +54,17 @@ class TestStateObject:
         c.act(b"x")
         assert c.copy().fingerprint() == c.fingerprint()
 
+    def test_copy_starts_with_no_character_to_repeat(self):
+        # A snapshot's parser is fresh, so REP (CSI b) before any print
+        # does nothing instead of repeating the live terminal's last
+        # character, which no diff carries.
+        c = Complete(10, 3)
+        c.act(b"x")
+        dup = c.copy()
+        dup.act(b"\x1b[3b")
+        assert dup.fb.screen_text() == c.fb.screen_text()
+        assert dup.fb == c.fb
+
     def test_unknown_section_rejected(self):
         c = Complete(10, 3)
         with pytest.raises(StateError):

@@ -1,21 +1,66 @@
-"""Escape-sequence parser state machine."""
+"""Escape-sequence parser state machine.
+
+The parser calls a handler rather than returning records, so these tests
+drive it with :class:`Recorder`, a handler that rebuilds each call as a
+tagged tuple (``Print``, ``Execute``, ``EscDispatch``, ``CsiDispatch``,
+``OscDispatch``) to compare against.
+"""
+
+from collections import namedtuple
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.terminal.emulator import Emulator
-from repro.terminal.parser import (
-    CsiDispatch,
-    EscDispatch,
-    Execute,
-    OscDispatch,
-    Parser,
-    Print,
-)
+from repro.terminal import parser as parser_module
+from repro.terminal.emulator import Emulator, _param
+from repro.terminal.parser import Parser
+
+
+def _call(name, fields):
+    """A tuple type for one handler method; the trailing ``kind`` tag keeps
+    two calls with equal arguments but different methods unequal."""
+    return namedtuple(name, [*fields, "kind"], defaults=[name])
+
+
+Print = _call("Print", ["text"])
+Execute = _call("Execute", ["byte"])
+EscDispatch = _call("EscDispatch", ["intermediates", "final"])
+CsiDispatch = _call("CsiDispatch", ["private", "params", "intermediates", "final"])
+OscDispatch = _call("OscDispatch", ["text"])
+
+
+class Recorder:
+    """A parser handler that records every call it receives."""
+
+    def __init__(self):
+        self.calls = []
+
+    def print_run(self, text):
+        self.calls.append(Print(text))
+
+    def execute(self, byte):
+        self.calls.append(Execute(byte))
+
+    def esc(self, intermediates, final):
+        self.calls.append(EscDispatch(intermediates, final))
+
+    def csi(self, private, params, intermediates, final):
+        self.calls.append(CsiDispatch(private, params, intermediates, final))
+
+    def osc(self, text):
+        self.calls.append(OscDispatch(text))
+
+
+def feed(parser, data: bytes):
+    """The calls ``parser`` makes for one chunk of input."""
+    recorder = Recorder()
+    parser.input(data, recorder)
+    return recorder.calls
 
 
 def parse(data: bytes):
-    return Parser().input(data)
+    return feed(Parser(), data)
 
 
 def merge_prints(actions):
@@ -49,8 +94,8 @@ class TestPrinting:
     def test_utf8_split_across_feeds(self):
         parser = Parser()
         data = "中".encode("utf-8")
-        assert parser.input(data[:1]) == []
-        assert parser.input(data[1:]) == [Print("中")]
+        assert feed(parser, data[:1]) == []
+        assert feed(parser, data[1:]) == [Print("中")]
 
     def test_invalid_utf8_replaced(self):
         actions = parse(b"\xff")
@@ -105,8 +150,8 @@ class TestCsi:
 
     def test_param_defaulting(self):
         (action,) = parse(b"\x1b[0K")
-        assert action.param(0, 1) == 1  # 0 maps to default
-        assert action.raw_param(0, 1) == 0  # raw keeps 0
+        assert _param(action.params, 0, 1) == 1  # 0 maps to default
+        assert action.params == (0,)  # raw keeps 0
 
     def test_private_marker(self):
         (action,) = parse(b"\x1b[?25h")
@@ -200,9 +245,9 @@ class TestSequenceFastPath:
     @given(st.lists(_SEQUENCE_PIECES | st.binary(max_size=4), max_size=40))
     def test_whole_read_matches_byte_at_a_time(self, pieces):
         data = b"".join(pieces)
-        whole = Parser().input(data)
+        whole = parse(data)
         parser = Parser()
-        single = [a for i in range(len(data)) for a in parser.input(data[i : i + 1])]
+        single = [a for i in range(len(data)) for a in feed(parser, data[i : i + 1])]
         assert merge_prints(whole) == merge_prints(single)
 
     def test_huge_parameter_does_not_raise(self):
@@ -215,24 +260,67 @@ class TestSequenceFastPath:
         (action,) = parse(b"\x1b[0000000005;000m")
         assert action.params == (5, 0)
 
+    def test_separators_past_the_cap_are_not_split(self):
+        # The unsplit remainder ("1;2" here) is dropped, never parsed.
+        data = b"\x1b[" + b"7;" * 32 + b"1;2m"
+        (action,) = parse(data)
+        assert action.params == (7,) * 32
+        parser = Parser()
+        single = [a for i in range(len(data)) for a in feed(parser, data[i : i + 1])]
+        assert single == [action]
+
+    def test_a_flood_of_separators_yields_capped_params(self):
+        (action, after) = parse(b"\x1b[" + b";" * 200_000 + b"mX")
+        assert action.params == (None,) * 32
+        assert after == Print("X")
+
+
+_HOSTILE_CSI = st.builds(
+    lambda digits, final: b"\x1b[" + digits.encode() + final,
+    st.text(alphabet="0123456789;:", max_size=80),
+    st.sampled_from([b"m", b"H", b"J", b"r", b"b", b"h"]),
+)
+
 
 class TestRobustness:
     @settings(max_examples=200, deadline=None)
+    @given(st.lists(_HOSTILE_CSI | st.binary(max_size=60), max_size=30))
+    def test_emulator_never_raises_and_the_param_memo_stays_bounded(self, pieces):
+        memo = parser_module._params_memo
+        # A small bound, so a few hostile sequences reach it.
+        with mock.patch.object(parser_module, "PARAM_MEMO", 8), mock.patch.dict(
+            memo, clear=True
+        ):
+            e = Emulator(20, 6)
+            for piece in pieces:
+                e.write(piece)
+                assert len(memo) <= 8
+            assert all(len(key) <= parser_module.PARAM_MEMO_KEY for key in memo)
+
+    def test_param_memo_holds_its_bound_under_distinct_strings(self):
+        e = Emulator(20, 6)
+        for i in range(3 * parser_module.PARAM_MEMO):
+            e.write(f"\x1b[{i};{i}m\x1b[{i}{'0' * 30}m".encode())
+        memo = parser_module._params_memo
+        assert len(memo) <= parser_module.PARAM_MEMO
+        assert all(len(key) <= parser_module.PARAM_MEMO_KEY for key in memo)
+
+    @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=300) | st.text(max_size=150).map(str.encode))
     def test_never_raises(self, data):
-        Parser().input(data)
+        parse(data)
 
     @settings(max_examples=50, deadline=None)
     @given(st.binary(max_size=200), st.integers(1, 10))
     def test_chunking_invariant(self, data, chunks):
         """Feeding in chunks gives the same actions as all at once (up to
         where Print runs break) and drives an emulator to the same screen."""
-        whole = Parser().input(data)
+        whole = parse(data)
         parser = Parser()
         split = []
         size = max(1, len(data) // chunks)
         for i in range(0, len(data), size):
-            split.extend(parser.input(data[i : i + size]))
+            split.extend(feed(parser, data[i : i + size]))
         assert merge_prints(whole) == merge_prints(split)
         assert all(action.text for action in split if isinstance(action, Print))
         fed_whole = Emulator(20, 6)

@@ -1,7 +1,7 @@
 """Print runs: the run path against the per-character oracle.
 
 The emulator writes printable ASCII a row segment at a time
-(``Emulator._print_run``) and keeps ``Emulator._print`` for everything
+(``Emulator.print_run``) and keeps ``Emulator._print`` for everything
 else. The oracle below sends every character through ``_print``, which is
 how the emulator printed before runs existed; on any input both must
 leave exactly the same framebuffer, cell for cell, and the same drawing
@@ -21,7 +21,7 @@ from repro.terminal.renditions import DEFAULT_RENDITIONS, rgb_color
 class CharOracle(Emulator):
     """An emulator that prints one character at a time, always."""
 
-    def _print_run(self, text: str) -> None:
+    def print_run(self, text: str) -> None:
         for ch in text:
             self._print(ch)
 

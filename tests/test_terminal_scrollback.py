@@ -44,6 +44,34 @@ class TestScrollbackCollection:
         e.write(b"\x1bc")
         assert e.fb.scrollback_text() == []
 
+    def test_ed3_erases_saved_lines_only(self):
+        """xterm's ED 3 ("Erase Saved Lines") clears history and leaves
+        the screen, the cursor and a pending autowrap alone."""
+        e = Emulator(4, 2)
+        e.write(b"a\r\nb\r\ncdef")
+        assert e.fb.scrollback_text() == ["a"]
+        before = e.fb.copy()
+        e.write(b"\x1b[3J")
+        assert e.fb.scrollback_text() == []
+        assert e.fb == before
+        assert e.fb.next_print_wraps
+        e.write(b"g")  # the pending wrap still happens
+        assert [e.fb.row_text(r).rstrip() for r in range(2)] == ["cdef", "g"]
+
+    def test_ed3_on_a_snapshot_is_harmless(self):
+        terminal = Complete(20, 3)
+        terminal.act(b"1\r\n2\r\n3\r\n4")
+        snapshot = terminal.copy()
+        snapshot.act(b"\x1b[3J")
+        assert snapshot.fb.scrollback is None
+        assert snapshot == terminal
+
+    def test_ed2_keeps_history(self):
+        e = Emulator(20, 2)
+        e.write(b"a\r\nb\r\nc\x1b[2J")
+        assert e.fb.scrollback_text() == ["a"]
+        assert e.fb.screen_text().strip() == ""
+
 
 class TestScrollbackIsolation:
     def test_state_copies_do_not_collect(self):
