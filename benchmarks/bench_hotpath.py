@@ -194,6 +194,32 @@ def bench_flood_apply(iters: int) -> float:
     return _best_of(op, iters)
 
 
+def bench_flood_log_diff(iters: int) -> float:
+    """Server-side diff of the coloured build log: one frame of six host
+    writes per op (perfbench's flood paces 5,513 writes into 959 frames),
+    timing only ``Complete.diff_from``. The frames are built beforehand;
+    ops cycle through them."""
+    term = populated_terminal()
+    prev = term.copy()
+    chunks = _flood_writes()
+    frames = []
+    for pos in range(0, len(chunks) - 5, 6):
+        for chunk in chunks[pos : pos + 6]:
+            term.act(chunk)
+        snap = term.copy()
+        frames.append((snap.diff_from, prev))
+        prev = snap
+    cursor = [0]
+
+    def op() -> None:
+        i = cursor[0]
+        diff_from, source = frames[i]
+        diff_from(source)
+        cursor[0] = (i + 1) % len(frames)
+
+    return _best_of(op, iters)
+
+
 # ----------------------------------------------------------------------
 # End-to-end scenarios (wall time of a whole simulated session)
 # ----------------------------------------------------------------------
@@ -293,6 +319,7 @@ SCENARIOS = {
     "flood_diff": bench_flood_diff,
     "sgr_emulate": bench_sgr_emulate,
     "flood_apply": bench_flood_apply,
+    "flood_log_diff": bench_flood_log_diff,
     "e2e_typing": bench_e2e_typing,
     "e2e_flood": bench_e2e_flood,
 }

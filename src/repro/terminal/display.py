@@ -18,13 +18,29 @@ Cells and pens are compared by identity when both sides are canonical
 (:mod:`repro.terminal.cell`: for canonical objects ``a is b`` exactly when
 ``a == b``) and by value otherwise, so the bytes never depend on which
 cells happen to be canonical.
+
+Each changed row is walked once. Rows the emulator left alone are
+skipped by identity or generation. A row that scrolled in, or whose old
+cells are all ``BLANK_CELL``, differs exactly where its cells are not
+blanks, so the run printer diffs it in the same walk that prints it: a
+run of default blanks is a gap, absorbed into the span around it when it
+is at most 4 cells long, and the end of the span otherwise. Any other row
+is compared column by column, and each span of work is printed as it
+closes. Up to 4 equal cells
+between changes are reprinted rather than hopped, and a changed
+continuation cell is reprinted through its leader. The repaint and both
+row paths share the one run printer (pen runs as text, erase runs as ECH,
+a CUF hop over an ECH only when the span goes on).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_
+
 from repro.terminal.cell import BLANK_CELL, Cell, Row, erase_cell
 from repro.terminal.framebuffer import Framebuffer
-from repro.terminal.renditions import DEFAULT_RENDITIONS, Renditions
+from repro.terminal.renditions import COLOR_DEFAULT, DEFAULT_RENDITIONS, Renditions
 
 
 class Display:
@@ -63,8 +79,8 @@ class Display:
                 c is not BLANK_CELL and (c.canonical or c != BLANK_CELL)
                 for c in new.rows[r].cells
             ):
-                Display._emit_row_segment(
-                    out, r, 0, new.rows[r].cells, pen_state
+                Display._emit_runs(
+                    out, r, new.rows[r].cells, 0, new.width, pen_state
                 )
         Display._emit_modes(out, None, new)
         Display._finish(out, new, pen_state)
@@ -107,29 +123,36 @@ class Display:
     ) -> bytes:
         out = bytearray()
         pen_state: list[Renditions | None] = [None]
-        old_rows = old.rows
+        old_rows: list[Row | None] = old.rows
         shift = Display._detect_scroll(old, new) if scroll_optimization else 0
         if shift:
             # One scroll sequence moves the surviving rows; only the rows
             # that actually changed (usually just the new bottom lines)
             # are rewritten below. Reset the pen first so the scrolled-in
-            # blanks are default-background erase cells.
+            # blanks are default-background erase cells; None stands for
+            # such a row.
             out += b"\x1b[0m"
             pen_state[0] = DEFAULT_RENDITIONS
-            out += f"\x1b[{shift}S".encode("ascii")
-            blank = Row.blank(new.width)
-            old_rows = old.rows[shift:] + [blank] * shift
-        for r in range(new.height):
-            old_row, new_row = old_rows[r], new.rows[r]
-            # COW snapshots alias untouched rows, so the identity and
-            # generation checks skip every row the emulator left alone.
-            if (
-                old_row is new_row
-                or old_row.gen == new_row.gen
-                or old_row.cells == new_row.cells
-            ):
+            out += b"\x1b[%dS" % shift
+            old_rows = old_rows[shift:] + [None] * shift
+        emit_runs = Display._emit_runs
+        width = new.width
+        new_rows = new.rows
+        # COW snapshots alias untouched rows, so the identity and
+        # generation checks skip every row the emulator left alone.
+        for r, new_row in enumerate(new_rows):
+            old_row = old_rows[r]
+            if old_row is new_row:
                 continue
-            Display._emit_row_diff(out, r, old_row, new_row, pen_state)
+            new_cells = new_row.cells
+            if old_row is None:
+                emit_runs(out, r, new_cells, 0, width, pen_state, True)
+            elif old_row.gen != new_row.gen:
+                old_cells = old_row.cells
+                if all(map(is_, old_cells, repeat(BLANK_CELL))):
+                    emit_runs(out, r, new_cells, 0, width, pen_state, True)
+                else:
+                    Display._emit_row_diff(out, r, old_cells, new_cells, pen_state)
         Display._emit_modes(out, old, new)
         # The bell is synchronized as an explicit field of the Complete
         # state object, not as BEL bytes (an unbounded BEL delta would
@@ -145,97 +168,147 @@ class Display:
     def _emit_row_diff(
         out: bytearray,
         row_idx: int,
-        old_row: Row,
-        new_row: Row,
+        old_cells: list[Cell],
+        new_cells: list[Cell],
         pen_state: list[Renditions | None],
     ) -> None:
-        old_cells, new_cells = old_row.cells, new_row.cells
+        """Rewrite the cells of a row that differ from ``old_cells``.
+
+        One pass over the columns decides which cells changed, marks the
+        leader of a changed continuation cell, and gathers spans of work
+        that absorb equal gaps of up to 4 cells, so the diff does not
+        spend a cursor move on every other cell. Each span is printed as
+        it closes. Continuation cells are work wherever they fall: their
+        leader reprints them.
+        """
         width = len(new_cells)
-        # Identity decides: a row cloned from a snapshot shares every Cell
-        # object except the ones actually overwritten, and two distinct
-        # canonical cells always differ. Only a pair with a non-canonical
-        # cell needs the dataclass comparison.
-        differ = [
-            a is not b and ((a.canonical and b.canonical) or a != b)
-            for a, b in zip(old_cells, new_cells)
-        ]
-        # A differing continuation cell is repaired by reprinting its
-        # leader (the canonical invariant guarantees one exists).
-        for c in range(width - 1, 0, -1):
-            if differ[c] and new_cells[c].width == 0:
-                differ[c - 1] = True
-        differ.append(True)  # a sentinel past the last column
-        col = differ.index(True)
-        while col < width:
-            if new_cells[col].width == 0:
-                col = differ.index(True, col + 1)
+        start = 0  # first column of the open span
+        last = -6  # last column of work in the open span (< 0: none open)
+        for col, cell in enumerate(new_cells):
+            # Identity decides: a row cloned from a snapshot shares every
+            # Cell object except the ones actually overwritten, and two
+            # distinct canonical cells always differ. Only a pair with a
+            # non-canonical cell needs the dataclass comparison.
+            old_cell = old_cells[col]
+            if cell is old_cell or (
+                not (old_cell.canonical and cell.canonical) and old_cell == cell
+            ):
                 continue
-            # Gather a span of work, absorbing short equal gaps so we
-            # don't emit a cursor move for every other cell.
-            end = col + 1
-            gap = 0
-            while end < width:
-                if differ[end] or new_cells[end].width == 0:
-                    end += 1
-                    gap = 0
-                elif gap < 4:
-                    end += 1
-                    gap += 1
-                else:
-                    break
-            end -= gap
-            Display._emit_row_segment(
-                out, row_idx, col, new_cells[col:end], pen_state
-            )
-            col = differ.index(True, end)
+            if cell.width and col - last <= 5:
+                last = col  # joins the open span across a short gap
+                continue
+            # A changed continuation cell is repaired by reprinting its
+            # leader (the canonical invariant guarantees one exists).
+            lead = col
+            while lead and new_cells[lead].width == 0:
+                lead -= 1
+            if last < 0:
+                if new_cells[lead].width == 0:
+                    continue  # no leader to start from: column 0
+                start = lead
+            elif lead > last + 5:
+                # Five or more equal cells lie between: the span closes
+                # unless continuation cells among them split the gap.
+                c = last + 1
+                while c < lead:
+                    if new_cells[c].width == 0:
+                        last = c
+                    elif c - last == 5:
+                        Display._emit_runs(
+                            out, row_idx, new_cells, start, last + 1, pen_state
+                        )
+                        start = lead
+                        break
+                    c += 1
+            last = col
+        if last < 0:
+            return
+        c = last + 1
+        while c < width:
+            if new_cells[c].width == 0:
+                last = c
+            elif c - last == 5:
+                break
+            c += 1
+        Display._emit_runs(out, row_idx, new_cells, start, last + 1, pen_state)
 
     @staticmethod
-    def _emit_row_segment(
+    def _emit_runs(
         out: bytearray,
         row_idx: int,
-        start_col: int,
         cells: list[Cell],
+        i: int,
+        end: int,
         pen_state: list[Renditions | None],
+        blank_gaps: bool = False,
     ) -> None:
-        """Write ``cells`` at (row_idx, start_col) via prints and ECH."""
-        out += Display._cup(row_idx, start_col)
+        """Write ``cells[i:end]`` at (row_idx, i) as pen runs, ECH and CUF.
+
+        With ``blank_gaps`` the cells are diffed against a row of
+        ``BLANK_CELL`` (what a scroll leaves, or a row never drawn), in the
+        same walk: a run of default blanks equals what it covers, so up
+        to 4 are absorbed into the span around them, while 5 or more, a
+        run to the end of the row, or blanks before the first drawn cell
+        are skipped, and the next span opens with its own cursor move.
+        """
         is_erase = Display._is_erase_cell
-        i = 0
-        n = len(cells)
-        while i < n:
+        opened = False  # whether the cursor has been moved into this span
+        hop = 0  # cells an ECH left under the cursor, owed as CUF
+        while i < end:
             cell = cells[i]
+            pen = cell.renditions
+            run = 0  # the ECH length, for a run of erase cells
+            if cell.width == 0:
+                if blank_gaps and not opened:
+                    i += 1  # no span starts on a continuation cell
+                    continue
+            elif cell is pen.erase if cell.canonical else is_erase(cell):
+                # A run of erase cells in one background is one ECH.
+                bg = pen.background
+                j = i + 1
+                while j < end and (
+                    cells[j] is cell
+                    or (is_erase(cells[j]) and cells[j].renditions.background == bg)
+                ):
+                    j += 1
+                run = j - i
+                if blank_gaps and bg == COLOR_DEFAULT:
+                    # A blank just before a continuation cell is work: it
+                    # stands where the continuation's leader belongs.
+                    gap = run - (j < end and cells[j].width == 0)
+                    if not opened or gap >= 5 or j == end:
+                        opened = False
+                        hop = 0
+                        i += gap
+                        if gap:
+                            continue
+                        # else a lone blank before a continuation opens it
+            if not opened:
+                out += b"\x1b[%d;%dH" % (row_idx + 1, i + 1)
+                opened = True
+            if hop:
+                out += b"\x1b[%dC" % hop  # hop over the erased cells
+                hop = 0
             if cell.width == 0:
                 # Unreachable under the canonical invariant (continuations
                 # are consumed by their leader), but stay aligned anyway.
                 out += b"\x1b[1C"
                 i += 1
                 continue
-            pen = cell.renditions
-            if is_erase(cell):
-                # Group a run of erase-form cells into one ECH.
-                j = i + 1
-                bg = pen.background
-                while (
-                    j < n
-                    and is_erase(cells[j])
-                    and cells[j].renditions.background == bg
-                ):
-                    j += 1
-                run = j - i
+            if pen is not pen_state[0]:
                 Display._set_pen(out, pen_state, pen)
-                out += f"\x1b[{run}X".encode("ascii")
-                i = j
-                if i < n:
-                    out += f"\x1b[{run}C".encode("ascii")  # hop over
+            if run:
+                out += b"\x1b[%dX" % run
+                hop = run  # owed only if the span goes on
+                i += run
                 continue
             if cell.width == 2:
-                Display._set_pen(out, pen_state, pen)
                 out += cell.display_text().encode("utf-8")
-                i += 2  # skip the continuation inside our slice
+                i += 2  # skip the continuation inside our span
                 continue
             # A run of narrow drawn cells in one pen prints as one string.
             j = i + 1
-            while j < n:
+            while j < end:
                 nxt = cells[j]
                 other = nxt.renditions
                 if (
@@ -248,7 +321,6 @@ class Display:
                 ):
                     break
                 j += 1
-            Display._set_pen(out, pen_state, pen)
             out += "".join([c.contents or " " for c in cells[i:j]]).encode("utf-8")
             i = j
 
@@ -298,12 +370,8 @@ class Display:
         new: Framebuffer,
         pen_state: list[Renditions | None],
     ) -> None:
-        out += Display._cup(new.cursor_row, new.cursor_col)
+        out += b"\x1b[%d;%dH" % (new.cursor_row + 1, new.cursor_col + 1)
         out += b"\x1b[?25h" if new.cursor_visible else b"\x1b[?25l"
-
-    @staticmethod
-    def _cup(row: int, col: int) -> bytes:
-        return f"\x1b[{row + 1};{col + 1}H".encode("ascii")
 
     @staticmethod
     def _set_pen(

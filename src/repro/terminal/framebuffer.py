@@ -74,11 +74,6 @@ class Framebuffer:
         self.scrollback: list[Row] | None = []
         self.scrollback_limit = 2000
 
-        # Indices of rows touched since the last snapshot (``copy()``).
-        # Conservative instrumentation for the copy-on-write machinery:
-        # a row index appears here whenever the row might have changed.
-        self._dirty_rows: set[int] = set()
-
     # ------------------------------------------------------------------
     # Copying and equality
     # ------------------------------------------------------------------
@@ -88,8 +83,7 @@ class Framebuffer:
 
         O(height): row objects are aliased, not cloned; each is marked
         ``shared`` so the next mutation of either side clones it first
-        (:meth:`writable_row`). Taking a snapshot also resets the dirty
-        set — the snapshot is the new reference point.
+        (:meth:`writable_row`).
         """
         dup = Framebuffer.__new__(Framebuffer)
         dup.width = self.width
@@ -129,8 +123,6 @@ class Framebuffer:
         # neither carry nor collect history.
         dup.scrollback = None
         dup.scrollback_limit = self.scrollback_limit
-        self._dirty_rows = set()
-        dup._dirty_rows = set()
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -164,7 +156,7 @@ class Framebuffer:
             return False
         # Per-row short-circuit: COW snapshots alias untouched rows, so
         # the identity / generation checks hit for every row the emulator
-        # has not rewritten; only genuinely dirty rows fall back to the
+        # has not rewritten; only the rows it rewrote fall back to the
         # cell-by-cell comparison.
         return all(
             a is b or a.gen == b.gen or a.cells == b.cells
@@ -200,25 +192,16 @@ class Framebuffer:
     def writable_row(self, idx: int) -> Row:
         """The row at ``idx``, safe to mutate.
 
-        If a snapshot shares the row it is cloned first (copy-on-write);
-        either way the index is recorded as dirty. Every mutation of row
-        contents — here, in the emulator, or in overlays — must go
-        through this accessor rather than ``self.rows[idx]``.
+        If a snapshot shares the row it is cloned first (copy-on-write).
+        Every mutation of row contents — here, in the emulator, or in
+        overlays — must go through this accessor rather than
+        ``self.rows[idx]``.
         """
         row = self.rows[idx]
         if row.shared:
             row = row.copy()
             self.rows[idx] = row
-        self._dirty_rows.add(idx)
         return row
-
-    def dirty_row_indices(self) -> frozenset[int]:
-        """Rows touched since the last snapshot (or construction)."""
-        return frozenset(self._dirty_rows)
-
-    def _mark_dirty_span(self, start: int, stop: int) -> None:
-        """Record rows [start, stop) as dirty (for whole-row replacements)."""
-        self._dirty_rows.update(range(start, stop))
 
     def set_cell(self, row: int, col: int, cell: Cell) -> None:
         self.writable_row(row).set_cell(col, cell)
@@ -270,7 +253,6 @@ class Framebuffer:
             n = min(-n, len(region))
             region = [self._blank_row() for _ in range(n)] + region[: len(region) - n]
         self.rows[top : bottom + 1] = region
-        self._mark_dirty_span(top, bottom + 1)
 
     def insert_lines(self, at_row: int, n: int) -> None:
         """IL: insert blank lines at ``at_row``, pushing lines down within
@@ -283,7 +265,6 @@ class Framebuffer:
         region = self.rows[at_row : self.scroll_bottom + 1]
         region = [self._blank_row() for _ in range(n)] + region[: len(region) - n]
         self.rows[at_row : self.scroll_bottom + 1] = region
-        self._mark_dirty_span(at_row, self.scroll_bottom + 1)
 
     def delete_lines(self, at_row: int, n: int) -> None:
         """DL: delete lines at ``at_row``, pulling lines up within the
@@ -296,7 +277,6 @@ class Framebuffer:
         region = self.rows[at_row : self.scroll_bottom + 1]
         region = region[n:] + [self._blank_row() for _ in range(n)]
         self.rows[at_row : self.scroll_bottom + 1] = region
-        self._mark_dirty_span(at_row, self.scroll_bottom + 1)
 
     # ------------------------------------------------------------------
     # In-row ops
@@ -365,7 +345,6 @@ class Framebuffer:
         for i in range(start, start + count):
             # Each row gets its own object so later writes don't alias.
             self.rows[i] = self._blank_row()
-        self._mark_dirty_span(start, start + count)
 
     # ------------------------------------------------------------------
     # Alternate screen
@@ -376,7 +355,6 @@ class Framebuffer:
             return
         self._alt_saved = (self.rows, self.cursor_row, self.cursor_col)
         self.rows = [Row.blank(self.width) for _ in range(self.height)]
-        self._mark_dirty_span(0, self.height)
         if not clear:
             # Mode 47 historically starts with previous alt contents; we
             # always start blank, which xterm also does on first use.
@@ -390,7 +368,6 @@ class Framebuffer:
         # The saved screen may predate a resize.
         rows = self._fit_rows(rows, self.width, self.height)
         self.rows = rows
-        self._mark_dirty_span(0, self.height)
         self.cursor_row = min(r, self.height - 1)
         self.cursor_col = min(c, self.width - 1)
         self._alt_saved = None
@@ -441,7 +418,6 @@ class Framebuffer:
         self.scroll_bottom = height - 1
         self.tab_stops = set(range(0, width, 8))
         self.next_print_wraps = False
-        self._dirty_rows = set(range(height))
         self.clamp()
 
     # ------------------------------------------------------------------
@@ -451,7 +427,6 @@ class Framebuffer:
     def reset(self) -> None:
         """RIS: everything back to power-on state (size preserved)."""
         self.rows = [Row.blank(self.width) for _ in range(self.height)]
-        self._mark_dirty_span(0, self.height)
         self.cursor_row = 0
         self.cursor_col = 0
         self.pen = DEFAULT_RENDITIONS

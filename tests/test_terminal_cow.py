@@ -189,25 +189,8 @@ class TestAgreementWithPreCow:
 
 
 class TestDirtyRowTracking:
-    def test_copy_resets_dirty_set(self):
-        emulator = Emulator(20, 6)
-        emulator.write(b"abc")
-        assert emulator.fb.dirty_row_indices()
-        emulator.fb.copy()
-        assert emulator.fb.dirty_row_indices() == frozenset()
-
-    def test_print_marks_only_the_cursor_row(self):
-        emulator = Emulator(20, 6)
-        emulator.fb.copy()
-        emulator.write(b"\x1b[3;1Hx")
-        assert emulator.fb.dirty_row_indices() == frozenset({2})
-
-    def test_scroll_marks_the_region(self):
-        emulator = Emulator(20, 4)
-        emulator.write(b"a\r\nb\r\nc\r\nd")
-        emulator.fb.copy()
-        emulator.write(b"\x1b[2S")
-        assert emulator.fb.dirty_row_indices() == frozenset({0, 1, 2, 3})
+    """Copy-on-write sharing is what tells the rows a write touched: every
+    row it left alone is still the snapshot's own object."""
 
     def test_untouched_rows_stay_shared_after_one_write(self):
         emulator = Emulator(20, 6)
