@@ -21,6 +21,11 @@ into a capacity model:
 * **Mass-reconnect storm** — every client comes back in the same
   millisecond and types; the bench asserts every session wakes and
   meters the absorb cost.
+* **Idle memory** — GC-tracked objects per session and the pause of one
+  full collection at each fleet size, plus a tracemalloc probe of 200
+  idle 80×24 sessions (a child interpreter under a fixed hash seed)
+  whose bytes per session ``--check`` holds within 10 % of the
+  committed figure.
 * **SLO health monitor** — the bundled
   :func:`~repro.obs.default_fleet_ruleset` runs on a 1 s evaluation
   timer throughout. The bench asserts the monitor reports ``ok`` through
@@ -48,11 +53,15 @@ simulation work does not pollute the daemon's bill.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import platform
 import random
+import subprocess
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -77,6 +86,17 @@ SLO_P95_MS = float(os.environ.get("REPRO_BENCH_FLEET_SLO_P95_MS", "600"))
 #: ``--check`` floor on idle sessions/core (this build ÷ frozen legacy).
 RATIO_MIN = float(os.environ.get("REPRO_BENCH_FLEET_RATIO_MIN", "4"))
 
+#: The idle-memory probe: this many sessions at the default 80×24, traced
+#: 3 s after connect, in a child interpreter under this hash seed (set and
+#: dict sizes follow the seed). Both ends of a session live in the one
+#: process, so its figures are per server/client pair.
+MEMORY_PROBE_SESSIONS = 200
+MEMORY_PROBE_HASH_SEED = "2"
+
+#: ``--check`` fails when the probe's bytes per idle session rise more
+#: than this fraction above the committed figure.
+MEMORY_RISE_MAX = 0.10
+
 #: Access-link mix: (uplink, downlink, weight). Delays are one-way;
 #: bandwidths are loose models of each technology's interactive envelope.
 LINK_PROFILES = {
@@ -98,12 +118,17 @@ LINK_PROFILES = {
 }
 
 
-def frozen_legacy(path: str = RESULTS_PATH) -> dict:
-    """The pre-parking daemon's frozen idle-cost block (empty if absent)."""
+def committed(path: str = RESULTS_PATH) -> dict:
+    """The committed results document (empty if absent)."""
     if not os.path.exists(path):
         return {}
     with open(path) as fh:
-        return json.load(fh).get("frozen_legacy", {})
+        return json.load(fh)
+
+
+def frozen_legacy(path: str = RESULTS_PATH) -> dict:
+    """The pre-parking daemon's frozen idle-cost block (empty if absent)."""
+    return committed(path).get("frozen_legacy", {})
 
 
 def idle_capacity_ratio(capacity: dict, legacy: dict) -> float:
@@ -203,6 +228,82 @@ def _build_fleet(sessions: int, waves: int = 8):
     return daemon, meter, spawn_stats, monitor
 
 
+def _gc_census(sessions: int, tracked_before: int) -> dict:
+    """GC-tracked objects per session, and one full collection's pause.
+
+    ``tracked_before`` is ``len(gc.get_objects())`` before the fleet was
+    built. A first collection clears garbage, so the timed one measures
+    the scan of what the fleet keeps.
+    """
+    gc.collect()
+    tracked = len(gc.get_objects()) - tracked_before
+    t0 = time.perf_counter()
+    gc.collect()
+    pause = time.perf_counter() - t0
+    return {
+        "gc_tracked_per_session": round(tracked / sessions, 1),
+        "gc_full_pause_ms": round(pause * 1e3, 2),
+    }
+
+
+def memory_probe(sessions: int) -> dict:
+    """Traced bytes and GC census of an idle fleet at 80×24.
+
+    Run it in a fresh interpreter under :data:`MEMORY_PROBE_HASH_SEED`
+    (:func:`run_memory_probe`). Bytes are what tracemalloc sees allocated
+    and still held 3 s after connect, split by ``repro`` package
+    (``other`` is everything outside it).
+    """
+    gc.collect()
+    tracked_before = len(gc.get_objects())
+    tracemalloc.start()
+    fast = LinkConfig(delay_ms=5.0)
+    daemon = InProcessDaemon(fast, fast, sessions=0, seed=7)
+    for _ in range(sessions):
+        record, client = daemon.add_session()
+        up, down, _ = LINK_PROFILES[_profile_for(record.conn_id)]
+        daemon.network.add_addr_profile(
+            client.transport.endpoint.local_addr, up, down
+        )
+    daemon.connect(warmup_ms=2500.0)
+    daemon.run_for(3000.0)
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    by_package: dict[str, int] = {}
+    for stat in snapshot.statistics("filename"):
+        path = stat.traceback[0].filename.replace(os.sep, "/")
+        parts = path.split("/repro/", 1)
+        package = parts[1].split("/", 1)[0] if len(parts) == 2 else "other"
+        package = package.removesuffix(".py")
+        by_package[package] = by_package.get(package, 0) + stat.size
+    total = sum(by_package.values())
+    return {
+        "sessions": sessions,
+        "geometry": "80x24",
+        "hash_seed": int(MEMORY_PROBE_HASH_SEED),
+        "python": platform.python_version(),
+        "bytes_per_idle_session": round(total / sessions),
+        "bytes_per_idle_session_by_package": {
+            name: round(size / sessions) for name, size in by_package.items()
+        },
+        **_gc_census(sessions, tracked_before),
+    }
+
+
+def run_memory_probe(sessions: int = MEMORY_PROBE_SESSIONS) -> dict:
+    """:func:`memory_probe` in a child interpreter under the fixed hash seed."""
+    env = dict(os.environ, PYTHONHASHSEED=MEMORY_PROBE_HASH_SEED)
+    child = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--memory-probe", str(sessions)],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(child.stdout)
+
+
 def _drive_active_slice(daemon, active_ids, duration_ms: float, scale: float):
     """Schedule persona-trace keystrokes onto the active sessions."""
     traces = generate_all_personas(seed=11, scale=max(scale, 0.05))
@@ -269,11 +370,14 @@ def _reconnect_storm(daemon, meter):
 
 def run_fleet(sessions: int, active_fraction: float, quick: bool) -> dict:
     """One complete fleet scenario at one size."""
+    gc.collect()
+    tracked_before = len(gc.get_objects())
     daemon, meter, spawn_stats, monitor = _build_fleet(sessions)
     wall0 = time.perf_counter()
     daemon.connect(warmup_ms=2500.0)
     connect_wall = time.perf_counter() - wall0
     level_after_connect = monitor.level
+    census = _gc_census(sessions, tracked_before)
 
     active_count = max(1, int(sessions * active_fraction))
     # Deterministic sample, NOT a fixed stride: a stride that shares a
@@ -333,6 +437,7 @@ def run_fleet(sessions: int, active_fraction: float, quick: bool) -> dict:
         "flight_capacity_total": gauges.get("daemon.flight.capacity_total"),
         "reconnect_storm": storm,
         "health": health,
+        **census,
         **spawn_stats,
     }
 
@@ -357,9 +462,14 @@ def run_benchmarks(quick: bool = False) -> dict:
         print(f"  fleet: {sessions} sessions…", file=sys.stderr, flush=True)
         fleets.append(run_fleet(sessions, active_fraction, quick))
 
+    print("  memory probe…", file=sys.stderr, flush=True)
+    memory = run_memory_probe()
+
     # Per-idle-session µs per second of service, from the cost-vs-count
     # slope (robust to any fixed per-daemon overhead). Floored so a
-    # too-fast-to-measure build reports a finite capacity.
+    # too-fast-to-measure build reports a finite capacity; the floor goes
+    # once the capacity model also bounds memory and GC pause (ROADMAP
+    # item 5).
     points = [
         (f["sessions"], f["idle_cost_us_per_session_s"] * f["sessions"])
         for f in fleets
@@ -378,14 +488,23 @@ def run_benchmarks(quick: bool = False) -> dict:
         "schema": 2,
         "quick": quick,
         "fleets": fleets,
+        "memory": memory,
         "capacity": capacity,
         "frozen_legacy": legacy,
     }
 
 
-def check(doc: dict) -> int:
-    """Gate a results document; returns a process exit status."""
+def check(doc: dict, baseline: dict) -> int:
+    """Gate a results document against the committed ``baseline`` one;
+    returns a process exit status."""
     failures = []
+    held = baseline.get("memory", {}).get("bytes_per_idle_session")
+    now = doc.get("memory", {}).get("bytes_per_idle_session")
+    if held and now > held * (1 + MEMORY_RISE_MAX):
+        failures.append(
+            f"idle memory {now:,} B per session > {MEMORY_RISE_MAX:.0%} above "
+            f"the committed {held:,} B"
+        )
     capacity = doc.get("capacity", {})
     legacy = doc.get("frozen_legacy", {})
     ratio = idle_capacity_ratio(capacity, legacy)
@@ -432,7 +551,7 @@ def check(doc: dict) -> int:
         f"fleet check passed: {capacity.get('idle_sessions_per_core'):,} "
         f"idle sessions/core ({ratio:g}x the frozen legacy), p95 echo "
         f"{capacity.get('active_p95_ms_largest'):g} ms within "
-        f"{capacity.get('slo_p95_ms'):g} ms SLO"
+        f"{capacity.get('slo_p95_ms'):g} ms SLO, {now:,} B per idle session"
     )
     return 0
 
@@ -446,9 +565,20 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="gate this run (capacity ratio, SLO, storm wake) for CI",
+        help="gate this run (capacity ratio, SLO, storm wake, idle memory) for CI",
+    )
+    parser.add_argument(
+        "--memory-probe",
+        type=int,
+        metavar="SESSIONS",
+        help="print the idle-memory probe's JSON and exit (run by the bench "
+        "itself in a child under a fixed hash seed)",
     )
     args = parser.parse_args(argv)
+    if args.memory_probe:
+        print(json.dumps(memory_probe(args.memory_probe)))
+        return 0
+    baseline = committed()
     doc = run_benchmarks(quick=args.quick)
     out_path = args.out or RESULTS_PATH
     with open(out_path, "w") as fh:
@@ -456,7 +586,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"wrote {out_path}")
     if args.check:
-        return check(doc)
+        return check(doc, baseline)
     return 0
 
 

@@ -8,6 +8,14 @@ first mutation after a snapshot clones the row
 a generation number from a global counter: two rows with equal generations
 are guaranteed content-equal, which makes the per-frame diff scan cheap.
 
+A row nobody drew is one object: :meth:`Row.blank` returns the width's
+canonical blank row (every cell ``BLANK_CELL``, ``all_blank`` set),
+``shared`` from birth so the first write clones it. One such row fills
+every blank slot of every screen of its width, so its generation is the
+one generation that is not unique within a frame. The table keeps at most
+:data:`PENS` widths, first in, first out; an evicted row keeps its
+``all_blank`` mark, which stays true because nothing writes to it.
+
 Because pens and cells are immutable, the emulator draws with *canonical*
 ones: :func:`canonical_pen` keeps one instance per distinct pen, and each
 canonical pen keeps one cell per ``(contents, width)`` in its
@@ -210,19 +218,34 @@ class Row:
     """A row of cells plus the soft-wrap flag.
 
     ``shared`` marks a row aliased by at least one framebuffer snapshot;
-    mutators must clone it first (``Framebuffer.writable_row``). The flag
-    is bookkeeping, not content, so it is excluded from equality.
+    mutators must clone it first (``Framebuffer.writable_row``).
+    ``all_blank`` marks a canonical blank row (:meth:`blank`), which is
+    always shared. Both flags are bookkeeping, not content, so they are
+    excluded from equality, and a clone carries neither.
     """
 
     cells: list[Cell]
     wrap: bool = False
     gen: int = field(default_factory=lambda: next(_row_gen))
     shared: bool = field(default=False, compare=False, repr=False)
+    all_blank: bool = field(default=False, compare=False, repr=False)
 
     @classmethod
     def blank(cls, width: int, background: int = COLOR_DEFAULT) -> "Row":
-        """A row of erase cells with ``background`` (BCE)."""
-        return cls(cells=[erase_cell(background)] * width)
+        """A row of erase cells with ``background`` (BCE).
+
+        In the default background this is the width's canonical blank row;
+        a coloured background gets a private row of its own.
+        """
+        if background != COLOR_DEFAULT:
+            return cls(cells=[erase_cell(background)] * width)
+        row = _blanks.get(width)
+        if row is None:
+            if len(_blanks) >= PENS:
+                del _blanks[next(iter(_blanks))]
+            row = cls([BLANK_CELL] * width, shared=True, all_blank=True)
+            _blanks[width] = row
+        return row
 
     def copy(self) -> "Row":
         return Row(cells=list(self.cells), wrap=self.wrap, gen=self.gen)
@@ -239,3 +262,7 @@ class Row:
         if self.gen == other.gen:
             return True
         return self.cells == other.cells and self.wrap == other.wrap
+
+
+#: The canonical blank row of each width (see :meth:`Row.blank`).
+_blanks: dict[int, Row] = {}

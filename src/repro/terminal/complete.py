@@ -28,7 +28,6 @@ from repro.errors import StateError
 from repro.terminal.display import Display
 from repro.terminal.emulator import Emulator
 from repro.terminal.framebuffer import Framebuffer
-from repro.terminal.parser import Parser
 from repro.transport.state import StateObject
 
 #: "A server-side timeout of 50 ms, chosen to contain the vast majority of
@@ -52,7 +51,8 @@ class Complete(StateObject):
         self.echo_ack = 0
         # (input index, arrival time) pairs not yet covered by echo_ack;
         # server-side bookkeeping, not part of the synchronized state.
-        self._input_log: deque[tuple[int, float]] = deque()
+        # None until the first input (snapshots never get one).
+        self._input_log: deque[tuple[int, float]] | None = None
         self._version = next(_version_counter)
 
     # ------------------------------------------------------------------
@@ -89,6 +89,8 @@ class Complete(StateObject):
 
     def register_input(self, input_index: int, now: float) -> None:
         """Record that user input ``input_index`` reached the application."""
+        if self._input_log is None:
+            self._input_log = deque()
         self._input_log.append((input_index, now))
 
     def set_echo_ack(self, now: float) -> list[float]:
@@ -128,19 +130,23 @@ class Complete(StateObject):
     # ------------------------------------------------------------------
 
     def copy(self) -> "Complete":
-        """Snapshot this state (fresh parser; history stays with the live
-        terminal). O(height) — rows are shared copy-on-write."""
+        """Snapshot this state (history stays with the live terminal).
+
+        O(height) — rows are shared copy-on-write. The snapshot gets a
+        parser only when something writes to it (diffs are whole
+        sequences, never split, so it starts fresh) and no input log.
+        """
         dup = Complete.__new__(Complete)
         dup._emulator = Emulator.__new__(Emulator)
         dup._emulator.fb = self.fb.copy()
-        dup._emulator._parser = Parser()  # fresh parser: diffs are
-        dup._emulator.outbox = bytearray()  # whole sequences, never split
+        dup._emulator._parser = None
+        dup._emulator.outbox = bytearray()
         dup._emulator._g0 = self._emulator._g0
         dup._emulator._g1 = self._emulator._g1
         dup._emulator._shift = self._emulator._shift
         dup._emulator._last_graphic = ""  # REP repeats only what the diff printed
         dup.echo_ack = self.echo_ack
-        dup._input_log = deque()  # bookkeeping stays with the original
+        dup._input_log = None  # bookkeeping stays with the original
         dup._version = self._version
         return dup
 

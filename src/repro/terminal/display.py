@@ -36,7 +36,7 @@ a CUF hop over an ECH only when the span goes on).
 from __future__ import annotations
 
 from itertools import repeat
-from operator import is_
+from operator import is_, is_not
 
 from repro.terminal.cell import BLANK_CELL, Cell, Row, erase_cell
 from repro.terminal.framebuffer import Framebuffer
@@ -74,14 +74,12 @@ class Display:
         out += b"\x1b[0m\x1b[2J"  # reset pen, clear screen
         pen_state: list[Renditions | None] = [None]
         # BLANK_CELL is what \x1b[2J leaves in every cell.
-        for r in range(new.height):
-            if any(
+        for r, row in enumerate(new.rows):
+            if not row.all_blank and any(
                 c is not BLANK_CELL and (c.canonical or c != BLANK_CELL)
-                for c in new.rows[r].cells
+                for c in row.cells
             ):
-                Display._emit_runs(
-                    out, r, new.rows[r].cells, 0, new.width, pen_state
-                )
+                Display._emit_runs(out, r, row.cells, 0, new.width, pen_state)
         Display._emit_modes(out, None, new)
         Display._finish(out, new, pen_state)
         return bytes(out)
@@ -93,15 +91,20 @@ class Display:
         Scrolling preserves Row identity in the framebuffer, so surviving
         rows keep their generation numbers — matching generations across a
         vertical shift is both cheap and unambiguous. Generations are
-        unique within one framebuffer (every mutation mints a fresh one),
-        so instead of scanning every (row, shift) pair, each new row looks
-        up the old position of its generation and votes for that shift:
-        O(height) rather than O(height × max-shift), with identical
-        results — the smallest shift with the most matches wins.
+        unique within one framebuffer (every mutation mints a fresh one)
+        except the shared blank row's, which is left out of the map and so
+        never votes. Each new row looks up the old position of its
+        generation and votes for that shift: O(height) rather than
+        O(height × max-shift) — the smallest shift with the most matches
+        wins. A row that is the old row at its index stays put (shift 0),
+        and a shift needs at least 4 votes, so with fewer other rows no
+        map is built.
         """
         height = new.height
         max_shift = min(height, 24)
-        old_pos = {row.gen: r for r, row in enumerate(old.rows)}
+        if sum(map(is_not, new.rows, old.rows)) < 4:
+            return 0
+        old_pos = {row.gen: r for r, row in enumerate(old.rows) if not row.all_blank}
         votes: dict[int, int] = {}
         for r, row in enumerate(new.rows):
             j = old_pos.get(row.gen)
@@ -149,7 +152,7 @@ class Display:
                 emit_runs(out, r, new_cells, 0, width, pen_state, True)
             elif old_row.gen != new_row.gen:
                 old_cells = old_row.cells
-                if all(map(is_, old_cells, repeat(BLANK_CELL))):
+                if old_row.all_blank or all(map(is_, old_cells, repeat(BLANK_CELL))):
                     emit_runs(out, r, new_cells, 0, width, pen_state, True)
                 else:
                     Display._emit_row_diff(out, r, old_cells, new_cells, pen_state)

@@ -68,7 +68,7 @@ class Emulator:
 
     def __init__(self, width: int = 80, height: int = 24) -> None:
         self.fb = Framebuffer(width, height)
-        self._parser = Parser()
+        self._parser: Parser | None = Parser()
         #: Replies to host queries (DSR, DA); pty layer drains this.
         self.outbox = bytearray()
         self._g0 = charsets.CHARSET_ASCII
@@ -80,7 +80,10 @@ class Emulator:
 
     def write(self, data: bytes) -> None:
         """Interpret a chunk of host output."""
-        self._parser.input(data, self)
+        parser = self._parser
+        if parser is None:  # a snapshot, written to for the first time
+            parser = self._parser = Parser()
+        parser.input(data, self)
 
     def drain_outbox(self) -> bytes:
         """Take pending replies to host queries (DSR/DA responses)."""
@@ -350,7 +353,7 @@ class Emulator:
             elif final == "M":  # RI
                 self._reverse_line_feed()
             elif final == "H":  # HTS
-                fb.tab_stops.add(fb.cursor_col)
+                fb.tab_stops |= {fb.cursor_col}
             elif final == "=":  # DECKPAM
                 fb.application_keypad = True
             elif final == ">":  # DECKPNM
@@ -469,9 +472,9 @@ class Emulator:
             fb.next_print_wraps = False
         elif final == "g":  # TBC
             if _param(params, 0, 0) == 3:
-                fb.tab_stops.clear()
+                fb.tab_stops = frozenset()
             else:
-                fb.tab_stops.discard(fb.cursor_col)
+                fb.tab_stops -= {fb.cursor_col}
         elif final == "h":  # SM
             if 4 in params:
                 fb.insert_mode = True

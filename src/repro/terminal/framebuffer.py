@@ -18,11 +18,21 @@ the frame itself.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import TerminalError
-from repro.terminal.cell import BLANK_CELL, Cell, Row, erase_cell
-from repro.terminal.renditions import DEFAULT_RENDITIONS, Renditions
+from repro.terminal.cell import BLANK_CELL, PENS, Cell, Row, erase_cell
+from repro.terminal.renditions import COLOR_DEFAULT, DEFAULT_RENDITIONS, Renditions
 
 MAX_DIMENSION = 4096
+
+_NO_MODES: frozenset[int] = frozenset()
+
+
+@lru_cache(maxsize=PENS)
+def _default_tab_stops(width: int) -> frozenset[int]:
+    """The power-on tab stops, every 8 columns: one set per width."""
+    return frozenset(range(0, width, 8))
 
 
 class Framebuffer:
@@ -33,7 +43,7 @@ class Framebuffer:
             raise TerminalError(f"bad framebuffer size {width}x{height}")
         self.width = width
         self.height = height
-        self.rows: list[Row] = [Row.blank(width) for _ in range(height)]
+        self.rows: list[Row] = [Row.blank(width)] * height
 
         # Cursor and pen (drawing state).
         self.cursor_row = 0
@@ -54,7 +64,7 @@ class Framebuffer:
         self.application_cursor_keys = False  # DECCKM
         self.application_keypad = False  # DECKPAM
         self.bracketed_paste = False
-        self.mouse_modes: frozenset[int] = frozenset()
+        self.mouse_modes = _NO_MODES
 
         # Client-visible extras.
         self.window_title = ""
@@ -62,7 +72,8 @@ class Framebuffer:
         self.bell_count = 0
 
         # Server-internal state.
-        self.tab_stops: set[int] = set(range(0, width, 8))
+        # Replaced, never mutated, so snapshots share it.
+        self.tab_stops = _default_tab_stops(width)
         self.saved_cursor: tuple[int, int, Renditions, bool] | None = None
         self._alt_active = False
         self._alt_saved: tuple[list[Row], int, int] | None = None
@@ -83,7 +94,8 @@ class Framebuffer:
 
         O(height): row objects are aliased, not cloned; each is marked
         ``shared`` so the next mutation of either side clones it first
-        (:meth:`writable_row`).
+        (:meth:`writable_row`). The tab stops are shared too: HTS and TBC
+        replace the frozenset rather than change it.
         """
         dup = Framebuffer.__new__(Framebuffer)
         dup.width = self.width
@@ -109,7 +121,7 @@ class Framebuffer:
         dup.window_title = self.window_title
         dup.icon_title = self.icon_title
         dup.bell_count = self.bell_count
-        dup.tab_stops = set(self.tab_stops)
+        dup.tab_stops = self.tab_stops
         dup.saved_cursor = self.saved_cursor
         dup._alt_active = self._alt_active
         if self._alt_saved is None:
@@ -227,9 +239,13 @@ class Framebuffer:
     # Scrolling / line ops
     # ------------------------------------------------------------------
 
-    def _blank_row(self) -> Row:
-        # ECMA-48 erases take the current background color (BCE).
-        return Row.blank(self.width, self.pen.background)
+    def _blank_rows(self, n: int) -> list[Row]:
+        """``n`` blank rows in the pen's background (BCE): the shared blank
+        row, or private rows of a colour, which writes change in place."""
+        background = self.pen.background
+        if background == COLOR_DEFAULT:
+            return [Row.blank(self.width)] * n
+        return [Row.blank(self.width, background) for _ in range(n)]
 
     def scroll(self, n: int) -> None:
         """Positive n scrolls up, negative scrolls down, within the region."""
@@ -248,10 +264,10 @@ class Framebuffer:
                 overflow = len(self.scrollback) - self.scrollback_limit
                 if overflow > 0:
                     del self.scrollback[:overflow]
-            region = region[n:] + [self._blank_row() for _ in range(n)]
+            region = region[n:] + self._blank_rows(n)
         else:
             n = min(-n, len(region))
-            region = [self._blank_row() for _ in range(n)] + region[: len(region) - n]
+            region = self._blank_rows(n) + region[: len(region) - n]
         self.rows[top : bottom + 1] = region
 
     def insert_lines(self, at_row: int, n: int) -> None:
@@ -263,7 +279,7 @@ class Framebuffer:
         if n == 0:
             return
         region = self.rows[at_row : self.scroll_bottom + 1]
-        region = [self._blank_row() for _ in range(n)] + region[: len(region) - n]
+        region = self._blank_rows(n) + region[: len(region) - n]
         self.rows[at_row : self.scroll_bottom + 1] = region
 
     def delete_lines(self, at_row: int, n: int) -> None:
@@ -275,7 +291,7 @@ class Framebuffer:
         if n == 0:
             return
         region = self.rows[at_row : self.scroll_bottom + 1]
-        region = region[n:] + [self._blank_row() for _ in range(n)]
+        region = region[n:] + self._blank_rows(n)
         self.rows[at_row : self.scroll_bottom + 1] = region
 
     # ------------------------------------------------------------------
@@ -308,9 +324,16 @@ class Framebuffer:
         r.touch()
 
     def erase_cells(self, row: int, col: int, n: int) -> None:
-        """ECH / EL segments: blank ``n`` cells in place."""
+        """ECH / EL segments: blank ``n`` cells in place.
+
+        Erasing a whole row in the default background installs the shared
+        blank row instead.
+        """
         n = min(max(n, 0), self.width - col)
         if n == 0:
+            return
+        if n == self.width and self.pen.background == COLOR_DEFAULT:
+            self.rows[row] = Row.blank(n)
             return
         r = self.writable_row(row)
         blank = self._erase_cell()
@@ -342,9 +365,7 @@ class Framebuffer:
 
     def erase_rows(self, start: int, count: int) -> None:
         count = min(max(count, 0), self.height - start)
-        for i in range(start, start + count):
-            # Each row gets its own object so later writes don't alias.
-            self.rows[i] = self._blank_row()
+        self.rows[start : start + count] = self._blank_rows(count)
 
     # ------------------------------------------------------------------
     # Alternate screen
@@ -354,7 +375,7 @@ class Framebuffer:
         if self._alt_active:
             return
         self._alt_saved = (self.rows, self.cursor_row, self.cursor_col)
-        self.rows = [Row.blank(self.width) for _ in range(self.height)]
+        self.rows = [Row.blank(self.width)] * self.height
         if not clear:
             # Mode 47 historically starts with previous alt contents; we
             # always start blank, which xterm also does on first use.
@@ -385,6 +406,9 @@ class Framebuffer:
     def _fit_rows(rows: list[Row], width: int, height: int) -> list[Row]:
         fitted: list[Row] = []
         for row in rows[:height]:
+            if row.all_blank:
+                fitted.append(Row.blank(width))
+                continue
             if len(row.cells) != width and row.shared:
                 row = row.copy()  # never resize a row a snapshot aliases
             if len(row.cells) < width:
@@ -395,8 +419,7 @@ class Framebuffer:
                 Framebuffer._sanitize_row(row)  # truncation may halve a wide char
                 row.touch()
             fitted.append(row)
-        while len(fitted) < height:
-            fitted.append(Row.blank(width))
+        fitted += [Row.blank(width)] * (height - len(fitted))
         return fitted
 
     def resize(self, width: int, height: int) -> None:
@@ -416,7 +439,7 @@ class Framebuffer:
         self.height = height
         self.scroll_top = 0
         self.scroll_bottom = height - 1
-        self.tab_stops = set(range(0, width, 8))
+        self.tab_stops = _default_tab_stops(width)
         self.next_print_wraps = False
         self.clamp()
 
@@ -426,7 +449,7 @@ class Framebuffer:
 
     def reset(self) -> None:
         """RIS: everything back to power-on state (size preserved)."""
-        self.rows = [Row.blank(self.width) for _ in range(self.height)]
+        self.rows = [Row.blank(self.width)] * self.height
         self.cursor_row = 0
         self.cursor_col = 0
         self.pen = DEFAULT_RENDITIONS
@@ -441,8 +464,8 @@ class Framebuffer:
         self.application_cursor_keys = False
         self.application_keypad = False
         self.bracketed_paste = False
-        self.mouse_modes = frozenset()
-        self.tab_stops = set(range(0, self.width, 8))
+        self.mouse_modes = _NO_MODES
+        self.tab_stops = _default_tab_stops(self.width)
         self.saved_cursor = None
         self._alt_active = False
         self._alt_saved = None
