@@ -22,10 +22,12 @@ into a capacity model:
   millisecond and types; the bench asserts every session wakes and
   meters the absorb cost.
 * **Idle memory** — GC-tracked objects per session and the pause of one
-  full collection at each fleet size, plus a tracemalloc probe of 200
-  idle 80×24 sessions (a child interpreter under a fixed hash seed)
-  whose bytes per session ``--check`` holds within 10 % of the
-  committed figure.
+  full collection in an idle fleet of each size, plus a tracemalloc
+  probe of 200 idle 80×24 sessions whose bytes per session ``--check``
+  holds within 10 % of the committed figure when the committed figure
+  was measured on the same CPython minor version. These run in a child
+  interpreter under a fixed hash seed, before the timed fleets, so the
+  timed phases see no collection the bench did not make before.
 * **SLO health monitor** — the bundled
   :func:`~repro.obs.default_fleet_ruleset` runs on a 1 s evaluation
   timer throughout. The bench asserts the monitor reports ``ok`` through
@@ -246,7 +248,17 @@ def _gc_census(sessions: int, tracked_before: int) -> dict:
     }
 
 
-def memory_probe(sessions: int) -> dict:
+def _idle_census(sessions: int) -> dict:
+    """GC census of an idle fleet of ``sessions``, 3 s after connect."""
+    gc.collect()
+    tracked_before = len(gc.get_objects())
+    daemon, _, _, _ = _build_fleet(sessions)
+    daemon.connect(warmup_ms=2500.0)
+    daemon.run_for(3000.0)
+    return {"sessions": sessions, **_gc_census(sessions, tracked_before)}
+
+
+def memory_probe() -> dict:
     """Traced bytes and GC census of an idle fleet at 80×24.
 
     Run it in a fresh interpreter under :data:`MEMORY_PROBE_HASH_SEED`
@@ -254,6 +266,7 @@ def memory_probe(sessions: int) -> dict:
     and still held 3 s after connect, split by ``repro`` package
     (``other`` is everything outside it).
     """
+    sessions = MEMORY_PROBE_SESSIONS
     gc.collect()
     tracked_before = len(gc.get_objects())
     tracemalloc.start()
@@ -291,11 +304,13 @@ def memory_probe(sessions: int) -> dict:
     }
 
 
-def run_memory_probe(sessions: int = MEMORY_PROBE_SESSIONS) -> dict:
-    """:func:`memory_probe` in a child interpreter under the fixed hash seed."""
+def run_memory_probe(quick: bool) -> dict:
+    """:func:`memory_probe` and an :func:`_idle_census` at each fleet size,
+    in a child interpreter under the fixed hash seed."""
     env = dict(os.environ, PYTHONHASHSEED=MEMORY_PROBE_HASH_SEED)
+    argv = [sys.executable, os.path.abspath(__file__), "--memory-probe"]
     child = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--memory-probe", str(sessions)],
+        argv + ["--quick"] if quick else argv,
         env=env,
         check=True,
         capture_output=True,
@@ -370,14 +385,11 @@ def _reconnect_storm(daemon, meter):
 
 def run_fleet(sessions: int, active_fraction: float, quick: bool) -> dict:
     """One complete fleet scenario at one size."""
-    gc.collect()
-    tracked_before = len(gc.get_objects())
     daemon, meter, spawn_stats, monitor = _build_fleet(sessions)
     wall0 = time.perf_counter()
     daemon.connect(warmup_ms=2500.0)
     connect_wall = time.perf_counter() - wall0
     level_after_connect = monitor.level
-    census = _gc_census(sessions, tracked_before)
 
     active_count = max(1, int(sessions * active_fraction))
     # Deterministic sample, NOT a fixed stride: a stride that shares a
@@ -437,7 +449,6 @@ def run_fleet(sessions: int, active_fraction: float, quick: bool) -> dict:
         "flight_capacity_total": gauges.get("daemon.flight.capacity_total"),
         "reconnect_storm": storm,
         "health": health,
-        **census,
         **spawn_stats,
     }
 
@@ -454,16 +465,20 @@ def _fit_slope(points: list[tuple[int, float]]) -> float:
     return num / den if den else 0.0
 
 
+def fleet_sizes(quick: bool) -> list[int]:
+    return [64, 256] if quick else [1000, 4000, 10000]
+
+
 def run_benchmarks(quick: bool = False) -> dict:
-    sizes = [64, 256] if quick else [1000, 4000, 10000]
+    print("  memory probe…", file=sys.stderr, flush=True)
+    probe = run_memory_probe(quick)
+    census = {entry.pop("sessions"): entry for entry in probe["census"]}
     active_fraction = 0.05 if quick else 0.02
     fleets = []
-    for sessions in sizes:
+    for sessions in fleet_sizes(quick):
         print(f"  fleet: {sessions} sessions…", file=sys.stderr, flush=True)
-        fleets.append(run_fleet(sessions, active_fraction, quick))
-
-    print("  memory probe…", file=sys.stderr, flush=True)
-    memory = run_memory_probe()
+        fleet = run_fleet(sessions, active_fraction, quick)
+        fleets.append({**fleet, **census[sessions]})
 
     # Per-idle-session µs per second of service, from the cost-vs-count
     # slope (robust to any fixed per-daemon overhead). Floored so a
@@ -488,19 +503,34 @@ def run_benchmarks(quick: bool = False) -> dict:
         "schema": 2,
         "quick": quick,
         "fleets": fleets,
-        "memory": memory,
+        "memory": probe["memory"],
         "capacity": capacity,
         "frozen_legacy": legacy,
     }
+
+
+def _minor(version: str) -> str:
+    """``"3.11"`` of ``"3.11.7"``."""
+    return ".".join(version.split(".")[:2])
 
 
 def check(doc: dict, baseline: dict) -> int:
     """Gate a results document against the committed ``baseline`` one;
     returns a process exit status."""
     failures = []
-    held = baseline.get("memory", {}).get("bytes_per_idle_session")
-    now = doc.get("memory", {}).get("bytes_per_idle_session")
-    if held and now > held * (1 + MEMORY_RISE_MAX):
+    held_memory = baseline.get("memory", {})
+    held = held_memory.get("bytes_per_idle_session")
+    now = doc["memory"]["bytes_per_idle_session"]
+    # tracemalloc sizes differ between CPython minor versions, so only a
+    # figure measured on the same one is a baseline.
+    held_python = _minor(held_memory.get("python", ""))
+    if held and held_python != _minor(doc["memory"]["python"]):
+        print(
+            f"idle memory gate skipped: the committed {held:,} B per session "
+            f"was measured on CPython {held_python}, this is "
+            f"{_minor(doc['memory']['python'])}"
+        )
+    elif held and now > held * (1 + MEMORY_RISE_MAX):
         failures.append(
             f"idle memory {now:,} B per session > {MEMORY_RISE_MAX:.0%} above "
             f"the committed {held:,} B"
@@ -569,14 +599,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--memory-probe",
-        type=int,
-        metavar="SESSIONS",
+        action="store_true",
         help="print the idle-memory probe's JSON and exit (run by the bench "
         "itself in a child under a fixed hash seed)",
     )
     args = parser.parse_args(argv)
     if args.memory_probe:
-        print(json.dumps(memory_probe(args.memory_probe)))
+        census = [_idle_census(n) for n in fleet_sizes(args.quick)]
+        print(json.dumps({"memory": memory_probe(), "census": census}))
         return 0
     baseline = committed()
     doc = run_benchmarks(quick=args.quick)

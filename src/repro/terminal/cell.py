@@ -12,8 +12,8 @@ A row nobody drew is one object: :meth:`Row.blank` returns the width's
 canonical blank row (every cell ``BLANK_CELL``, ``all_blank`` set),
 ``shared`` from birth so the first write clones it. One such row fills
 every blank slot of every screen of its width, so its generation is the
-one generation that is not unique within a frame. The table keeps at most
-:data:`PENS` widths, first in, first out; an evicted row keeps its
+one generation that is not unique within a frame. The table keeps the
+:data:`PENS` most recently used widths; an evicted row keeps its
 ``all_blank`` mark, which stays true because nothing writes to it.
 
 Because pens and cells are immutable, the emulator draws with *canonical*
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 from repro.terminal.renditions import COLOR_DEFAULT, DEFAULT_RENDITIONS, Renditions
@@ -239,13 +240,7 @@ class Row:
         """
         if background != COLOR_DEFAULT:
             return cls(cells=[erase_cell(background)] * width)
-        row = _blanks.get(width)
-        if row is None:
-            if len(_blanks) >= PENS:
-                del _blanks[next(iter(_blanks))]
-            row = cls([BLANK_CELL] * width, shared=True, all_blank=True)
-            _blanks[width] = row
-        return row
+        return _blank_row(width)
 
     def copy(self) -> "Row":
         return Row(cells=list(self.cells), wrap=self.wrap, gen=self.gen)
@@ -264,5 +259,7 @@ class Row:
         return self.cells == other.cells and self.wrap == other.wrap
 
 
-#: The canonical blank row of each width (see :meth:`Row.blank`).
-_blanks: dict[int, Row] = {}
+@lru_cache(maxsize=PENS)
+def _blank_row(width: int) -> Row:
+    """The canonical blank row of ``width`` (see :meth:`Row.blank`)."""
+    return Row([BLANK_CELL] * width, shared=True, all_blank=True)

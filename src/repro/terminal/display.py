@@ -36,7 +36,7 @@ a CUF hop over an ECH only when the span goes on).
 from __future__ import annotations
 
 from itertools import repeat
-from operator import is_, is_not
+from operator import eq, is_
 
 from repro.terminal.cell import BLANK_CELL, Cell, Row, erase_cell
 from repro.terminal.framebuffer import Framebuffer
@@ -92,19 +92,22 @@ class Display:
         rows keep their generation numbers — matching generations across a
         vertical shift is both cheap and unambiguous. Generations are
         unique within one framebuffer (every mutation mints a fresh one)
-        except the shared blank row's, which is left out of the map and so
-        never votes. Each new row looks up the old position of its
+        except the shared blank row's, so instead of scanning every (row,
+        shift) pair, each new row looks up the old position of its
         generation and votes for that shift: O(height) rather than
-        O(height × max-shift) — the smallest shift with the most matches
-        wins. A row that is the old row at its index stays put (shift 0),
-        and a shift needs at least 4 votes, so with fewer other rows no
-        map is built.
+        O(height × max-shift). The blank row stands in many slots and
+        cannot say which one it came from, so it is left out of the map
+        and proposes no shift. At the shifts the other rows propose, it
+        counts wherever the old row it would come from is blank too, as
+        the blank rows that moved with the scroll would have. The smallest
+        shift with the most matches wins. Only generations decide, so a
+        deep copy that keeps them votes like the original.
         """
         height = new.height
         max_shift = min(height, 24)
-        if sum(map(is_not, new.rows, old.rows)) < 4:
-            return 0
-        old_pos = {row.gen: r for r, row in enumerate(old.rows) if not row.all_blank}
+        old_pos = {row.gen: r for r, row in enumerate(old.rows)}
+        blank_gen = Row.blank(new.width).gen
+        old_has_blank = old_pos.pop(blank_gen, None) is not None
         votes: dict[int, int] = {}
         for r, row in enumerate(new.rows):
             j = old_pos.get(row.gen)
@@ -114,6 +117,12 @@ class Display:
                     votes[shift] = votes.get(shift, 0) + 1
         if not votes:
             return 0
+        if old_has_blank:
+            new_gens = [row.gen for row in new.rows]
+            if blank_gen in new_gens:
+                old_gens = [row.gen for row in old.rows]
+                for shift in votes:
+                    votes[shift] = sum(map(eq, new_gens, old_gens[shift:]))
         best_matches = max(votes.values())
         best_shift = min(s for s, v in votes.items() if v == best_matches)
         if best_matches >= max(4, (height - best_shift) // 2):

@@ -78,22 +78,32 @@ class TestSharedBlankRow:
         fb.writable_row(0).set_cell(0, Row.blank(1, 1).cells[0])
         assert all(cell is BLANK_CELL for cell in old.cells)
 
-    def test_blank_rows_do_not_vote_for_a_scroll(self):
-        """Only drawn rows vote: three of them moving are too few for a
-        shift, however many blank rows moved with them."""
-        em = Emulator(10, 5)
-        em.write(b"x\r\na\r\nb\r\nc")
+    def test_blank_rows_vote_with_the_drawn_rows(self):
+        """Ten text rows on 80×24, then ``CSI 3 S``: seven drawn rows move,
+        too few alone, and the fourteen blank rows that moved with them
+        carry the shift, so the frame is one scroll, not rewritten rows."""
+        em = Emulator(80, 24)
+        for i in range(10):
+            em.write(b"line %d\r\n" % i)
         old = em.fb.copy()
-        em.write(b"\x1b[S")
-        assert Display._detect_scroll(old, em.fb) == 0
-        em.write(b"\x1b[4;1Hd\r\ne")  # now four drawn rows move
-        old = em.fb.copy()
-        em.write(b"\x1b[S")
-        assert Display._detect_scroll(old, em.fb) == 1
-        client = Emulator(10, 5)
+        em.write(b"\x1b[3S")
+        frame = Display.new_frame(old, em.fb)
+        assert b"\x1b[3S" in frame
+        assert len(frame) == 21
+        client = Emulator(80, 24)
         client.fb = old.copy()
-        client.write(Display.new_frame(old, em.fb))
+        client.write(frame)
         assert client.fb == em.fb
+
+    def test_blank_rows_alone_do_not_vote(self):
+        """A cleared screen matches itself at every shift; with no drawn
+        row to say which, it is erased, not scrolled."""
+        em = Emulator(80, 24)
+        for i in range(10):
+            em.write(b"line %d\r\n" % i)
+        old = em.fb.copy()
+        em.write(b"\x1b[2J")
+        assert Display._detect_scroll(old, em.fb) == 0
 
 
 class TestAllocation:
