@@ -523,7 +523,7 @@ def _render_fleet_panel(doc: dict, tick: int, alerts: list, target: str) -> str:
         for value, sid in talkers[:5]:
             srtt = gauges.get(f"server.{sid}.network.srtt_ms", 0.0)
             age = gauges.get(f"server.{sid}.last_heard_age_ms")
-            idle = f"{age / 1000.0:8.1f}" if age is not None and age >= 0 else "       -"
+            idle = f"{age / 1000.0:8.1f}" if age is not None else "       -"
             lines.append(
                 f"                 {sid:<6} {value:>9g}   {srtt:>7.1f} {idle}"
             )

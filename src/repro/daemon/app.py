@@ -79,16 +79,15 @@ class DaemonApp:
         self.connection.rx_batcher = self.rx_batcher
         self.reactor.add_flush_hook(self.rx_batcher.flush)
         self.reactor.add_flush_hook(self.tx_batcher.flush)
-        self.session_flights: dict[int, FlightRecorder] = {}
-        flight_factory = None
-        if flight:
-            flight_factory = self._session_flight
         self.manager = SessionManager(
             self.reactor,
             self.connection,
             pty_factory=PtyHost,
             idle_timeout_ms=idle_timeout_ms,
-            flight_factory=flight_factory,
+            # Each session's ring lives on its endpoint and goes with it.
+            flight_factory=(
+                (lambda cid: self._recorder(f"server.s{cid}")) if flight else None
+            ),
         )
         self.reactor.add_reader(
             self.connection.fileno(), self.connection.receive_ready
@@ -117,11 +116,6 @@ class DaemonApp:
         return FlightRecorder(
             role, self._flight_capacity, self.reactor.clock_domain
         )
-
-    def _session_flight(self, conn_id: int) -> FlightRecorder:
-        recorder = self._recorder(f"server.s{conn_id}")
-        self.session_flights[conn_id] = recorder
-        return recorder
 
     # ------------------------------------------------------------------
 
@@ -192,19 +186,12 @@ class DaemonApp:
     # ------------------------------------------------------------------
 
     def integrity_summary(self) -> str:
-        """Datagram-integrity report covering every session."""
-        auth = replay = 0
-        parts = []
-        for record in self.manager.records():
-            stats = record.session.stats
-            auth += stats.auth_failures
-            replay += stats.replay_drops
-            parts.append(
-                f"{record.name}: {stats.auth_failures}/{stats.replay_drops}"
-            )
-        detail = f" ({', '.join(parts)})" if parts else ""
+        """Datagram-integrity report over every session ever spawned: the
+        reactor-wide totals keep what torn-down sessions counted."""
+        count = self.reactor.registry.counter
         return (
-            f"[repro-mosh-daemon] integrity: {auth} auth failures, "
-            f"{replay} replay drops across "
-            f"{len(parts)} sessions{detail}"
+            f"[repro-mosh-daemon] integrity: "
+            f"{count('crypto.auth_failures').value} auth failures, "
+            f"{count('crypto.replay_drops').value} replay drops across "
+            f"{count('daemon.sessions_spawned').value} sessions"
         )

@@ -16,10 +16,11 @@ session turns out to be alive — so a daemon full of parked sessions does
 per session per timeout period. Dead ptys are collected event-driven: a
 pty EOF wakes its reader, which closes the session on the spot.
 
-The manager also tracks the fleet's parked/active split: every spawned
-core's pump reports park transitions here, feeding the
-``daemon.sessions_parked`` / ``daemon.sessions_active`` gauges that the
-dashboard and the fleet bench read.
+A session's state is its pump's :class:`~repro.runtime.pump.SessionState`.
+Every spawned pump joins the manager's census, which its transitions keep
+current, and the ``daemon.sessions_*`` gauges read it. Close, reap and
+pty exit run one teardown (:meth:`SessionManager.close`), after which
+nothing live references the session.
 
 The manager is substrate-neutral. It needs only a reactor and anything
 with ``open_endpoint(session, conn_id=, mtu=)`` — the real daemon passes
@@ -31,6 +32,7 @@ injected via ``pty_factory`` so simulated daemons run without processes.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.crypto.keys import Base64Key
@@ -38,6 +40,15 @@ from repro.crypto.session import Session
 from repro.daemon.mux import VirtualEndpoint
 from repro.errors import ReactorError
 from repro.obs.flight import FlightRecorder
+from repro.runtime.pump import (
+    ACTIVE,
+    CLOSED,
+    EXITED,
+    PARKED,
+    REAPED,
+    TRANSITIONS,
+    SessionState,
+)
 from repro.runtime.reactor import Reactor, TimerHandle
 from repro.session.core import ServerCore
 
@@ -55,45 +66,19 @@ REAP_DEADLINE_SLACK_MS = 1.0
 PTY_SWEEP_INTERVAL_MS = 1000.0
 
 
+@dataclass(slots=True, eq=False)
 class SessionRecord:
     """Everything the daemon holds for one live session."""
 
-    __slots__ = (
-        "conn_id",
-        "name",
-        "key",
-        "session",
-        "endpoint",
-        "core",
-        "pty",
-        "created_at",
-        "state",
-        "reap_timer",
-    )
-
-    def __init__(
-        self,
-        conn_id: int,
-        name: str,
-        key: Base64Key,
-        session: Session,
-        endpoint: VirtualEndpoint,
-        core: ServerCore,
-        pty: Any,
-        created_at: float,
-    ) -> None:
-        self.conn_id = conn_id
-        self.name = name
-        self.key = key
-        self.session = session
-        self.endpoint = endpoint
-        self.core = core
-        self.pty = pty
-        self.created_at = created_at
-        #: "open" while routed; "closed" / "reaped" / "exited" afterwards.
-        self.state = "open"
-        #: This session's idle-deadline timer, if any.
-        self.reap_timer: TimerHandle | None = None
+    conn_id: int
+    key: Base64Key
+    session: Session
+    endpoint: VirtualEndpoint
+    core: ServerCore
+    pty: Any
+    created_at: float
+    #: This session's idle-deadline timer, if any.
+    reap_timer: TimerHandle | None = None
 
     def last_heard(self) -> float:
         """Last authenticated-traffic time (creation time until then)."""
@@ -133,20 +118,20 @@ class SessionManager:
         self._flight_factory = flight_factory
         self._idle_timeout_ms = idle_timeout_ms
         self._records: dict[int, SessionRecord] = {}
-        self._parked: set[int] = set()
+        #: Pumps per lifecycle state, kept by their transitions.
+        census = self._census = dict.fromkeys(SessionState, 0)
         registry = reactor.registry
         self._spawned = registry.counter("daemon.sessions_spawned")
-        self._reaped = registry.counter("daemon.sessions_reaped")
-        self._exited = registry.counter("daemon.sessions_exited")
+        for name in dict.fromkeys(TRANSITIONS.values()):
+            registry.counter(name)
         #: Idle-deadline timer fires; the regression tests assert this
         #: stays flat as the parked-session count grows.
         self._reap_checks = registry.counter("daemon.reap_checks")
-        registry.gauge("daemon.sessions_open", fn=lambda: len(self._records))
-        registry.gauge("daemon.sessions_parked", fn=lambda: len(self._parked))
         registry.gauge(
-            "daemon.sessions_active",
-            fn=lambda: len(self._records) - len(self._parked),
+            "daemon.sessions_open", fn=lambda: census[ACTIVE] + census[PARKED]
         )
+        registry.gauge("daemon.sessions_parked", fn=lambda: census[PARKED])
+        registry.gauge("daemon.sessions_active", fn=lambda: census[ACTIVE])
         # Fleet-wide flight-ring footprint: occupancy and the memory
         # ceiling across every session's recorder, so a capped daemon can
         # prove its forensic memory stays bounded as sessions accumulate.
@@ -178,10 +163,6 @@ class SessionManager:
     @property
     def conn_ids(self) -> list[int]:
         return sorted(self._records)
-
-    @property
-    def idle_timeout_ms(self) -> float | None:
-        return self._idle_timeout_ms
 
     def get(self, conn_id: int) -> SessionRecord | None:
         return self._records.get(conn_id)
@@ -220,85 +201,50 @@ class SessionManager:
         core = ServerCore(
             self._reactor, endpoint, width, height, timing=timing, label=label
         )
-        pty = None
+        record = SessionRecord(
+            cid, key, session, endpoint, core, pty=None,
+            created_at=self._reactor.now(),
+        )
         if self._pty_factory is not None:
-            pty = self._pty_factory(argv, width, height)
+            record.pty = pty = self._pty_factory(argv, width, height)
             core.on_input = pty.write
             core.on_resize = pty.set_size
             self._reactor.add_reader(
-                pty.fileno(), self._make_pty_reader(cid)
+                pty.fileno(), lambda: self._pty_readable(record)
             )
-        record = SessionRecord(
-            conn_id=cid,
-            name=label if label is not None else "server",
-            key=key,
-            session=session,
-            endpoint=endpoint,
-            core=core,
-            pty=pty,
-            created_at=self._reactor.now(),
-        )
         self._records[cid] = record
-        core.pump.on_park_change = self._make_park_tracker(cid)
+        core.pump.census = self._census
+        self._census[core.pump.state] += 1
         self._spawned.value += 1
         # Live staleness gauge for remote dashboards (`repro top`): how
-        # long since this session last heard authentic traffic. Reads -1
-        # once the record is gone.
+        # long since this session last heard authentic traffic.
+        now = self._reactor.now
         self._reactor.registry.gauge(
             f"{core.role}.last_heard_age_ms",
-            fn=lambda cid=cid: self._last_heard_age(cid),
+            fn=lambda: max(0.0, now() - record.last_heard()),
         )
         self._arm_session_deadline(record)
         core.kick()
         return record
 
-    def _last_heard_age(self, conn_id: int) -> float:
-        record = self._records.get(conn_id)
-        if record is None:
-            return -1.0
-        return max(0.0, self._reactor.now() - record.last_heard())
+    def _pty_readable(self, record: SessionRecord) -> None:
+        data = record.pty.read_available()
+        if data:
+            replies = record.core.host_write(data)
+            if replies:
+                record.pty.write(replies)
+        elif not record.pty.alive():
+            # EOF on a dead child: collect the session right here,
+            # event-driven, instead of waiting for any sweep.
+            self.close(record.conn_id, EXITED)
 
-    def _make_park_tracker(self, conn_id: int) -> Callable[[bool], None]:
-        parked = self._parked
-
-        def on_park_change(is_parked: bool) -> None:
-            if is_parked:
-                parked.add(conn_id)
-            else:
-                parked.discard(conn_id)
-
-        return on_park_change
-
-    @property
-    def parked_count(self) -> int:
-        """How many open sessions are currently parked."""
-        return len(self._parked)
-
-    def _make_pty_reader(self, conn_id: int) -> Callable[[], None]:
-        def on_readable() -> None:
-            record = self._records.get(conn_id)
-            if record is None or record.pty is None:
-                return
-            data = record.pty.read_available()
-            if data:
-                replies = record.core.host_write(data)
-                if replies:
-                    record.pty.write(replies)
-            elif not record.pty.alive():
-                # EOF on a dead child: collect the session right here,
-                # event-driven, instead of waiting for any sweep.
-                self.close(conn_id, state="exited")
-                self._exited.value += 1
-
-        return on_readable
-
-    def close(self, conn_id: int, state: str = "closed") -> bool:
-        """Tear one session down: pty, routing entry, reader, deadline."""
+    def close(self, conn_id: int, state: SessionState = CLOSED) -> bool:
+        """The one teardown: seal the session in the terminal ``state``
+        and drop its timers, instruments, pty, reader and route."""
         record = self._records.pop(conn_id, None)
         if record is None:
             return False
-        record.state = state
-        self._parked.discard(conn_id)
+        record.core.close(state)
         if record.reap_timer is not None:
             record.reap_timer.cancel()
             record.reap_timer = None
@@ -333,34 +279,27 @@ class SessionManager:
                 delay_ms = PTY_SWEEP_INTERVAL_MS
             else:
                 return
-        conn_id = record.conn_id
         record.reap_timer = self._reactor.call_later(
-            delay_ms, lambda: self._session_deadline(conn_id)
+            delay_ms, lambda: self._session_deadline(record)
         )
 
-    def _session_deadline(self, conn_id: int) -> None:
+    def _session_deadline(self, record: SessionRecord) -> None:
         """One session's lifetime check: O(1), fires only when it could
-        actually be due — never as a scan over the fleet."""
-        record = self._records.get(conn_id)
-        if record is None:
-            return
+        actually be due — never as a scan over the fleet. Teardown
+        cancels it, so the session is still open."""
         record.reap_timer = None
         self._reap_checks.value += 1
-        now = self._reactor.now()
+        timeout = self._idle_timeout_ms
         if record.pty is not None and not record.pty.alive():
-            self.close(conn_id, state="exited")
-            self._exited.value += 1
+            self.close(record.conn_id, EXITED)
             return
-        if self._idle_timeout_ms is not None:
-            idle = now - record.last_heard()
-            if idle > self._idle_timeout_ms:
-                self.close(conn_id, state="reaped")
-                self._reaped.value += 1
-                return
-            # Heard since: re-arm at the fresh last-heard's expiry.
-            remaining = self._idle_timeout_ms - idle + REAP_DEADLINE_SLACK_MS
-            self._arm_session_deadline(
-                record, max(remaining, REAP_INTERVAL_MIN_MS)
-            )
-        else:
+        if timeout is None:
             self._arm_session_deadline(record, PTY_SWEEP_INTERVAL_MS)
+            return
+        idle = self._reactor.now() - record.last_heard()
+        if idle > timeout:
+            self.close(record.conn_id, REAPED)
+            return
+        # Heard since: re-arm at the fresh last-heard's expiry.
+        remaining = timeout - idle + REAP_DEADLINE_SLACK_MS
+        self._arm_session_deadline(record, max(remaining, REAP_INTERVAL_MIN_MS))

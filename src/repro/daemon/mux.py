@@ -114,9 +114,6 @@ class SessionMux:
     def conn_ids(self) -> list[int]:
         return sorted(self._routes)
 
-    def endpoint(self, conn_id: int) -> VirtualEndpoint | None:
-        return self._routes.get(conn_id)
-
     def open_endpoint(
         self,
         session: Session,

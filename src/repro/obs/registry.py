@@ -327,6 +327,16 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        #: Open scopes (a session core's name prefix) and the names of
+        #: the instruments created under each, so closing a scope costs
+        #: O(its own instruments), not O(registry).
+        self.scopes: dict[str, list[str]] = {}
+        #: The newest scope's ``prefix.`` and name list. A core creates
+        #: all its instruments before the next core opens a scope, so a
+        #: new instrument is checked against this one scope only.
+        self._newest: tuple[str, list[str]] | None = None
+        #: Scopes closed so far: a watcher that sees this move resyncs.
+        self.scopes_closed = 0
 
     # -- get-or-create --------------------------------------------------
 
@@ -364,7 +374,34 @@ class MetricsRegistry:
             return existing
         instrument = make()
         self._instruments[name] = instrument
+        newest = self._newest
+        if newest is not None and name.startswith(newest[0]):
+            newest[1].append(name)
         return instrument
+
+    # -- scopes ---------------------------------------------------------
+
+    def open_scope(self, base: str) -> str:
+        """Reserve a name prefix no open scope holds: ``base``, else
+        ``base#2``, ``#3``…, so no two owners write one instrument.
+
+        Instruments named ``prefix.*`` and created while it is the
+        newest open scope belong to it.
+        """
+        prefix = base
+        n = 1
+        while prefix in self.scopes:
+            n += 1
+            prefix = f"{base}#{n}"
+        self.scopes[prefix] = owned = []
+        self._newest = (prefix + ".", owned)
+        return prefix
+
+    def close_scope(self, prefix: str) -> None:
+        """Drop every instrument the scope owns and free its prefix."""
+        for name in self.scopes.pop(prefix):
+            del self._instruments[name]
+        self.scopes_closed += 1
 
     # -- lookup ---------------------------------------------------------
 
@@ -497,6 +534,9 @@ class SnapshotDelta:
     each subsequent ``collect()`` returns a ``repro.obs.delta/1``
     document holding *absolute* values for just the instruments that
     changed since the previous call — or ``None`` when nothing moved.
+    A delta cannot say that an instrument is gone, so once a scope has
+    been closed (a session torn down) ``collect()`` primes again and
+    returns a full snapshot, which replaces the subscriber's view.
     Change detection is per instrument (counters and gauges by value,
     histograms by sample count), so an idle 10k-session fleet costs one
     comparison per instrument per tick and ships nothing.
@@ -507,10 +547,12 @@ class SnapshotDelta:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._hist_counts: dict[str, int] = {}
+        self._scopes_closed = registry.scopes_closed
         self.seq = 0
 
     def prime(self) -> dict:
         """Full snapshot; resets the baseline this delta diffs against."""
+        self._scopes_closed = self._registry.scopes_closed
         doc = self._registry.snapshot()
         self._counters = dict(doc["counters"])
         self._gauges = dict(doc["gauges"])
@@ -523,6 +565,8 @@ class SnapshotDelta:
 
     def collect(self) -> dict | None:
         """The changed instruments since last time, or None if quiet."""
+        if self._registry.scopes_closed != self._scopes_closed:
+            return self.prime()
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}

@@ -18,12 +18,23 @@ as ``server.crypto.seal_us``, read-through ``client.sender.*``
 counters), publishes live SRTT/RTTVAR gauges, and wraps every tick in a
 ``{role}.tick`` span. Nothing is copied from one counter to another on
 a tick, so an idle or parked session's counts are exact too.
+
+Mosh's session lives as long as its server process; the daemon runs N
+in one, so each pump holds its session's lifetime once, as a
+:class:`SessionState` moved only along :data:`TRANSITIONS` (each move
+bumps its counter once). A pump parks when nothing is due for
+:data:`PARK_MIN_WAIT_MS` or it has nobody to send to, and wakes on any
+arrival or local change; a wake after :data:`DORMANT_AFTER_MS` parked
+also counts ``pump.dormant_wakes``. ``CLOSED``, ``REAPED`` (idle past
+the daemon's timeout) and ``EXITED`` (the pty's child died) are
+terminal: they seal the pump.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from enum import Enum, auto
 
+from repro.errors import ReactorError
 from repro.runtime.reactor import Reactor, TimerHandle
 from repro.transport.transport import Transport
 
@@ -50,6 +61,29 @@ PARK_MIN_WAIT_MS = 1000.0
 DORMANT_AFTER_MS = 10_000.0
 
 
+class SessionState(Enum):
+    ACTIVE = auto()
+    PARKED = auto()
+    CLOSED = auto()
+    REAPED = auto()
+    EXITED = auto()
+
+
+ACTIVE, PARKED, CLOSED, REAPED, EXITED = SessionState
+
+#: The lifecycle table: every legal transition, and the counter it bumps.
+TRANSITIONS: dict[tuple[SessionState, SessionState], str] = {
+    (ACTIVE, PARKED): "pump.parks",
+    (PARKED, ACTIVE): "pump.wakes",
+    (ACTIVE, CLOSED): "daemon.sessions_closed",
+    (PARKED, CLOSED): "daemon.sessions_closed",
+    (ACTIVE, REAPED): "daemon.sessions_reaped",
+    (PARKED, REAPED): "daemon.sessions_reaped",
+    (ACTIVE, EXITED): "daemon.sessions_exited",
+    (PARKED, EXITED): "daemon.sessions_exited",
+}
+
+
 class TransportPump:
     """Self-scheduling pump binding one :class:`Transport` to a reactor.
 
@@ -70,18 +104,17 @@ class TransportPump:
         self._timer: TimerHandle | None = None
         self._when = 0.0
         #: True while :meth:`kick` runs; nested kicks coalesce into it.
+        #: A sealed pump keeps it True for good.
         self._kicking = False
-        #: True while this session is parked: the sender has no pending
-        #: diff and no unacked data, so the only armed timer (if any) is
-        #: the coarse heartbeat, and no tick runs before it is due. A
-        #: parked pump wakes synchronously on datagram arrival
-        #: (``on_datagram`` chains into :meth:`kick`) or on any local
-        #: activity (host writes and keystrokes poke directly).
-        self.parked = False
-        self._parked_since: float | None = None
-        #: Park-transition hook: called with the new parked state; the
-        #: session manager counts fleet-wide parked/active gauges here.
-        self.on_park_change: Callable[[bool], None] | None = None
+        #: This session's lifecycle state and the reactor time it was
+        #: entered. A parked pump holds at most the heartbeat timer and
+        #: wakes synchronously on an arrival (``on_datagram`` kicks) or a
+        #: local change (which pokes).
+        self.state = ACTIVE
+        self.since = reactor.now()
+        #: Pumps per state, kept by this pump's transitions: the session
+        #: manager's census, or None outside a daemon.
+        self.census: dict[SessionState, int] | None = None
         #: Instrument-name prefix from ``Reactor.register_core`` ("server",
         #: or "server.s3" for one of N sessions sharing a registry).
         self.role = role
@@ -149,8 +182,8 @@ class TransportPump:
         # rule tell a mass-reconnect storm (sessions parked for tens of
         # seconds all stampeding back) from a flash crowd of new
         # sessions, whose pre-connect parks last well under a second.
-        self._parks = registry.counter("pump.parks")
-        self._wakes = registry.counter("pump.wakes")
+        registry.counter("pump.parks")
+        registry.counter("pump.wakes")
         self._dormant_wakes = registry.counter("pump.dormant_wakes")
 
     def kick(self) -> None:
@@ -181,7 +214,7 @@ class TransportPump:
                 # until the network speaks. No timer is armed at all — the
                 # first datagram (or local activity) kicks synchronously.
                 self._disarm()
-                self._set_parked(True)
+                self._enter(PARKED)
                 return
             idle = transport.sender.last_wait_idle
             endpoint = transport.endpoint
@@ -195,9 +228,11 @@ class TransportPump:
                 # heartbeat periods. Stop heartbeating at its stale address;
                 # its next authentic datagram wakes us.
                 self._disarm()
-                self._set_parked(True)
+                self._enter(PARKED)
                 return
-            self._set_parked(idle and wait >= PARK_MIN_WAIT_MS)
+            self._enter(
+                PARKED if idle and wait >= PARK_MIN_WAIT_MS else ACTIVE
+            )
             self._arm(now, wait)
         finally:
             self._kicking = False
@@ -228,7 +263,7 @@ class TransportPump:
         if wait is None:
             self.kick()
             return
-        self._set_parked(False)
+        self._enter(ACTIVE)
         self._arm(now, wait)
 
     def _arm(self, now: float, wait: float) -> None:
@@ -259,23 +294,32 @@ class TransportPump:
         model detached clients (closed laptops) at fleet scale.
         """
         self._disarm()
-        self._set_parked(True)
+        self._enter(PARKED)
 
-    def _set_parked(self, parked: bool) -> None:
-        if parked == self.parked:
+    def seal(self, state: SessionState) -> None:
+        """Enter the terminal ``state``: cancel the live timer, and from
+        now on every kick or poke returns without ticking."""
+        self._enter(state)
+        self._disarm()
+        self._kicking = True
+
+    def _enter(self, state: SessionState) -> None:
+        """Move to ``state`` (staying put is no transition) along the
+        lifecycle table: count it once, stamp its time, keep the census."""
+        old = self.state
+        if state is old:
             return
-        self.parked = parked
-        now = self._reactor.now()
-        if parked:
-            self._parks.inc()
-            self._parked_since = now
-        else:
-            self._wakes.inc()
-            if (
-                self._parked_since is not None
-                and now - self._parked_since >= DORMANT_AFTER_MS
-            ):
-                self._dormant_wakes.inc()
-            self._parked_since = None
-        if self.on_park_change is not None:
-            self.on_park_change(parked)
+        name = TRANSITIONS.get((old, state))
+        if name is None:
+            raise ReactorError(f"illegal transition {old.name} -> {state.name}")
+        reactor = self._reactor
+        now = reactor.now()
+        reactor.registry.counter(name).inc()
+        if state is ACTIVE and now - self.since >= DORMANT_AFTER_MS:
+            self._dormant_wakes.inc()
+        self.state = state
+        self.since = now
+        census = self.census
+        if census is not None:
+            census[old] -= 1
+            census[state] += 1

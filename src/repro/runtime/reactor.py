@@ -94,6 +94,9 @@ class TimerHandle:
         if not self.active:
             return
         self.cancelled = True
+        # The queue drops cancelled entries lazily: let go of the
+        # callback now, so it does not keep its owner alive until then.
+        self._callback = None
         self._reactor._cancel(self._token)
 
 
@@ -128,8 +131,7 @@ class Reactor(ABC):
         self._timer_lag = registry.histogram("reactor.timer_lag_ms", unit="ms")
         #: Span tracer timed by this reactor's clock.
         self.tracer = SpanTracer(self.now)
-        self._core_prefixes: set[str] = set()
-        registry.gauge("reactor.cores", fn=lambda: len(self._core_prefixes))
+        registry.gauge("reactor.cores", fn=lambda: len(registry.scopes))
 
     def add_flush_hook(self, hook: Callable[[], int]) -> None:
         """Register a per-tick wire-batch flush (rx before tx).
@@ -140,25 +142,13 @@ class Reactor(ABC):
         self.timers.add_flush_hook(hook)
 
     def register_core(self, role: str, label: str | None = None) -> str:
-        """Register a session core; returns its instrument-name prefix.
-
-        One reactor can drive many cores off a single timer heap (the
-        session daemon runs N servers on one select loop). A solitary
-        core keeps the bare ``server``/``client`` prefix for metric-name
-        compatibility; labelled cores get ``server.s3``-style prefixes so
-        every session's instruments coexist in one registry. This is the
-        one place prefixes are kept unique: a prefix already taken (two
-        unlabelled servers, a respawned conn id) gets a ``#2``, ``#3``…
-        suffix, so no two cores ever write the same instrument.
-        """
-        base = role if label is None else f"{role}.{label}"
-        prefix = base
-        n = 1
-        while prefix in self._core_prefixes:
-            n += 1
-            prefix = f"{base}#{n}"
-        self._core_prefixes.add(prefix)
-        return prefix
+        """A session core's instrument-name prefix: the bare role for a
+        solitary core, ``server.s3``-style when labelled, so N cores on
+        one reactor share its registry. It is a registry scope (unique
+        among live cores); the core's teardown closes it."""
+        return self.registry.open_scope(
+            role if label is None else f"{role}.{label}"
+        )
 
     def call_at(self, when_ms: float, callback: Callback) -> TimerHandle:
         """Run ``callback`` at absolute time ``when_ms``."""

@@ -26,7 +26,7 @@ from repro.obs.causal import CausalTracer
 from repro.obs.keystroke import KeystrokeLatencyTracker
 from repro.prediction.engine import DisplayPreference, PredictionEngine
 from repro.prediction.overlays import NotificationEngine
-from repro.runtime.pump import TransportPump
+from repro.runtime.pump import SessionState, TransportPump
 from repro.runtime.reactor import Reactor, TimerHandle
 from repro.terminal.complete import Complete
 from repro.terminal.framebuffer import Framebuffer
@@ -79,7 +79,7 @@ class ServerCore:
 
     @property
     def pump(self) -> TransportPump:
-        """The session's transport pump; parking state lives here."""
+        """The session's transport pump; its lifecycle state lives here."""
         return self._pump
 
     def kick(self) -> None:
@@ -89,6 +89,15 @@ class ServerCore:
         runs the full tick.
         """
         self._pump.kick()
+
+    def close(self, state: SessionState) -> None:
+        """Seal this session in the terminal ``state``, leaving no timer
+        and no prefixed instrument of it on the reactor."""
+        self._pump.seal(state)
+        if self._echo_timer is not None:
+            self._echo_timer.cancel()
+            self._echo_timer = None
+        self.reactor.registry.close_scope(self.role)
 
     def handle_user_events(self, now: float) -> None:
         """Apply newly received user events to the terminal and the app.
@@ -290,7 +299,7 @@ class ClientCore:
 
     @property
     def pump(self) -> TransportPump:
-        """The session's transport pump; parking state lives here."""
+        """The session's transport pump; its lifecycle state lives here."""
         return self._pump
 
     def kick(self) -> None:

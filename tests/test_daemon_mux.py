@@ -7,12 +7,15 @@ fate partition) and a real-UDP daemon serving two clients, one of which
 roams mid-stream.
 """
 
+import gc
 import io
+import itertools
 import os
 import re
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given
@@ -25,6 +28,7 @@ from repro.errors import NetworkError, ReactorError
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import CONN_WIRE_MAGIC
 from repro.obs.flight import FlightRecorder
+from repro.runtime.pump import ACTIVE, CLOSED, EXITED, REAPED
 
 
 class WireClient(DatagramEndpoint):
@@ -227,7 +231,7 @@ class TestIdleReaper:
         loop.run_for(20_000)
         assert manager.conn_ids == []
         assert mux.conn_ids == []
-        assert all(r.state == "reaped" for r in records)
+        assert all(r.core.pump.state is REAPED for r in records)
         assert reactor.registry.counter("daemon.sessions_reaped").value == 2
 
     def test_heard_session_survives_the_sweep(self):
@@ -243,7 +247,7 @@ class TestIdleReaper:
         keepalive()
         loop.run_for(12_000)
         assert manager.conn_ids == [lively.conn_id]
-        assert idle.state == "reaped"
+        assert idle.core.pump.state is REAPED
         assert reactor.registry.counter("daemon.sessions_reaped").value == 1
 
     def test_reap_cost_independent_of_parked_count(self):
@@ -295,9 +299,9 @@ class TestIdleReaper:
         daemon.connect(warmup_ms=1500)
         daemon.client(1).type_bytes(b"hi")
         daemon.run_for(5000)
-        manager = daemon.manager
+        parked = daemon.reactor.registry.get("daemon.sessions_parked")
         # Quiescent fleet: every server core should be parked.
-        assert manager.parked_count == 4
+        assert parked.value == 4.0
         gauges = daemon.metrics_snapshot()["gauges"]
         assert gauges["daemon.sessions_parked"] == 4.0
         assert gauges["daemon.sessions_active"] == 0.0
@@ -305,11 +309,11 @@ class TestIdleReaper:
         record = daemon.record(1)
         daemon.client(1).type_bytes(b"x")
         daemon.run_for(30.0)
-        assert record.core.pump.parked is False
-        assert manager.parked_count == 3
+        assert record.core.pump.state is ACTIVE
+        assert parked.value == 3.0
         # ...and it re-parks once the exchange settles.
         daemon.run_for(3000)
-        assert manager.parked_count == 4
+        assert parked.value == 4.0
 
     def test_flight_budget_caps_ring_memory(self):
         """A daemon-level flight budget divides one event allowance
@@ -452,6 +456,134 @@ class TestManySessionsOnePort:
         screen = daemon.record(good_cid).core.terminal.fb.screen_text()
         assert "#still here#" in screen
         assert "#still here#" in daemon.client(good_cid).display().screen_text()
+
+
+class FakePty:
+    """A pty whose child lives until the test says otherwise."""
+
+    fds = itertools.count(100)
+
+    def __init__(self, argv, width, height):
+        self.fd = next(self.fds)
+        self.live = True
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, data):
+        pass
+
+    def set_size(self, cols, rows):
+        pass
+
+    def read_available(self):
+        return b""
+
+    def alive(self):
+        return self.live
+
+    def terminate(self):
+        self.live = False
+
+
+class TestTeardown:
+    """Close, reap and pty exit all run one teardown: the session sends
+    nothing more, holds no timer or instrument, and is freed."""
+
+    ENDS = {"close": CLOSED, "reap": REAPED, "exit": EXITED}
+
+    @staticmethod
+    def make_daemon(monkeypatch, on_call_at=None):
+        """Two connected pty sessions (5 ms links, seed 1) that a 5 s idle
+        timeout reaps once their client falls silent."""
+        from repro.session.inprocess import InProcessDaemon
+        from repro.simnet import LinkConfig
+
+        link = LinkConfig(delay_ms=5.0)
+        daemon = InProcessDaemon(
+            link, link, sessions=0, seed=1, idle_timeout_ms=5000.0
+        )
+        readers = {}
+        reactor = daemon.reactor
+        monkeypatch.setattr(reactor, "add_reader", readers.__setitem__)
+        monkeypatch.setattr(reactor, "remove_reader", readers.pop)
+        monkeypatch.setattr(daemon.manager, "_pty_factory", FakePty)
+        if on_call_at is not None:
+            call_at = reactor.call_at
+
+            def tracking_call_at(when_ms, callback):
+                handle = call_at(when_ms, callback)
+                on_call_at(callback, handle)
+                return handle
+
+            monkeypatch.setattr(reactor, "call_at", tracking_call_at)
+        daemon.add_session()
+        daemon.add_session()
+        daemon.connect()
+        return daemon, readers
+
+    @staticmethod
+    def end(daemon, readers, how):
+        """End session 1 by ``how``; returns once it has ended."""
+        if how == "close":
+            assert daemon.manager.close(1)
+        elif how == "exit":
+            pty = daemon.record(1).pty
+            pty.live = False
+            readers[pty.fileno()]()  # EOF wakes the reader
+        else:
+            # The client's machine sleeps and drops off the network.
+            client = daemon.client(1)
+            client.pump.suspend()
+            daemon.network.unregister(client.transport.endpoint.local_addr)
+            for _ in range(100):
+                if daemon.record(1) is None:
+                    break
+                daemon.run_for(100.0)
+        assert daemon.record(1) is None
+
+    @pytest.mark.parametrize("how", sorted(ENDS))
+    def test_ended_session_sends_nothing(self, monkeypatch, how):
+        timers = []
+        daemon, readers = self.make_daemon(
+            monkeypatch,
+            lambda callback, handle: timers.append(
+                (getattr(callback, "__self__", None), handle)
+            ),
+        )
+        record = daemon.record(1)
+        pump = record.core.pump
+        self.end(daemon, readers, how)
+        assert record.core.pump.state is self.ENDS[how]
+        ended_at = pump.since
+        daemon.run_for(12_000.0)
+        sends = daemon.server_flights[1].events("send")
+        assert [e["t"] for e in sends if e["t"] >= ended_at] == []
+        assert [
+            handle
+            for owner, handle in timers
+            if owner in (pump, record.core) and handle.active
+        ] == []
+        # The other session carries on.
+        assert daemon.server_flights[2].events("send")[-1]["t"] > ended_at
+        gauges = daemon.metrics_snapshot()["gauges"]
+        assert gauges["daemon.sessions_open"] == 1.0
+
+    @pytest.mark.parametrize("how", sorted(ENDS))
+    def test_ended_session_is_freed(self, monkeypatch, how):
+        daemon, readers = self.make_daemon(monkeypatch)
+        core = weakref.ref(daemon.record(1).core)
+        registry = daemon.reactor.registry
+        sealed = registry.counter("crypto.datagrams_sealed").value
+        self.end(daemon, readers, how)
+        daemon.run_for(100.0)
+        gc.collect()
+        assert core() is None
+        names = registry.names()
+        assert [n for n in names if n.startswith("server.s1.")] == []
+        assert [n for n in names if n.startswith("server.s2.")] != []
+        # Reactor-wide totals keep what the session counted.
+        assert registry.counter("crypto.datagrams_sealed").value >= sealed
 
 
 @pytest.mark.skipif(

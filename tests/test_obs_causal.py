@@ -344,7 +344,7 @@ class TestClockDomain:
         )
         try:
             recorders = [server.flight, daemon.flight, client.flight]
-            recorders += daemon.session_flights.values()
+            recorders += [r.endpoint.flight for r in daemon.manager.records()]
             assert len(recorders) == 4
             assert {r.header()["clock"] for r in recorders} == {"real"}
         finally:

@@ -25,6 +25,7 @@ import sys
 import pytest
 
 from repro.network.packet import encode_conn_id
+from repro.runtime.pump import PARKED
 from repro.session.inprocess import InProcessDaemon, InProcessSession
 from repro.simnet.link import LinkConfig
 
@@ -122,7 +123,7 @@ class TestExactCounters:
         daemon.connect()
         daemon.run_for(4000.0)
         record = daemon.record(1)
-        assert record.core.pump.parked
+        assert record.core.pump.state is PARKED
         registry = daemon.reactor.registry
         before = registry.counter("crypto.auth_failures").value
         client_addr = daemon.client(1).transport.endpoint.local_addr
@@ -132,7 +133,8 @@ class TestExactCounters:
                 "client", client_addr, daemon.DAEMON_ADDR, forged
             )
         daemon.run_for(40.0)  # one link delay: no heartbeat in between
-        assert record.core.pump.parked  # forgeries never wake a session
+        # Forgeries never wake a session.
+        assert record.core.pump.state is PARKED
         assert record.session.stats.auth_failures == 5
         assert registry.counter("crypto.auth_failures").value == before + 5
 

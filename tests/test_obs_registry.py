@@ -247,6 +247,49 @@ class TestRegistry:
         assert reg.names() == ["a", "b"]
 
 
+class TestScopes:
+    def test_closing_a_scope_drops_only_its_instruments(self):
+        reg = MetricsRegistry()
+        prefixes = []
+        for base in ("server", "server.s1", "server.s1"):
+            prefix = reg.open_scope(base)
+            reg.counter(f"{prefix}.sender.fragments").inc()
+            reg.counter("pump.parks").inc()
+            prefixes.append(prefix)
+        _, one, again = prefixes
+        assert again == "server.s1#2"
+        reg.close_scope(one)
+        assert reg.names() == [
+            "pump.parks",
+            "server.s1#2.sender.fragments",
+            "server.sender.fragments",
+        ]
+        # The prefix is free again, and its instruments start afresh.
+        assert reg.open_scope("server.s1") == "server.s1"
+        assert reg.counter("server.s1.sender.fragments").value == 0
+
+    def test_watcher_resyncs_after_a_scope_closes(self):
+        """A delta cannot say an instrument is gone, so the next collect
+        after a scope closes is a full snapshot that replaces the view."""
+        reg = MetricsRegistry()
+        scope = reg.open_scope("server.s1")
+        reg.gauge(f"{scope}.network.srtt_ms", fn=lambda: 42.0)
+        reg.counter("reactor.ticks").inc()
+        feed = SnapshotDelta(reg)
+        view = apply_delta(None, feed.prime())
+        assert feed.collect() is None
+        reg.close_scope(scope)
+        doc = feed.collect()
+        assert doc["schema"] == SNAPSHOT_SCHEMA
+        view = apply_delta(view, json.loads(json.dumps(doc)))
+        assert view == reg.snapshot()
+        assert "server.s1.network.srtt_ms" not in view["gauges"]
+        # Then plain deltas again.
+        assert feed.collect() is None
+        reg.counter("reactor.ticks").inc()
+        assert feed.collect()["counters"] == {"reactor.ticks": 2}
+
+
 class TestSnapshot:
     def make_doc(self):
         reg = MetricsRegistry()

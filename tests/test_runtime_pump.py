@@ -9,15 +9,16 @@ A local change only pokes the pump: it re-arms the timer exactly as a
 kick would, without a tick, and everything on the wire stays the same.
 """
 
-import hashlib
 import random
 
 import pytest
 
 from repro.crypto.keys import Base64Key
 from repro.runtime.pump import (
+    ACTIVE,
     DORMANT_AFTER_MS,
     MIN_TICK_DELAY_MS,
+    PARKED,
     TransportPump,
 )
 from repro.session.inprocess import InProcessDaemon, InProcessSession
@@ -155,7 +156,7 @@ class TestNoTimerWhenParked:
         server = session.server
         live, _ = track_pump_timers(server)
         server.kick()  # no peer address yet: deep park
-        assert server.pump.parked
+        assert server.pump.state is PARKED
         assert live() == []
 
     def test_dormant_pump_holds_no_timer(self):
@@ -166,7 +167,7 @@ class TestNoTimerWhenParked:
         session.client.pump.suspend()
         session.network.unregister(session.client_endpoint.local_addr)
         session.run_for(DORMANT_AFTER_MS + 5000.0)
-        assert server.pump.parked
+        assert server.pump.state is PARKED
         assert armed and live() == []
 
     @pytest.mark.parametrize("side", ["client", "server"])
@@ -182,7 +183,7 @@ class TestNoTimerWhenParked:
             core.type_bytes(b"!")
         assert len(live()) == 1
         core.pump.suspend()
-        assert core.pump.parked
+        assert core.pump.state is PARKED
         assert live() == []
 
 
@@ -253,7 +254,7 @@ class TestPoke:
             assert (expected == sent_at + interval) is frame_bound
             assert armed[-1][0] == expected
             assert ticks(session) == before
-            assert not server.pump.parked
+            assert server.pump.state is ACTIVE
             while sender.send_log[-1][0] == sent_at:
                 session.run_for(0.25)
             sent_at = sender.send_log[-1][0]
@@ -266,7 +267,7 @@ class TestPoke:
         before = ticks(session)
         server.host_write(b"x")
         assert ticks(session) == before + 1
-        assert not server.pump.parked
+        assert server.pump.state is ACTIVE
         assert len(live()) == 1
 
     def test_write_before_the_peer_address_deep_parks(self):
@@ -275,7 +276,7 @@ class TestPoke:
         live, _ = track_pump_timers(server)
         server.host_write(b"$ ")
         assert ticks(session) == 1
-        assert server.pump.parked
+        assert server.pump.state is PARKED
         assert live() == []
 
     def test_change_after_a_reverted_change_ticks(self):

@@ -247,6 +247,7 @@ def daemon_stage(args) -> list[str]:
         if f"session-{cid}" not in screen:
             failures.append(f"session {cid} never converged on its marker")
 
+    failures.extend(_closed_session_checks(daemon))
     failures.extend(_unroutable_checks(daemon))
     write_snapshot_atomic(doc, args.daemon_metrics)
     with open(args.daemon_metrics, encoding="utf-8") as fh:
@@ -309,6 +310,28 @@ def flight_wrap_stage(args) -> list[str]:
         f"  flight wrap: {len(recorders)} recordings of {capacity} events "
         f"each, {dropped} overwritten -> {args.flight_wrap}-*.jsonl"
     )
+    return failures
+
+
+def _closed_session_checks(daemon) -> list[str]:
+    """Closing one of the 8 sessions tears it down: the open gauge reads
+    7, and none of its ``server.s<id>.*`` instruments is scraped."""
+    closed = daemon.conn_ids[-1]
+    daemon.manager.close(closed)
+    doc = daemon.metrics_snapshot()
+    validate_snapshot(doc)
+    failures = []
+    if doc["gauges"].get("daemon.sessions_open") != 7.0:
+        failures.append("daemon.sessions_open gauge is not 7 after a close")
+    left = [
+        name
+        for section in ("counters", "gauges", "histograms")
+        for name in doc[section]
+        if name.startswith(f"server.s{closed}.")
+    ]
+    if left:
+        failures.append(f"closed session s{closed} still scraped: {left}")
+    print(f"  daemon: session {closed} closed, its instruments dropped")
     return failures
 
 
